@@ -14,9 +14,13 @@ a-time assignments. With a subset of factors fixed, each correlation
 g_r factors into an exact prefix times a product of free-factor terms,
 each in [exp(-theta_l), 1]; this sandwiches every g_r in an interval
 [L_r, U_r] from which admissible bounds on Q, the mean, and the standard
-deviation follow by splitting coefficient signs. Bounds are exact at
-leaves, so the first fully-assigned node popped from the best-first queue
-is a certified global optimum.
+deviation follow by splitting coefficient signs. A popped node expands all
+M children at once: their [L, U] rows come from per-factor multiplier
+tables, and every child bound from two matrix products with the sign-split
+W. At the last factor the children are exact correlation rows (L = U = g),
+so leaves are scored exactly in one batch, with no design rebuild. The
+search stops once the best open bound no longer exceeds the incumbent,
+which certifies the incumbent as the global optimum.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from scipy.linalg import cho_solve, solve_triangular
 
 from .encoding import Design, Point
 from .gp import GpModel, cross_correlation
-from .maximin import TooLargeError
+from .maximin import TooLargeError, check_time_limit
 
 DEFAULT_LAMBDA = 2.96
 DEFAULT_GAP = 0.10
@@ -55,6 +59,7 @@ class AcquisitionSpec:
             raise ValueError("lambda must be non-negative")
         if not 0.0 <= self.gap_tolerance < 1.0:
             raise ValueError("gap tolerance must lie in [0, 1)")
+        check_time_limit(self.time_limit)
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,12 @@ def _objective_batch(model: GpModel, X_new: np.ndarray, spec: AcquisitionSpec):
 
 
 class _BnB:
-    """Best-first branch-and-bound over per-factor level assignments."""
+    """Best-first branch-and-bound over per-factor level assignments.
+
+    The heap holds level prefixes only; a popped node's U is rebuilt from
+    the per-factor multiplier tables, and all M children are bounded (or,
+    at the last factor, scored exactly) in one batched step.
+    """
 
     def __init__(self, model: GpModel, spec: AcquisitionSpec):
         self.model = model
@@ -106,44 +116,52 @@ class _BnB:
         self.M = model.design.M
         theta = model.params.theta
         self.order = np.argsort(-theta, kind="stable")  # most influential first
-        self.theta = theta
-        self.decay = np.exp(-theta)
+        decay = np.exp(-theta)
         W = cho_solve((model.chol, True), np.eye(self.n))
         self.Wp = np.maximum(W, 0.0)
         self.Wn = np.minimum(W, 0.0)
         self.ap = np.maximum(model.alpha, 0.0)
         self.an = np.minimum(model.alpha, 0.0)
         self.tau2 = model.params.tau2
-        self.tau = np.sqrt(self.tau2)
         self.mu = model.params.mu
         # product of free-factor minimum terms for each prefix depth
         free_min = np.ones(self.d + 1)
         for depth in range(self.d - 1, -1, -1):
-            free_min[depth] = free_min[depth + 1] * self.decay[self.order[depth]]
+            free_min[depth] = free_min[depth + 1] * decay[self.order[depth]]
         self.free_min = free_min
+        # F[depth][v-1, r]: correlation multiplier of training point r when
+        # the factor branched at this depth takes level v
+        levels = np.arange(1, self.M + 1)[:, None]
+        self.F = [
+            np.where(self.X[:, j] == levels, 1.0, decay[j]) for j in self.order
+        ]
 
-    def _vectors(self, levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Correlation interval [L, U] per training point for a prefix."""
+    def _upper(self, levels: tuple[int, ...]) -> np.ndarray:
+        """Exact prefix product U per training point for a level prefix."""
         U = np.ones(self.n)
         for depth, v in enumerate(levels):
-            j = self.order[depth]
-            U = U * np.where(self.X[:, j] == v, 1.0, self.decay[j])
-        L = U * self.free_min[len(levels)]
-        return L, U
+            U = U * self.F[depth][v - 1]
+        return U
 
-    def _bound(self, L: np.ndarray, U: np.ndarray) -> float:
-        """Admissible upper bound on the objective over the subtree."""
-        q_low = max(0.0, float(L @ self.Wp @ L + U @ self.Wn @ U))
-        var_high = self.tau2 * max(0.0, 1.0 - q_low)
+    def _bounds(self, L: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """Admissible upper bounds on the objective over each row's subtree,
+        from stacked correlation intervals [L, U] (one row per node)."""
+        q_low = np.einsum("ij,ij->i", L @ self.Wp, L)
+        q_low += np.einsum("ij,ij->i", U @ self.Wn, U)
+        var_high = self.tau2 * np.maximum(0.0, 1.0 - np.maximum(0.0, q_low))
         if self.spec.kind == "alm":
             return var_high
-        mean_high = self.mu + float(U @ self.ap + L @ self.an)
+        mean_high = self.mu + (U @ self.ap + L @ self.an)
         return mean_high + self.spec.lam * np.sqrt(var_high)
 
-    def _leaf_value(self, levels_by_factor: np.ndarray) -> float:
-        return float(
-            _objective_batch(self.model, levels_by_factor[None, :], self.spec)[0]
-        )
+    def _leaf_values(self, G: np.ndarray) -> np.ndarray:
+        """Objective at fully assigned points from their exact correlation
+        rows G (one row per point)."""
+        V = solve_triangular(self.model.chol, G.T, lower=True, check_finite=False)
+        var = self.tau2 * np.maximum(0.0, 1.0 - np.sum(V * V, axis=0))
+        if self.spec.kind == "alm":
+            return var
+        return self.mu + G @ self.model.alpha + self.spec.lam * np.sqrt(var)
 
     def _to_factor_order(self, levels: tuple[int, ...]) -> np.ndarray:
         out = np.zeros(self.d, dtype=np.int64)
@@ -152,16 +170,14 @@ class _BnB:
 
     def solve(self) -> AcqSolveReport:
         t0 = time.perf_counter()
-        deadline = t0 + self.spec.time_limit if self.spec.time_limit else None
+        limit = self.spec.time_limit
+        deadline = t0 + limit if limit is not None else None
         tol = self.spec.gap_tolerance
 
         counter = itertools.count()
-        heap: list[tuple[float, int, tuple[int, ...]]] = []
-        L0, U0 = self._vectors(())
-        heapq.heappush(heap, (-self._bound(L0, U0), next(counter), ()))
-
-        incumbent = -np.inf
-        incumbent_levels: np.ndarray | None = None
+        U0 = np.ones((1, self.n))
+        root = float(self._bounds(U0 * self.free_min[0], U0)[0])
+        heap: list[tuple[float, int, tuple[int, ...]]] = [(-root, next(counter), ())]
 
         # seed incumbent with training points (always feasible re-selections)
         train_vals = _objective_batch(self.model, self.X, self.spec)
@@ -190,29 +206,19 @@ class _BnB:
                 open_bound = bound
                 break
             depth = len(levels)
-            if depth == self.d:
-                # leaf bounds are exact, so this pop certifies optimality
-                val = self._leaf_value(self._to_factor_order(levels))
-                if val > incumbent:
-                    incumbent = val
-                    incumbent_levels = self._to_factor_order(levels)
-                break
-            L, U = self._vectors(levels)
-            j = self.order[depth]
-            for v in range(1, self.M + 1):
-                match = self.X[:, j] == v
-                Uc = U * np.where(match, 1.0, self.decay[j])
-                Lc = Uc * self.free_min[depth + 1]
-                child = levels + (v,)
-                if depth + 1 == self.d:
-                    val = self._leaf_value(self._to_factor_order(child))
-                    if val > incumbent:
-                        incumbent = val
-                        incumbent_levels = self._to_factor_order(child)
-                else:
-                    b = self._bound(Lc, Uc)
-                    if b > incumbent + 1e-15:
-                        heapq.heappush(heap, (-b, next(counter), child))
+            Uc = self.F[depth] * self._upper(levels)
+            if depth + 1 == self.d:
+                # free_min[d] == 1: the children are exact correlation rows
+                vals = self._leaf_values(Uc)
+                i = int(np.argmax(vals))  # first argmax, as a strict > scan
+                if vals[i] > incumbent:
+                    incumbent = float(vals[i])
+                    incumbent_levels = self._to_factor_order(levels + (i + 1,))
+                continue
+            child_bounds = self._bounds(Uc * self.free_min[depth + 1], Uc)
+            for v, b in enumerate(child_bounds.tolist(), start=1):
+                if b > incumbent + 1e-15:
+                    heapq.heappush(heap, (-b, next(counter), levels + (v,)))
 
         if status == STATUS_OPTIMAL:
             certified = incumbent
@@ -221,7 +227,6 @@ class _BnB:
             # best-first: the popped (abandoned) bound dominates the heap
             certified = max(incumbent, open_bound if open_bound is not None else -np.inf)
             rel_gap = (certified - incumbent) / max(abs(certified), 1e-12)
-        assert incumbent_levels is not None
         point = Point(tuple(int(v) for v in incumbent_levels), self.M)
         return AcqSolveReport(
             point, incumbent, certified, rel_gap, nodes, status,

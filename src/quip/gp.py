@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .encoding import Design, Point, design_from_array
 from .maximin import TooLargeError
@@ -166,6 +164,10 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
     Constant responses (zero variance) yield a flagged constant-predictor
     model rather than an error.
     """
+    # imported here: the optimiser stack roughly doubles `import quip`
+    from scipy.optimize import minimize
+    from scipy.stats import qmc
+
     config = config or FitConfig()
     f = np.asarray(f, dtype=float)
     if D.n < 2:

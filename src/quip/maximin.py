@@ -20,6 +20,7 @@ restrictions, so the restriction is sound for infeasibility certificates.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -41,6 +42,15 @@ class TooLargeError(ValueError):
     """Brute-force enumeration would exceed the size guard."""
 
 
+def check_time_limit(time_limit: float | None) -> None:
+    """Reject a wall-clock limit that is neither None (no limit) nor a
+    finite positive number of seconds."""
+    if time_limit is not None and not (
+        math.isfinite(time_limit) and time_limit > 0
+    ):
+        raise ValueError(f"time limit must be positive and finite, got {time_limit!r}")
+
+
 @dataclass(frozen=True)
 class FeasibilityInstance:
     n: int
@@ -56,6 +66,7 @@ class FeasibilityInstance:
             raise ValueError(f"bad instance ({self.n},{self.d},{self.M})")
         if not 0 <= self.q <= self.d:
             raise InvalidDistanceError(f"q={self.q} outside 0..{self.d}")
+        check_time_limit(self.time_limit)
 
 
 @dataclass(frozen=True)
@@ -178,7 +189,9 @@ class _CompleteSearch:
         self.hint = hint
         self.nodes = 0
         self.deadline = (
-            time.perf_counter() + inst.time_limit if inst.time_limit else None
+            time.perf_counter() + inst.time_limit
+            if inst.time_limit is not None
+            else None
         )
         self.timed_out = False
         self.solution: np.ndarray | None = None
@@ -299,7 +312,8 @@ def optimize_maximin(
     """
     if n < 2:
         raise ValueError("optimize_maximin needs n >= 2")
-    deadline = time.perf_counter() + time_limit if time_limit else None
+    check_time_limit(time_limit)
+    deadline = time.perf_counter() + time_limit if time_limit is not None else None
 
     def remaining():
         if deadline is None:

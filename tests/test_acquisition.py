@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quip.acquisition import (
     AcquisitionSpec,
     _BnB,
+    _objective_batch,
     candidate_set_acquisition,
     enumerate_acquisition,
     eval_alm,
@@ -33,6 +36,24 @@ def _model(seed, n=6, d=4, M=3, theta_scale=1.0):
     return build_model(D, f, params)
 
 
+@st.composite
+def _small_models(draw):
+    """Random model with d <= 4, M <= 3 and n <= 8 distinct design rows."""
+    d = draw(st.integers(1, 4))
+    M = draw(st.integers(2, 3))
+    full = lattice_array(d, M)
+    n = draw(st.integers(1, min(8, len(full))))
+    rows = draw(
+        st.lists(st.integers(0, len(full) - 1), min_size=n, max_size=n, unique=True)
+    )
+    theta = draw(st.lists(st.floats(0.05, 3.0), min_size=d, max_size=d))
+    f = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    params = KernelParams(
+        np.array(theta), draw(st.floats(-2.0, 2.0)), draw(st.floats(0.1, 3.0))
+    )
+    return build_model(design_from_array(full[rows], M), f, params)
+
+
 class TestSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -41,6 +62,15 @@ class TestSpec:
             AcquisitionSpec("ucb", lam=-1.0)
         with pytest.raises(ValueError):
             AcquisitionSpec("alm", gap_tolerance=1.0)
+
+    @pytest.mark.parametrize("limit", [0, 0.0, -1.0, float("inf"), float("nan")])
+    def test_time_limit_must_be_finite_positive(self, limit):
+        with pytest.raises(ValueError):
+            AcquisitionSpec("ucb", time_limit=limit)
+
+    def test_time_limit_accepts_none_and_positive(self):
+        assert AcquisitionSpec("ucb").time_limit is None
+        assert AcquisitionSpec("ucb", time_limit=0.5).time_limit == 0.5
 
 
 class TestEvalFunctions:
@@ -79,8 +109,8 @@ class TestBoundAdmissibility:
             full = lattice_array(3, 2)
             for depth in range(3):
                 for prefix in itertools.product(range(1, 3), repeat=depth):
-                    L, U = bnb._vectors(prefix)
-                    bound = bnb._bound(L, U)
+                    U = bnb._upper(prefix)[None, :]
+                    bound = bnb._bounds(U * bnb.free_min[depth], U)[0]
                     # subtree members: points agreeing with prefix in the
                     # branching order
                     best = -np.inf
@@ -89,8 +119,36 @@ class TestBoundAdmissibility:
                             row[bnb.order[i]] == prefix[i]
                             for i in range(depth)
                         ):
-                            best = max(best, bnb._leaf_value(row))
+                            g = bnb._upper(tuple(row[bnb.order]))[None, :]
+                            best = max(best, bnb._leaf_values(g)[0])
                     assert bound >= best - 1e-10, (kind, prefix)
+
+
+class TestLeafValues:
+    def test_match_objective_batch_at_every_lattice_point(self):
+        # Leaves are scored from their exact correlation rows in one batch;
+        # the reference is the predict_batch path. The variance
+        # tau2 * (1 - Q) cancels at design points, so it is compared on the
+        # tau2 scale, and sqrt(var) amplifies that rounding, so UCB with
+        # lambda > 0 is compared off the design.
+        model = _model(11, n=8, d=4, M=3)
+        full = lattice_array(4, 3)
+        X = model.design.as_array()
+        off_design = ~(full[:, None, :] == X[None, :, :]).all(axis=2).any(axis=1)
+        cases = [
+            (AcquisitionSpec("alm"), np.full(len(full), True), model.params.tau2),
+            (AcquisitionSpec("ucb", lam=0.0), np.full(len(full), True), 0.0),
+            (AcquisitionSpec("ucb"), off_design, 0.0),
+        ]
+        for spec, rows, scale in cases:
+            bnb = _BnB(model, spec)
+            G = np.stack([bnb._upper(tuple(row[bnb.order])) for row in full[rows]])
+            np.testing.assert_allclose(
+                bnb._leaf_values(G),
+                _objective_batch(model, full[rows], spec),
+                rtol=1e-12,
+                atol=1e-12 * scale,
+            )
 
 
 class TestOptimize:
@@ -116,6 +174,25 @@ class TestOptimize:
             )
             assert rep.certified_bound >= opt - 1e-9
             assert rep.best_value <= opt + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=_small_models(), kind=st.sampled_from(["alm", "ucb"]))
+    def test_oracle_equivalence_property(self, model, kind):
+        spec = AcquisitionSpec(kind, gap_tolerance=0.0)
+        rep = optimize_acquisition(model, spec)
+        _, opt = enumerate_acquisition(model, spec)
+        assert rep.status == "optimal"
+        assert rep.best_value == pytest.approx(opt, rel=1e-9, abs=1e-9)
+
+    def test_time_limit_keeps_a_valid_bracket(self):
+        model = _model(12, n=10, d=6, M=3)
+        spec = AcquisitionSpec("ucb", gap_tolerance=0.0, time_limit=1e-9)
+        rep = optimize_acquisition(model, spec)
+        _, opt = enumerate_acquisition(model, AcquisitionSpec("ucb", gap_tolerance=0.0))
+        assert rep.status == "time_limit"
+        assert rep.best_value <= opt + 1e-9
+        assert rep.certified_bound >= opt - 1e-9
+        assert rep.relative_gap > 0.0
 
     def test_m2_d1(self):
         D = design_from_array([[1]], 2)

@@ -40,6 +40,13 @@ class TestDesign:
         saved = json.loads(out_file.read_text())
         assert saved["n"] == 2
 
+    def test_zero_time_limit_is_an_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "design", "--n", "5", "--d", "4", "--M", "3",
+            "--time-limit", "0",
+        )
+        assert code == 1 and "time limit" in err
+
     def test_seeded_reproducibility(self, capsys):
         outs = []
         for _ in range(2):
@@ -94,6 +101,13 @@ class TestFitSuggest:
         assert json.loads(out1)["value"] == pytest.approx(
             json.loads(out2)["value"], abs=1e-9
         )
+
+    def test_suggest_zero_time_limit_is_an_error(self, capsys, model_file):
+        code, _, err = run_cli(
+            capsys, "suggest", "--model", str(model_file), "--acq", "ucb",
+            "--time-limit", "0",
+        )
+        assert code == 1 and "time limit" in err
 
     def test_malformed_model_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,8 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quip
 from quip.encoding import Point, design_from_array
 from quip.gp import (
     FitConfig,
@@ -188,3 +192,23 @@ class TestSerialization:
         again = model_from_dict(model_to_dict(model))
         assert again.is_constant
         assert predict(again, Point((1, 2), 2)) == (5.0, 0.0)
+
+
+def test_import_leaves_optimiser_stack_unloaded():
+    # fit_mle imports scipy.optimize and scipy.stats itself, so that
+    # `import quip` does not pay for them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quip.__file__)))
+    code = (
+        "import sys, quip; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

@@ -104,6 +104,13 @@ class TestOptimizeMaximin:
         with pytest.raises(ValueError):
             optimize_maximin(1, 3, 2)
 
+    @pytest.mark.parametrize("limit", [0, -1.0, float("inf"), float("nan")])
+    def test_time_limit_must_be_finite_positive(self, limit):
+        with pytest.raises(ValueError):
+            optimize_maximin(3, 3, 2, time_limit=limit)
+        with pytest.raises(ValueError):
+            FeasibilityInstance(3, 3, 2, 1, time_limit=limit)
+
 
 class TestBruteForce:
     def test_known_small(self):
