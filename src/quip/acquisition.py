@@ -31,10 +31,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
-from .encoding import Design, Point
-from .gp import GpModel, cross_correlation
+from .encoding import Point, lattice_array
+from .gp import GpModel, _posterior, cross_correlation, predict
 from .maximin import TooLargeError, check_time_limit
 
 DEFAULT_LAMBDA = 2.96
@@ -74,30 +74,30 @@ class AcqSolveReport:
 
 
 def eval_alm(model: GpModel, x: Point) -> float:
-    """The quadratic form Q(x) = g' Gamma^{-1} g minimized by ALM;
-    the posterior variance is tau2 * (1 - Q)."""
-    g = cross_correlation(
-        np.asarray([x.levels]), model.design.as_array(), model.params.theta
-    )[0]
-    v = solve_triangular(model.chol, g, lower=True)
-    return float(v @ v)
+    """The quadratic form Q(x) = g' Gamma^{-1} g minimized by ALM, read
+    off the posterior variance tau2 * (1 - Q) (which clips Q at 1)."""
+    _, var = predict(model, x)
+    return 1.0 - var / model.params.tau2
 
 
 def eval_ucb(model: GpModel, x: Point, lam: float = DEFAULT_LAMBDA) -> float:
-    from .gp import predict
-
     mean, var = predict(model, x)
     return mean + lam * np.sqrt(var)
 
 
-def _objective_batch(model: GpModel, X_new: np.ndarray, spec: AcquisitionSpec):
-    """Vectorized acquisition values (maximization convention)."""
-    from .gp import predict_batch
-
-    mean, var = predict_batch(model, X_new)
+def _objective(model: GpModel, G: np.ndarray, spec: AcquisitionSpec) -> np.ndarray:
+    """Acquisition values (maximization convention) of points given by
+    their correlation rows G to the design."""
+    mean, var = _posterior(model, G)
     if spec.kind == "alm":
         return var
     return mean + spec.lam * np.sqrt(var)
+
+
+def _objective_batch(model: GpModel, X_new: np.ndarray, spec: AcquisitionSpec):
+    """Vectorized acquisition values for an m x d array of levels."""
+    G = cross_correlation(X_new, model.design.as_array(), model.params.theta)
+    return _objective(model, G, spec)
 
 
 class _BnB:
@@ -157,11 +157,7 @@ class _BnB:
     def _leaf_values(self, G: np.ndarray) -> np.ndarray:
         """Objective at fully assigned points from their exact correlation
         rows G (one row per point)."""
-        V = solve_triangular(self.model.chol, G.T, lower=True, check_finite=False)
-        var = self.tau2 * np.maximum(0.0, 1.0 - np.sum(V * V, axis=0))
-        if self.spec.kind == "alm":
-            return var
-        return self.mu + G @ self.model.alpha + self.spec.lam * np.sqrt(var)
+        return _objective(self.model, G, self.spec)
 
     def _to_factor_order(self, levels: tuple[int, ...]) -> np.ndarray:
         out = np.zeros(self.d, dtype=np.int64)
@@ -247,13 +243,6 @@ def optimize_acquisition(model: GpModel, spec: AcquisitionSpec) -> AcqSolveRepor
         val = float(_objective_batch(model, np.asarray([point.levels]), spec)[0])
         return AcqSolveReport(point, val, val, 0.0, 0, STATUS_OPTIMAL, 0.0)
     return _BnB(model, spec).solve()
-
-
-def lattice_array(d: int, M: int) -> np.ndarray:
-    """Full lattice {1..M}^d as an M**d x d array in lexicographic order."""
-    return np.array(
-        list(itertools.product(range(1, M + 1), repeat=d)), dtype=np.int64
-    )
 
 
 def enumerate_acquisition(

@@ -9,7 +9,6 @@ percentile band across replications.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -22,7 +21,7 @@ from .acquisition import (
     optimize_acquisition,
     random_point,
 )
-from .encoding import Design, Point, design_from_array
+from .encoding import Design, Point, design_from_array, read_json, write_json
 from .gp import FitConfig, fit_mle
 from .maximin import FeasibilityInstance, solve_feasibility
 from .sequential import rrmse, run_campaign
@@ -35,7 +34,6 @@ from .simulators import (
     snake_reward,
 )
 
-SCHEMA_VERSION = 1
 METHODS = ("quip", "random", "candidate")
 
 
@@ -144,7 +142,7 @@ def _run_arm(method: str, plan: BenchPlan, rep: int, d: int, M: int, objective,
             r.update(extra)
         return r
 
-    points = list(init.points)
+    D = init
     f = f0.copy()
     best = float(f.max())
     t_start = time.perf_counter()
@@ -153,8 +151,7 @@ def _run_arm(method: str, plan: BenchPlan, rep: int, d: int, M: int, objective,
     if method == "quip":
         c = run_campaign(init, f0, objective, spec, plan.n_seq, seed=seed,
                          fit_config=FitConfig(n_starts=4, seed=seed))
-        f = c.responses
-        points = list(c.design.points)
+        D, f = c.design, c.responses
         for h in c.history:
             best = max(best, h["response"])
             rows.append(row(h["iteration"], best, h["wall_time"]))
@@ -162,7 +159,6 @@ def _run_arm(method: str, plan: BenchPlan, rep: int, d: int, M: int, objective,
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBE]))
         for it in range(1, plan.n_seq + 1):
             t0 = time.perf_counter()
-            D = Design(tuple(points))
             if method == "random":
                 x = random_point(d, M, rng)
             else:  # candidate
@@ -172,7 +168,7 @@ def _run_arm(method: str, plan: BenchPlan, rep: int, d: int, M: int, objective,
                     int(rng.integers(0, 2**31)),
                 )
             y = float(objective(x))
-            points.append(x)
+            D = design_from_array(np.vstack([D.as_array(), x.levels]), M)
             f = np.append(f, y)
             best = max(best, y)
             rows.append(row(it, best, time.perf_counter() - t0))
@@ -180,7 +176,7 @@ def _run_arm(method: str, plan: BenchPlan, rep: int, d: int, M: int, objective,
     if plan.mode == "active" and test is not None:
         X_test, y_test = test
         # RRMSE of the final fitted model per arm (active-learning metric)
-        final = _rrmse_on_test(Design(tuple(points)), f, X_test, y_test, seed)
+        final = _rrmse_on_test(D, f, X_test, y_test, seed)
         rows[-1]["rrmse"] = final
     rows[-1]["total_time"] = time.perf_counter() - t_start
     return rows
@@ -265,8 +261,8 @@ def bound_oracle_scatter(
             if cand not in seen:
                 seen.add(cand)
                 X.append(cand)
-        D = design_from_array(np.array(X), M)
-        f = np.array([objective(p.levels) for p in D.points])
+        D = design_from_array(X, M)
+        f = np.array([objective(levels) for levels in X])
         model = fit_mle(D, f, FitConfig(n_starts=4, seed=rep))
         rep_solve = optimize_acquisition(model, spec)
         _, true_opt = enumerate_acquisition(model, spec0)
@@ -308,7 +304,6 @@ def write_report(report: BenchReport, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     write_rows_csv(report.rows, os.path.join(out_dir, "rows.csv"))
     summary = {
-        "schema_version": SCHEMA_VERSION,
         "plan": {
             "problem": report.plan.problem,
             "methods": list(report.plan.methods),
@@ -325,9 +320,7 @@ def write_report(report: BenchReport, out_dir) -> None:
         },
         "aggregate": list(report.summary),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(summary, os.path.join(out_dir, "summary.json"))
 
 
 def plan_from_dict(obj: dict) -> BenchPlan:
@@ -338,5 +331,4 @@ def plan_from_dict(obj: dict) -> BenchPlan:
 
 
 def load_plan(path) -> BenchPlan:
-    with open(path) as fh:
-        return plan_from_dict(json.load(fh))
+    return plan_from_dict(read_json(path))

@@ -11,25 +11,6 @@ from __future__ import annotations
 from math import comb
 
 
-def derangement(l: int) -> int:
-    """Number of derangements of l items, exactly.
-
-    Uses the recurrence D_l = l*D_{l-1} + (-1)**l with D_0 = 1, which
-    agrees with the alternating-sum formula l! * sum_i (-1)^i / i!.
-    """
-    if l < 0:
-        raise ValueError("l must be non-negative")
-    D = 1
-    for i in range(1, l + 1):
-        D = i * D + (-1) ** i
-    return D
-
-
-def derangement_sphere(d: int, k: int) -> int:
-    """sum_{l=0}^{k-1} C(d,l) * D_l, the sphere-size sum of the derangement bound."""
-    return sum(comb(d, l) * derangement(l) for l in range(k))
-
-
 def hamming_ball(d: int, r: int, M: int) -> int:
     """Number of points within Hamming distance r of a fixed point in {1..M}^d."""
     return sum(comb(d, l) * (M - 1) ** l for l in range(r + 1))
@@ -38,24 +19,6 @@ def hamming_ball(d: int, r: int, M: int) -> int:
 def _validate(n: int, d: int, M: int) -> None:
     if n < 1 or d < 1 or M < 2:
         raise ValueError(f"need n >= 1, d >= 1, M >= 2, got ({n},{d},{M})")
-
-
-def derangement_q(n: int, d: int, M: int) -> int:
-    """The derangement-sum distance bound: largest k in {1..d} with
-    M**d / derangement_sphere(d, k) >= n, or 1 if none qualifies.
-
-    This quantity is reported for reference but is NOT a sound feasibility
-    guarantee for all (n, d, M): with the l=1 term vanishing (D_1 = 0) it
-    can exceed the Singleton bound, e.g. it returns 2 for (n,d,M)=(3,2,2)
-    where no 3-point design of minimum distance 2 exists. Use :func:`q0`
-    for the guaranteed-feasible starting distance.
-    """
-    _validate(n, d, M)
-    best = 1
-    for k in range(1, d + 1):
-        if M**d >= n * derangement_sphere(d, k):
-            best = k
-    return best
 
 
 def gilbert_q(n: int, d: int, M: int) -> int:

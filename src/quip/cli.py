@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 
 import numpy as np
 
 from . import acquisition, bench, bounds, encoding, gp, maximin, sequential, simulators
-
-SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -33,9 +30,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj: dict) -> None:
-    obj = {"schema_version": SCHEMA_VERSION, **obj}
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    encoding.write_json(obj)
 
 
 def _cmd_bound(args) -> int:
@@ -46,7 +41,6 @@ def _cmd_bound(args) -> int:
             "M": args.M,
             "q0": bounds.q0(args.n, args.d, args.M),
             "gilbert_q": bounds.gilbert_q(args.n, args.d, args.M),
-            "derangement_q": bounds.derangement_q(args.n, args.d, args.M),
         }
     )
     return EXIT_OK
@@ -67,7 +61,7 @@ def _cmd_design(args) -> int:
             "certified": result.certified,
             "nodes": sum(r.nodes_explored for r in result.trace),
             "elapsed": sum(r.elapsed for r in result.trace),
-            "design": [list(p.levels) for p in result.design.points],
+            "design": result.design.as_array().tolist(),
         }
     )
     return EXIT_OK if result.certified else EXIT_TIME_LIMIT
@@ -120,6 +114,8 @@ def _cmd_suggest(args) -> int:
 
 
 def _csv_table_simulator(path, M):
+    """(d, M, lookup) for a table of `levels..., response` rows. M defaults
+    to the table's largest level (at least 2)."""
     table: dict[tuple[int, ...], float] = {}
     with open(path) as fh:
         for row in csv.reader(fh):
@@ -129,6 +125,11 @@ def _csv_table_simulator(path, M):
     if not table:
         raise ValueError(f"no rows in lookup table {path}")
     d = len(next(iter(table)))
+    level_max = max(max(levels) for levels in table)
+    if M is None:
+        M = max(level_max, 2)
+    elif M < level_max:
+        raise ValueError(f"--M {M} is below level {level_max} in table {path}")
 
     def sim(x):
         return table[x.levels]
@@ -141,7 +142,7 @@ def _simulator_for(args):
     if args.simulator == "csv":
         if not args.table:
             raise ValueError("--table is required for the csv simulator")
-        return _csv_table_simulator(args.table, args.M or 2)
+        return _csv_table_simulator(args.table, args.M)
     return bench.problem_objective(args.simulator, args.d)
 
 
@@ -226,7 +227,7 @@ def _cmd_oracle(args) -> int:
             {
                 "kind": "maximin",
                 "q_star": q_star,
-                "design": [list(p.levels) for p in design.points],
+                "design": design.as_array().tolist(),
             }
         )
     else:

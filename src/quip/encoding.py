@@ -1,15 +1,17 @@
-"""Categorical points, designs, one-hot encoding and Hamming geometry.
+"""Categorical points, designs, Hamming geometry and JSON files.
 
 Levels are 1-indexed everywhere: a point with d factors and M levels per
-factor lives in {1..M}^d. Every point carries its own (d, M) so dimension
-mismatches surface as errors instead of silent corruption.
+factor lives in {1..M}^d. A design stores its n points as one validated,
+read-only n x d int64 array of levels; `Point` is the one-point type used
+at the API and CLI edges. Every point and design carries its (d, M) so
+dimension mismatches surface as errors instead of silent corruption.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +21,6 @@ SCHEMA_VERSION = 1
 
 class DimensionMismatchError(ValueError):
     """Two points or designs do not share the same (d, M)."""
-
-
-class MalformedRowError(ValueError):
-    """A one-hot row does not sum to exactly one."""
 
 
 class NeedsTwoPointsError(ValueError):
@@ -51,72 +49,75 @@ class Point:
         return len(self.levels)
 
 
-@dataclass(frozen=True)
 class Design:
-    """An ordered collection of n points sharing (d, M).
+    """An ordered collection of n points sharing (d, M), held as one
+    read-only n x d int64 array of levels.
 
     Duplicate points are representable; they form a valid degenerate
-    design with minimum pairwise distance 0.
+    design with minimum pairwise distance 0. Build one from Points with
+    ``Design(points)`` or from an array with :func:`design_from_array`.
     """
 
-    points: tuple[Point, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if not self.points:
-            raise ValueError("design needs at least one point")
-        d, M = self.points[0].d, self.points[0].M
-        for p in self.points[1:]:
-            if p.d != d or p.M != M:
+    def __init__(self, points):
+        points = tuple(points)
+        for p in points[1:]:
+            if (p.d, p.M) != (points[0].d, points[0].M):
                 raise DimensionMismatchError(
-                    f"point ({p.d},{p.M}) does not match design ({d},{M})"
+                    f"point ({p.d},{p.M}) does not match design "
+                    f"({points[0].d},{points[0].M})"
                 )
+        M = points[0].M if points else 2  # no points: the shape check rejects
+        D = design_from_array([p.levels for p in points], M)
+        self._levels, self._M = D._levels, D._M
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return self._levels.shape[0]
 
     @property
     def d(self) -> int:
-        return self.points[0].d
+        return self._levels.shape[1]
 
     @property
     def M(self) -> int:
-        return self.points[0].M
+        return self._M
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        """The design's points, built on demand."""
+        return tuple(Point(row, self._M) for row in self._levels.tolist())
 
     def as_array(self) -> np.ndarray:
-        """n x d integer array of 1-indexed levels."""
-        return np.array([p.levels for p in self.points], dtype=np.int64)
+        """The stored n x d int64 array of 1-indexed levels (read-only)."""
+        return self._levels
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Design):
+            return NotImplemented
+        return self._M == other._M and np.array_equal(self._levels, other._levels)
+
+    def __repr__(self) -> str:
+        return f"design_from_array({self._levels.tolist()}, M={self._M})"
 
 
 def design_from_array(levels, M: int) -> Design:
-    arr = np.asarray(levels, dtype=np.int64)
-    return Design(tuple(Point(tuple(row), M) for row in arr))
-
-
-def encode(x: Point) -> np.ndarray:
-    """One-hot encode a point as a d x M binary matrix with unit row sums."""
-    out = np.zeros((x.d, x.M), dtype=np.int8)
-    out[np.arange(x.d), np.asarray(x.levels) - 1] = 1
-    return out
-
-
-def decode(m, M: int | None = None) -> Point:
-    """Invert :func:`encode`. Raises MalformedRowError if a row sum is not 1."""
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise MalformedRowError("one-hot matrix must be 2-dimensional")
-    sums = m.sum(axis=1)
-    if not np.all(sums == 1):
-        bad = int(np.nonzero(sums != 1)[0][0])
-        raise MalformedRowError(f"row {bad} sums to {int(sums[bad])}, expected 1")
-    levels = tuple(int(k) + 1 for k in m.argmax(axis=1))
-    return Point(levels, M if M is not None else m.shape[1])
-
-
-def encode_design(D: Design) -> np.ndarray:
-    """One-hot encode a design as an n x d x M binary tensor."""
-    return np.stack([encode(p) for p in D.points])
+    """Design over {1..M}^d from an n x d array of levels, which is copied
+    and checked (the one check of every design's levels)."""
+    arr = np.array(levels, dtype=np.int64, order="C")
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ValueError(
+            f"design needs an n x d array of levels, n, d >= 1; got shape {arr.shape}"
+        )
+    if M < 2:
+        raise ValueError(f"M must be >= 2, got {M}")
+    bad = (arr < 1) | (arr > M)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"level {arr[i, j]} of point {i} at factor {j} outside 1..{M}")
+    arr.flags.writeable = False
+    D = Design.__new__(Design)
+    D._levels, D._M = arr, M
+    return D
 
 
 def hamming(x: Point, y: Point) -> int:
@@ -134,50 +135,66 @@ def min_pairwise_distance(D: Design) -> int:
         raise NeedsTwoPointsError("min pairwise distance needs n >= 2")
     arr = D.as_array()
     best = D.d
-    for i, j in itertools.combinations(range(D.n), 2):
-        dist = int(np.count_nonzero(arr[i] != arr[j]))
-        if dist < best:
-            best = dist
-            if best == 0:
-                break
+    for i in range(D.n - 1):
+        best = min(best, int(np.count_nonzero(arr[i + 1 :] != arr[i], axis=1).min()))
+        if best == 0:
+            break
     return best
 
 
-def all_points(d: int, M: int):
-    """Iterate the full lattice {1..M}^d in lexicographic order."""
-    for levels in itertools.product(range(1, M + 1), repeat=d):
-        yield Point(levels, M)
+def lattice_array(d: int, M: int) -> np.ndarray:
+    """Full lattice {1..M}^d as an M**d x d int64 array in lexicographic order."""
+    grid = np.indices((M,) * d, dtype=np.int64).reshape(d, -1)
+    return np.ascontiguousarray(grid.T) + 1
+
+
+def write_json(obj: dict, path=None) -> None:
+    """Write obj as indented JSON with the schema version first, to the
+    file at `path` or, when it is None, to standard output."""
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **obj}, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def read_json(path) -> dict:
+    """Read a JSON object, rejecting a schema version other than this
+    library's; a file without the field is accepted."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    version = obj.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise ValueError(
+            f"{path}: schema_version {version!r} is not supported "
+            f"(expected {SCHEMA_VERSION})"
+        )
+    return obj
 
 
 def design_to_dict(D: Design) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n": D.n,
-        "d": D.d,
-        "M": D.M,
-        "points": [list(p.levels) for p in D.points],
-    }
+    return {"n": D.n, "d": D.d, "M": D.M, "points": D.as_array().tolist()}
 
 
 def design_from_dict(obj: dict) -> Design:
     for field in ("n", "d", "M", "points"):
         if field not in obj:
             raise ValueError(f"design file missing field '{field}'")
-    M = int(obj["M"])
-    pts = []
     for i, row in enumerate(obj["points"]):
         if len(row) != obj["d"]:
             raise ValueError(f"point {i} has {len(row)} levels, expected {obj['d']}")
-        pts.append(Point(tuple(int(v) for v in row), M))
-    if len(pts) != obj["n"]:
-        raise ValueError(f"file declares n={obj['n']} but has {len(pts)} points")
-    return Design(tuple(pts))
+    if len(obj["points"]) != obj["n"]:
+        raise ValueError(
+            f"file declares n={obj['n']} but has {len(obj['points'])} points"
+        )
+    return design_from_array(obj["points"], int(obj["M"]))
 
 
 def save_design(D: Design, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(design_to_dict(D), fh, indent=2)
-        fh.write("\n")
+    write_json(design_to_dict(D), path)
 
 
 def load_design(path, M: int | None = None) -> Design:
@@ -186,10 +203,10 @@ def load_design(path, M: int | None = None) -> Design:
     CSV has no (d, M) header, so `M` must be supplied for CSV input;
     it defaults to the largest level present.
     """
-    text = open(path).read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return design_from_dict(json.loads(text))
+    with open(path) as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        return design_from_dict(read_json(path))
     rows = [
         [int(v) for v in row if v.strip() != ""]
         for row in csv.reader(text.splitlines())
@@ -197,6 +214,8 @@ def load_design(path, M: int | None = None) -> Design:
     ]
     if not rows:
         raise ValueError(f"no points found in {path}")
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"point {i} has {len(row)} levels, expected {len(rows[0])}")
     level_max = max(max(r) for r in rows)
-    M = M if M is not None else max(level_max, 2)
-    return Design(tuple(Point(tuple(r), M) for r in rows))
+    return design_from_array(rows, M if M is not None else max(level_max, 2))

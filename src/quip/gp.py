@@ -13,20 +13,26 @@ Cholesky factorization stable.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .encoding import Design, Point, design_from_array
+from .encoding import (
+    Design,
+    Point,
+    design_from_dict,
+    design_to_dict,
+    lattice_array,
+    read_json,
+    write_json,
+)
 from .maximin import TooLargeError
 
 DEFAULT_NUGGET = 1e-8
 LOG_THETA_LO = math.log(1e-3)
 LOG_THETA_HI = math.log(10.0)
-SCHEMA_VERSION = 1
 
 
 class DegenerateResponseError(ValueError):
@@ -71,26 +77,23 @@ class GpModel:
         return self.design.n
 
 
-def kernel(x: Point, y: Point, theta) -> float:
-    theta = np.asarray(theta, dtype=float)
-    if x.d != y.d or x.M != y.M or theta.shape != (x.d,):
-        raise ValueError("kernel arguments do not share dimensions")
-    neq = np.asarray(x.levels) != np.asarray(y.levels)
-    return float(np.exp(-theta @ neq))
-
-
-def covariance_matrix(D: Design, theta) -> np.ndarray:
-    """n x n correlation matrix under the exchangeable kernel."""
-    theta = np.asarray(theta, dtype=float)
-    X = D.as_array()
-    neq = X[:, None, :] != X[None, :, :]
-    return np.exp(-(neq @ theta))
-
-
 def cross_correlation(X_new: np.ndarray, X: np.ndarray, theta) -> np.ndarray:
     """m x n correlation block between new points (rows) and design points."""
     neq = X_new[:, None, :] != X[None, :, :]
     return np.exp(-(neq @ np.asarray(theta, dtype=float)))
+
+
+def kernel(x: Point, y: Point, theta) -> float:
+    if x.d != y.d or x.M != y.M or np.shape(theta) != (x.d,):
+        raise ValueError("kernel arguments do not share dimensions")
+    X, Y = np.asarray([x.levels]), np.asarray([y.levels])
+    return float(cross_correlation(X, Y, theta)[0, 0])
+
+
+def covariance_matrix(D: Design, theta) -> np.ndarray:
+    """n x n correlation matrix under the exchangeable kernel."""
+    X = D.as_array()
+    return cross_correlation(X, X, theta)
 
 
 def build_model(
@@ -105,29 +108,33 @@ def build_model(
     return GpModel(D, f, params, L, alpha, nugget)
 
 
-def predict(model: GpModel, x: Point) -> tuple[float, float]:
-    """Posterior mean and variance at a single point."""
+def _constant_model(D: Design, f: np.ndarray, nugget: float) -> GpModel:
+    """Flagged predictor of the constant response f[0] with zero variance."""
+    params = KernelParams(np.ones(D.d), float(f[0]), 1.0)
+    return GpModel(D, f, params, np.eye(D.n), np.zeros(D.n), nugget, True)
+
+
+def _posterior(model: GpModel, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance of m points from their m x n correlation
+    rows G to the design."""
     if model.is_constant:
-        return float(model.responses[0]), 0.0
-    g = cross_correlation(
-        np.asarray([x.levels]), model.design.as_array(), model.params.theta
-    )[0]
-    mean = model.params.mu + g @ model.alpha
-    v = solve_triangular(model.chol, g, lower=True)
-    var = model.params.tau2 * max(0.0, 1.0 - float(v @ v))
-    return float(mean), var
+        m = G.shape[0]
+        return np.full(m, model.responses[0]), np.zeros(m)
+    V = solve_triangular(model.chol, G.T, lower=True, check_finite=False)
+    var = model.params.tau2 * np.maximum(0.0, 1.0 - np.sum(V * V, axis=0))
+    return model.params.mu + G @ model.alpha, var
 
 
 def predict_batch(model: GpModel, X_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized posterior mean/variance for an m x d array of levels."""
-    m = X_new.shape[0]
-    if model.is_constant:
-        return np.full(m, model.responses[0]), np.zeros(m)
     G = cross_correlation(X_new, model.design.as_array(), model.params.theta)
-    mean = model.params.mu + G @ model.alpha
-    V = solve_triangular(model.chol, G.T, lower=True)
-    var = model.params.tau2 * np.maximum(0.0, 1.0 - np.sum(V * V, axis=0))
-    return mean, var
+    return _posterior(model, G)
+
+
+def predict(model: GpModel, x: Point) -> tuple[float, float]:
+    """Posterior mean and variance at a single point."""
+    mean, var = predict_batch(model, np.asarray([x.levels]))
+    return float(mean[0]), float(var[0])
 
 
 def _profiled_nll(log_theta: np.ndarray, X: np.ndarray, f: np.ndarray, nugget: float):
@@ -135,8 +142,7 @@ def _profiled_nll(log_theta: np.ndarray, X: np.ndarray, f: np.ndarray, nugget: f
     lt = np.clip(log_theta, LOG_THETA_LO, LOG_THETA_HI)
     theta = np.exp(lt)
     n = X.shape[0]
-    neq = X[:, None, :] != X[None, :, :]
-    gamma = np.exp(-(neq @ theta)) + nugget * np.eye(n)
+    gamma = cross_correlation(X, X, theta) + nugget * np.eye(n)
     try:
         L = cholesky(gamma, lower=True)
     except np.linalg.LinAlgError:
@@ -172,15 +178,13 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
     f = np.asarray(f, dtype=float)
     if D.n < 2:
         raise ValueError("fit_mle needs n >= 2")
+    if f.shape != (D.n,):
+        raise ValueError(f"responses shape {f.shape} does not match n={D.n}")
     if not np.all(np.isfinite(f)):
         raise ValueError("responses must be finite")
     f_range = float(f.max() - f.min())
     if f_range <= 1e-13 * max(1.0, abs(float(f[0]))):
-        params = KernelParams(np.ones(D.d), float(f[0]), 1.0)
-        n = D.n
-        return GpModel(
-            D, f, params, np.eye(n), np.zeros(n), config.nugget, is_constant=True
-        )
+        return _constant_model(D, f, config.nugget)
 
     X = D.as_array()
     d = D.d
@@ -228,8 +232,9 @@ def d_optimality_ratio(
     n_designs = math.comb(lattice + n - 1, n)
     if n_designs > guard:
         raise TooLargeError(f"{n_designs} designs exceeds enumeration guard")
-    pts = np.array(list(itertools.product(range(1, M + 1), repeat=d)), dtype=np.int64)
+    pts = lattice_array(d, M)
     dist = np.count_nonzero(pts[:, None, :] != pts[None, :, :], axis=2)
+    corr = cross_correlation(pts, pts, np.full(d, theta * k))
 
     best_det = -np.inf
     best_q = -1
@@ -237,7 +242,7 @@ def d_optimality_ratio(
     for combo in itertools.combinations_with_replacement(range(lattice), n):
         idx = list(combo)
         sub = dist[np.ix_(idx, idx)]
-        det = float(np.linalg.det(np.exp(-theta * k * sub)))
+        det = float(np.linalg.det(corr[np.ix_(idx, idx)]))
         if det > best_det:
             best_det = det
         qmin = int(sub[np.triu_indices(n, 1)].min()) if n > 1 else d
@@ -251,13 +256,7 @@ def d_optimality_ratio(
 
 def model_to_dict(model: GpModel) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "design": {
-            "n": model.design.n,
-            "d": model.design.d,
-            "M": model.design.M,
-            "points": [list(p.levels) for p in model.design.points],
-        },
+        "design": design_to_dict(model.design),
         "responses": [float(v) for v in model.responses],
         "theta": [float(v) for v in model.params.theta],
         "mu": float(model.params.mu),
@@ -268,14 +267,10 @@ def model_to_dict(model: GpModel) -> dict:
 
 
 def model_from_dict(obj: dict) -> GpModel:
-    dd = obj["design"]
-    D = design_from_array(dd["points"], int(dd["M"]))
+    D = design_from_dict(obj["design"])
     f = np.asarray(obj["responses"], dtype=float)
     if obj.get("is_constant"):
-        params = KernelParams(np.ones(D.d), float(f[0]), 1.0)
-        return GpModel(
-            D, f, params, np.eye(D.n), np.zeros(D.n), float(obj["nugget"]), True
-        )
+        return _constant_model(D, f, float(obj["nugget"]))
     params = KernelParams(
         np.asarray(obj["theta"], dtype=float), float(obj["mu"]), float(obj["tau2"])
     )
@@ -283,11 +278,8 @@ def model_from_dict(obj: dict) -> GpModel:
 
 
 def save_model(model: GpModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path) -> GpModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path))

@@ -19,7 +19,6 @@ restrictions, so the restriction is sound for infeasibility certificates.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import q0
-from .encoding import Design, design_from_array, min_pairwise_distance
+from .encoding import Design, design_from_array, lattice_array, min_pairwise_distance
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -87,22 +86,10 @@ class MaximinResult:
     trace: tuple[SolveReport, ...] = field(default=())
 
 
-def _achieved_q(arr: np.ndarray) -> int:
-    n, d = arr.shape
-    if n < 2:
-        return d
-    best = d
-    for i in range(n - 1):
-        mism = np.count_nonzero(arr[i + 1 :] != arr[i], axis=1)
-        best = min(best, int(mism.min()))
-        if best == 0:
-            break
-    return best
-
-
 def _report(arr: np.ndarray, M: int, q: int, nodes: int, t0: float) -> SolveReport:
     D = design_from_array(arr, M)
-    return SolveReport(FEASIBLE, D, q, _achieved_q(arr), nodes, time.perf_counter() - t0)
+    achieved = min_pairwise_distance(D) if D.n > 1 else D.d
+    return SolveReport(FEASIBLE, D, q, achieved, nodes, time.perf_counter() - t0)
 
 
 def _repair(arr: np.ndarray, M: int, q: int, rng: np.random.Generator) -> bool:
@@ -379,9 +366,7 @@ def brute_force_maximin(
         raise TooLargeError(
             f"enumeration for (n={n}, d={d}, M={M}) exceeds guard"
         )
-    pts = np.array(
-        list(itertools.product(range(1, M + 1), repeat=d)), dtype=np.int64
-    )
+    pts = lattice_array(d, M)
     dist = (pts[:, None, :] != pts[None, :, :]).sum(axis=2)
 
     chosen: list[int] = []

@@ -11,17 +11,22 @@ costs should be passed in negated (wrap as ``lambda x: -cost(x)``).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .acquisition import AcquisitionSpec, optimize_acquisition
-from .encoding import Design, Point, design_from_dict, design_to_dict
+from .encoding import (
+    Design,
+    Point,
+    design_from_array,
+    design_from_dict,
+    design_to_dict,
+    read_json,
+    write_json,
+)
 from .gp import FitConfig, KernelParams, build_model, fit_mle
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -89,16 +94,14 @@ def run_campaign(
     """
     if n_seq < 0:
         raise ValueError("n_seq must be non-negative")
-    f = np.asarray(f_init, dtype=float)
-    c = Campaign(initial, f, spec, n_seq, (), seed)
-    points = list(initial.points)
+    D = initial
+    f = Campaign(D, f_init, spec, n_seq, (), seed).responses  # size-checked
     history: list[dict] = []
     fit_config = fit_config or FitConfig(seed=seed)
 
     for it in range(1, n_seq + 1):
         t0 = time.perf_counter()
         try:
-            D = Design(tuple(points))
             if fixed_params is not None:
                 model = build_model(D, f, fixed_params, fit_config.nugget)
             else:
@@ -107,13 +110,11 @@ def run_campaign(
             x = rep.best_point
             y = float(simulator(x))
         except Exception as exc:
-            partial = Campaign(
-                Design(tuple(points)), f, spec, n_seq - it + 1, tuple(history), seed
-            )
+            partial = Campaign(D, f, spec, n_seq - it + 1, tuple(history), seed)
             raise CampaignError(
                 f"iteration {it} failed: {exc}", partial, exc
             ) from exc
-        points.append(x)
+        D = design_from_array(np.vstack([D.as_array(), x.levels]), D.M)
         f = np.append(f, y)
         history.append(
             {
@@ -130,12 +131,11 @@ def run_campaign(
                 "wall_time": time.perf_counter() - t0,
             }
         )
-    return Campaign(Design(tuple(points)), f, spec, 0, tuple(history), seed)
+    return Campaign(D, f, spec, 0, tuple(history), seed)
 
 
 def campaign_to_dict(c: Campaign) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "design": design_to_dict(c.design),
         "responses": [float(v) for v in c.responses],
         "spec": {
@@ -166,11 +166,8 @@ def campaign_from_dict(obj: dict) -> Campaign:
 
 
 def save_campaign(c: Campaign, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(campaign_to_dict(c), fh, indent=2)
-        fh.write("\n")
+    write_json(campaign_to_dict(c), path)
 
 
 def load_campaign(path) -> Campaign:
-    with open(path) as fh:
-        return campaign_from_dict(json.load(fh))
+    return campaign_from_dict(read_json(path))

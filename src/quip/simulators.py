@@ -45,10 +45,9 @@ class GridWorld:
     goal: tuple[int, int] | None = None
     obstacles: frozenset = frozenset()
     prizes: frozenset = frozenset()
-    # conventions that the reward definition leaves open, kept in config
+    # a convention that the reward definition leaves open, kept in config
     # so alternatives stay testable
     start_is_prize: bool = False
-    oob_rule: str = "clamp"  # out-of-bounds step: score, keep last position
 
     def __post_init__(self):
         if not self.in_bounds(self.start):
@@ -101,6 +100,8 @@ def walk(world: GridWorld, path: Point) -> list[tuple[int, int]]:
 
 def maze_cost(world: GridWorld, path: Point) -> SimResult:
     """Cost of a path: BFS distance from its final cell to the goal."""
+    if path.M != 5:
+        raise ValueError("maze/snake paths use M=5 actions")
     dist = distance_field(world)
     unreachable = world.width * world.height  # larger than any true distance
     pos = world.start
@@ -129,6 +130,8 @@ def snake_reward(world: GridWorld, path: Point) -> SimResult:
     position. The starting square counts as non-prize for the first step
     unless the config says otherwise.
     """
+    if path.M != 5:
+        raise ValueError("maze/snake paths use M=5 actions")
     d = path.d
     pos = world.start
     prev_on_prize = world.start_is_prize and pos in world.prizes
@@ -139,7 +142,6 @@ def snake_reward(world: GridWorld, path: Point) -> SimResult:
         cand = (pos[0] + dx, pos[1] + dy)
         if not world.in_bounds(cand):
             r = -10.0
-            # oob_rule "clamp": score the penalty, stay on the last square
             on_prize = pos in world.prizes
         else:
             pos = cand
@@ -224,6 +226,10 @@ def rover_cost(
 
 
 def gridworld_from_dict(obj: dict) -> GridWorld:
+    # stepping off the grid scores a penalty and keeps the last square
+    # ("clamp"), the only out-of-bounds rule the simulators implement
+    if obj.get("oob_rule", "clamp") != "clamp":
+        raise ValueError(f"unsupported oob_rule {obj['oob_rule']!r}; only 'clamp'")
     return GridWorld(
         width=int(obj["width"]),
         height=int(obj["height"]),
@@ -232,7 +238,6 @@ def gridworld_from_dict(obj: dict) -> GridWorld:
         obstacles=frozenset(tuple(c) for c in obj.get("obstacles", [])),
         prizes=frozenset(tuple(c) for c in obj.get("prizes", [])),
         start_is_prize=bool(obj.get("start_is_prize", False)),
-        oob_rule=obj.get("oob_rule", "clamp"),
     )
 
 

@@ -13,11 +13,10 @@ from quip.acquisition import (
     enumerate_acquisition,
     eval_alm,
     eval_ucb,
-    lattice_array,
     optimize_acquisition,
     random_point,
 )
-from quip.encoding import Point, design_from_array
+from quip.encoding import Point, design_from_array, lattice_array
 from quip.gp import FitConfig, KernelParams, build_model, fit_mle, predict
 
 
@@ -224,8 +223,6 @@ class TestOptimize:
         # encoding and confirm the multilinear form matches eval_alm
         from scipy.linalg import cho_solve
 
-        from quip.encoding import encode
-
         model = _model(5, n=3, d=2, M=2)
         W = cho_solve((model.chol, True), np.eye(model.design.n))
         X = model.design.as_array()
@@ -236,8 +233,8 @@ class TestOptimize:
             x = np.array(lv)
             g = np.exp(-((X != x) @ theta))
             q_direct = float(g @ W @ g)
-            # multilinear form via one-hot selection
-            e = encode(Point(lv, 2))
+            # multilinear form via one-hot selection: e[j, k] = 1{x_j = k+1}
+            e = np.eye(M, dtype=int)[x - 1]
             total = 0.0
             for k1, k2, l1, l2 in itertools.product(range(M), repeat=4):
                 gr = np.exp(-theta[0] * (X[:, 0] != k1 + 1)

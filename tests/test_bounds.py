@@ -1,58 +1,14 @@
-import math
-
 import pytest
 
-from quip.bounds import (
-    derangement,
-    derangement_q,
-    derangement_sphere,
-    gilbert_q,
-    hamming_ball,
-    q0,
-)
-
-
-class TestDerangement:
-    def test_known_values(self):
-        # alternating-sum oracle values, frozen
-        assert [derangement(l) for l in range(8)] == [1, 0, 1, 2, 9, 44, 265, 1854]
-
-    def test_matches_alternating_sum(self):
-        for l in range(12):
-            oracle = round(
-                math.factorial(l)
-                * sum((-1) ** i / math.factorial(i) for i in range(l + 1))
-            )
-            assert derangement(l) == oracle
-
-    def test_negative(self):
-        with pytest.raises(ValueError):
-            derangement(-1)
+from quip.bounds import gilbert_q, hamming_ball, q0
 
 
 class TestSphereSums:
-    def test_derangement_sphere(self):
-        # d=3: k=2 -> C(3,0)*1 + C(3,1)*0 = 1; k=3 adds C(3,2)*1 = 3
-        assert derangement_sphere(3, 2) == 1
-        assert derangement_sphere(3, 3) == 4
-
     def test_hamming_ball(self):
         # full-space ball
         assert hamming_ball(4, 4, 3) == 3**4
         # r=1 ball in {1..2}^5: 1 + 5
         assert hamming_ball(5, 1, 2) == 6
-
-
-class TestDerangementQ:
-    def test_literal_formula_example(self):
-        # 2^3 / 1 = 8 >= 4 at k=2; 8/4 = 2 < 4 at k=3
-        assert derangement_q(4, 3, 2) == 2
-
-    def test_unsound_case_documented(self):
-        # the formula claims distance 2 for three points in {1,2}^2,
-        # but the four lattice points pairwise at distance 2 form only
-        # two antipodal pairs: no such 3-point design exists
-        assert derangement_q(3, 2, 2) == 2
 
 
 class TestGilbertQ:

@@ -19,7 +19,7 @@ class TestBound:
         obj = json.loads(out)
         assert obj["schema_version"] == 1
         assert obj["q0"] == 1
-        assert obj["derangement_q"] == 2
+        assert set(obj) == {"schema_version", "n", "d", "M", "q0", "gilbert_q"}
 
     def test_usage_error_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--n", "4")
@@ -165,6 +165,26 @@ class TestSequentialCmd:
         assert obj["n_total"] == 5
         saved = json.loads(out_file.read_text())
         assert len(saved["history"]) == 3
+
+    def test_csv_simulator_infers_m(self, capsys, tmp_path):
+        # exhaustive table on {1,2,3}^3, best at (3,3,3): without --M the
+        # campaign must search all three levels, not {1,2}^3
+        import itertools
+
+        table = tmp_path / "table.csv"
+        table.write_text("".join(
+            ",".join(map(str, lv)) + f",{sum(lv)}\n"
+            for lv in itertools.product((1, 2, 3), repeat=3)
+        ))
+        argv = ["sequential", "--simulator", "csv", "--table", str(table),
+                "--acq", "ucb", "--n-init", "3", "--n-seq", "6", "--seed", "1",
+                "--gap", "0.0"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        obj = json.loads(out)
+        assert max(obj["best_point"]) == 3
+        code, _, err = run_cli(capsys, *argv, "--M", "2")
+        assert code == 1 and "below level 3" in err
 
 
 class TestBenchCmd:

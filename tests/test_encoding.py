@@ -9,19 +9,16 @@ from hypothesis import strategies as st
 from quip.encoding import (
     Design,
     DimensionMismatchError,
-    MalformedRowError,
     NeedsTwoPointsError,
     Point,
-    all_points,
-    decode,
     design_from_array,
     design_from_dict,
     design_to_dict,
-    encode,
-    encode_design,
     hamming,
+    lattice_array,
     load_design,
     min_pairwise_distance,
+    read_json,
     save_design,
 )
 
@@ -66,36 +63,76 @@ class TestDesign:
     def test_as_array(self):
         D = design_from_array([[1, 2], [2, 1]], 2)
         assert np.array_equal(D.as_array(), [[1, 2], [2, 1]])
+        assert D.as_array().dtype == np.int64
+        assert D.as_array() is D.as_array()
+
+    def test_as_array_is_read_only(self):
+        levels = np.array([[1, 2], [2, 1]])
+        D = design_from_array(levels, 2)
+        with pytest.raises(ValueError):
+            D.as_array()[0, 0] = 2
+        levels[0, 0] = 2  # the design holds its own copy
+        assert D.as_array()[0, 0] == 1
+
+    @pytest.mark.parametrize(
+        "levels",
+        [[1, 2, 1], [[[1, 2]]], [], [[]], np.zeros((0, 3), dtype=int)],
+    )
+    def test_from_array_rejects_bad_shapes(self, levels):
+        with pytest.raises(ValueError, match="n x d array"):
+            design_from_array(levels, 2)
+
+    @pytest.mark.parametrize(
+        "levels, M", [([[1, 3]], 2), ([[0, 1]], 2), ([[1, -1]], 3), ([[1, 1]], 1)]
+    )
+    def test_from_array_rejects_bad_levels(self, levels, M):
+        with pytest.raises(ValueError):
+            design_from_array(levels, M)
+
+    def test_empty_point_list_rejected(self):
+        with pytest.raises(ValueError):
+            Design(())
+
+    def test_points_constructor_matches_array_constructor(self):
+        pts = (Point((1, 3, 2), 3), Point((2, 2, 1), 3))
+        D = Design(pts)
+        assert D == design_from_array([[1, 3, 2], [2, 2, 1]], 3)
+        assert D != design_from_array([[1, 3, 2], [2, 2, 1]], 4)
+        assert D.points == pts
+        assert (D.n, D.d, D.M) == (2, 3, 3)
+
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda M: st.tuples(
+                st.just(M),
+                st.integers(1, 6).flatmap(
+                    lambda d: st.lists(
+                        st.lists(st.integers(1, M), min_size=d, max_size=d),
+                        min_size=1,
+                        max_size=8,
+                    )
+                ),
+            )
+        )
+    )
+    @settings(max_examples=100)
+    def test_round_trip(self, case):
+        M, rows = case
+        D = design_from_array(rows, M)
+        assert D.as_array().tolist() == rows
+        assert [list(p.levels) for p in D.points] == rows
+        assert Design(D.points) == D
+        assert design_from_dict(design_to_dict(D)) == D
 
 
 class TestEncode:
-    @given(points)
-    @settings(max_examples=100)
-    def test_round_trip(self, p):
-        assert decode(encode(p), p.M) == p
-
-    @given(points)
-    @settings(max_examples=50)
-    def test_row_sums_one(self, p):
-        assert np.all(encode(p).sum(axis=1) == 1)
-
-    def test_malformed_rows(self):
-        with pytest.raises(MalformedRowError):
-            decode(np.array([[1, 1], [0, 1]]))
-        with pytest.raises(MalformedRowError):
-            decode(np.array([[0, 0], [0, 1]]))
-        with pytest.raises(MalformedRowError):
-            decode(np.ones(3))
-
     def test_trace_identity(self):
-        # Hamming distance = d - <X, Y> for one-hot matrices
-        for p, q in itertools.product(all_points(3, 3), repeat=2):
-            inner = int(np.sum(encode(p) * encode(q)))
-            assert hamming(p, q) == p.d - inner
-
-    def test_encode_design_shape(self):
-        D = design_from_array([[1, 2, 3], [3, 2, 1]], 3)
-        assert encode_design(D).shape == (2, 3, 3)
+        # Hamming distance = d - <X, Y> for the one-hot matrices of the
+        # paper's integer program, built here from the levels
+        eye = np.eye(3, dtype=int)
+        for a, b in itertools.product(lattice_array(3, 3), repeat=2):
+            inner = int(np.sum(eye[a - 1] * eye[b - 1]))
+            assert hamming(Point(a, 3), Point(b, 3)) == 3 - inner
 
 
 class TestHamming:
@@ -117,7 +154,7 @@ class TestHamming:
         assert 0 <= hamming(p, q) <= p.d
 
     def test_triangle_inequality_exhaustive(self):
-        pts = list(all_points(3, 2))
+        pts = [Point(row, 2) for row in lattice_array(3, 2)]
         for a, b, c in itertools.product(pts, repeat=3):
             assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
 
@@ -131,13 +168,23 @@ class TestMinPairwiseDistance:
         D = design_from_array([[1, 1, 1], [2, 2, 2], [1, 2, 2]], 2)
         assert min_pairwise_distance(D) == 1
 
+    def test_matches_pairwise_hamming(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            D = design_from_array(rng.integers(1, 4, size=(6, 4)), 3)
+            pts = D.points
+            want = min(hamming(p, q) for p, q in itertools.combinations(pts, 2))
+            assert min_pairwise_distance(D) == want
+
 
 class TestAllPoints:
     def test_count_and_order(self):
-        pts = list(all_points(2, 3))
-        assert len(pts) == 9
-        assert pts[0].levels == (1, 1) and pts[-1].levels == (3, 3)
-        assert len(set(p.levels for p in pts)) == 9
+        # lattice_array enumerates all points of {1..M}^d in lexicographic order
+        full = lattice_array(2, 3)
+        assert full.shape == (9, 2) and full.dtype == np.int64
+        for d, M in ((2, 3), (3, 2), (1, 4)):
+            want = [list(p) for p in itertools.product(range(1, M + 1), repeat=d)]
+            assert lattice_array(d, M).tolist() == want
 
 
 class TestSerialization:
@@ -159,6 +206,12 @@ class TestSerialization:
         D = load_design(path, M=3)
         assert D.n == 2 and D.M == 3
 
+    def test_csv_ragged_rows(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2,3\n1,2\n")
+        with pytest.raises(ValueError, match="point 1 has 2 levels, expected 3"):
+            load_design(path)
+
     def test_missing_field(self):
         with pytest.raises(ValueError, match="points"):
             design_from_dict({"n": 1, "d": 1, "M": 2})
@@ -168,3 +221,18 @@ class TestSerialization:
             design_from_dict(
                 {"n": 2, "d": 1, "M": 2, "points": [[1]]}
             )
+
+    def test_schema_version_checked(self, tmp_path):
+        path = tmp_path / "d.json"
+        obj = {"n": 1, "d": 2, "M": 2, "points": [[1, 2]]}
+        path.write_text(json.dumps(obj))  # no version field: accepted
+        assert load_design(path) == design_from_array([[1, 2]], 2)
+        assert read_json(path) == obj
+        path.write_text(json.dumps({"schema_version": 2, **obj}))
+        with pytest.raises(ValueError, match="schema_version"):
+            load_design(path)
+        with pytest.raises(ValueError, match="schema_version"):
+            read_json(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="JSON object"):
+            read_json(path)

@@ -143,6 +143,13 @@ class TestFitMle:
         with pytest.raises(ValueError):
             fit_mle(design_from_array([[1, 1]], 2), [1.0])
 
+    @pytest.mark.parametrize("f", [[3.0, 3.0, 3.0], [3.0, 1.0, 2.0], [[1.0] * 5]])
+    def test_response_shape_rejected(self, f):
+        # a constant short vector must not pass as a constant-response model
+        D = design_from_array([[1, 1], [2, 2], [1, 2], [2, 1], [3, 3]], 3)
+        with pytest.raises(ValueError, match="does not match n=5"):
+            fit_mle(D, f)
+
     def test_non_finite_rejected(self):
         D = design_from_array([[1, 1], [2, 2]], 2)
         with pytest.raises(ValueError):

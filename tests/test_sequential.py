@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from quip.acquisition import AcquisitionSpec, lattice_array
-from quip.encoding import Design, Point, design_from_array
+from quip.acquisition import AcquisitionSpec
+from quip.encoding import Design, Point, design_from_array, lattice_array
 from quip.gp import KernelParams, build_model, predict_batch
 from quip.sequential import (
     Campaign,

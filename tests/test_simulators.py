@@ -37,6 +37,12 @@ class TestGridWorld:
         )
         assert w.goal == (4, 4) and (2, 2) in w.obstacles
 
+    def test_only_clamp_oob_rule(self):
+        obj = {"width": 4, "height": 4, "start": [1, 1]}
+        assert gridworld_from_dict(dict(obj, oob_rule="clamp")).width == 4
+        with pytest.raises(ValueError, match="oob_rule"):
+            gridworld_from_dict(dict(obj, oob_rule="wrap"))
+
 
 class TestMaze:
     def test_goal_reaching_path_costs_zero(self):
@@ -85,6 +91,14 @@ class TestMaze:
         # moving right into the obstacle leaves the position unchanged
         positions = walk(w, Point((4, 4, 5), 5))
         assert positions[0] == (1, 1)
+
+    @pytest.mark.parametrize("levels", [(1, 2, 7), (1, 2, 3)])
+    def test_wrong_m(self, levels):
+        # M=9 paths are rejected, also when every level is a valid move
+        for sim, world in ((maze_cost, default_maze()),
+                           (snake_reward, default_snake())):
+            with pytest.raises(ValueError, match="M=5"):
+                sim(world, Point(levels, 9))
 
     def test_trace_consistency(self):
         w = default_maze()
