@@ -115,16 +115,24 @@ def _cmd_suggest(args) -> int:
 
 def _csv_table_simulator(path, M):
     """(d, M, lookup) for a table of `levels..., response` rows. M defaults
-    to the table's largest level (at least 2)."""
+    to the table's largest level (at least 2). Rows of unequal length are
+    rejected here; looking up a point the table lacks raises ValueError."""
     table: dict[tuple[int, ...], float] = {}
+    width = None
     with open(path) as fh:
-        for row in csv.reader(fh):
+        for line, row in enumerate(csv.reader(fh), 1):
             if not row:
                 continue
+            width = width or len(row)
+            if len(row) != width:
+                raise ValueError(
+                    f"row {line} of lookup table {path} has {len(row)} "
+                    f"fields, expected {width}"
+                )
             table[tuple(int(v) for v in row[:-1])] = float(row[-1])
     if not table:
         raise ValueError(f"no rows in lookup table {path}")
-    d = len(next(iter(table)))
+    d = width - 1
     level_max = max(max(levels) for levels in table)
     if M is None:
         M = max(level_max, 2)
@@ -132,6 +140,8 @@ def _csv_table_simulator(path, M):
         raise ValueError(f"--M {M} is below level {level_max} in table {path}")
 
     def sim(x):
+        if x.levels not in table:
+            raise ValueError(f"point {list(x.levels)} is not in lookup table {path}")
         return table[x.levels]
 
     return d, M, sim

@@ -148,6 +148,13 @@ def lattice_array(d: int, M: int) -> np.ndarray:
     return np.ascontiguousarray(grid.T) + 1
 
 
+def lattice_distances(d: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice as `lattice_array` and its M**d x M**d matrix of
+    pairwise Hamming distances."""
+    pts = lattice_array(d, M)
+    return pts, np.count_nonzero(pts[:, None, :] != pts[None, :, :], axis=2)
+
+
 def write_json(obj: dict, path=None) -> None:
     """Write obj as indented JSON with the schema version first, to the
     file at `path` or, when it is None, to standard output."""

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .encoding import (
     Design,
     Point,
     design_from_dict,
     design_to_dict,
-    lattice_array,
+    lattice_distances,
     read_json,
     write_json,
 )
@@ -33,6 +34,7 @@ from .maximin import TooLargeError
 DEFAULT_NUGGET = 1e-8
 LOG_THETA_LO = math.log(1e-3)
 LOG_THETA_HI = math.log(10.0)
+_FAILED_NLL = 1e10  # objective where the Cholesky factorisation fails
 
 
 class DegenerateResponseError(ValueError):
@@ -57,7 +59,7 @@ class KernelParams:
 @dataclass(frozen=True)
 class FitConfig:
     n_starts: int = 8
-    max_iter: int = 200
+    max_iter: int = 200  # cap on L-BFGS-B iterations per start
     nugget: float = DEFAULT_NUGGET
     seed: int = 0
 
@@ -137,38 +139,83 @@ def predict(model: GpModel, x: Point) -> tuple[float, float]:
     return float(mean[0]), float(var[0])
 
 
+def _mismatch(X: np.ndarray) -> np.ndarray:
+    """(n*n, d) float indicator of the factors on which two design rows
+    differ; row i*n + j holds the pair (i, j)."""
+    return (X[:, None, :] != X[None, :, :]).reshape(-1, X.shape[1]).astype(float)
+
+
+def _nll_and_grad(log_theta: np.ndarray, E: np.ndarray, f: np.ndarray, nugget: float):
+    """Negative profile log-likelihood, its gradient in log-theta and the
+    fitted (theta, mu, tau2); None when the Cholesky factorisation fails.
+
+    With K = Gamma + nugget*I, a = K^{-1}(f - mu*1) and tau2 = (f - mu)'a/n,
+    d nll / d log theta_l = -theta_l/2 * sum_ij E_l * Gamma * (K^{-1} - aa'/tau2)
+    (GPML section 5.4, with d Gamma / d theta_l = -E_l * Gamma; mu is
+    profiled, so it contributes no term).
+    """
+    n = f.size
+    theta = np.exp(log_theta)
+    gamma = np.exp(-(E @ theta)).reshape(n, n)
+    gamma.flat[:: n + 1] += nugget
+    L, info = dpotrf(gamma, lower=1)  # the upper triangle of L is zeroed
+    if info != 0:
+        return None
+    sol, _ = dpotrs(L, np.column_stack([f, np.ones(n)]), lower=1)
+    mu = sol[:, 0].sum() / sol[:, 1].sum()
+    a = sol[:, 0] - mu * sol[:, 1]
+    tau2 = float((f - mu) @ a) / n
+    if not tau2 > 0:
+        return None
+    nll = 0.5 * n * math.log(tau2) + float(np.sum(np.log(np.diagonal(L))))
+    K_inv, _ = dpotri(L, lower=1)  # lower triangle of K^{-1}, zeros above
+    # the diagonal of E is zero, so twice the strict lower triangle of
+    # K^{-1} gives the symmetric sum
+    W = (2.0 * K_inv - np.outer(a, a / tau2)) * gamma
+    grad = -0.5 * theta * (W.ravel() @ E)
+    return nll, grad, (theta, mu, tau2)
+
+
 def _profiled_nll(log_theta: np.ndarray, X: np.ndarray, f: np.ndarray, nugget: float):
-    """Negative profile log-likelihood; mu and tau2 are concentrated out."""
+    """Negative profile log-likelihood at clipped log-theta, and the fitted
+    (theta, mu, tau2); (inf, None) when the factorisation fails."""
     lt = np.clip(log_theta, LOG_THETA_LO, LOG_THETA_HI)
-    theta = np.exp(lt)
-    n = X.shape[0]
-    gamma = cross_correlation(X, X, theta) + nugget * np.eye(n)
-    try:
-        L = cholesky(gamma, lower=True)
-    except np.linalg.LinAlgError:
-        return np.inf, None
-    ones = np.ones(n)
-    gi_f = cho_solve((L, True), f)
-    gi_1 = cho_solve((L, True), ones)
-    mu = float(ones @ gi_f) / float(ones @ gi_1)
-    r = f - mu
-    tau2 = float(r @ cho_solve((L, True), r)) / n
-    if tau2 <= 0:
-        return np.inf, None
-    nll = 0.5 * n * math.log(tau2) + float(np.sum(np.log(np.diag(L))))
-    return nll, (theta, mu, tau2)
+    out = _nll_and_grad(lt, _mismatch(X), np.asarray(f, dtype=float), nugget)
+    return (np.inf, None) if out is None else (out[0], out[2])
+
+
+def _check_duplicate_rows(X: np.ndarray, f: np.ndarray) -> None:
+    """Reject identical design rows whose responses differ: the noiseless
+    GP must interpolate both, which drives theta to its clip and tau2 up
+    by orders of magnitude. Repeats with equal responses are allowed."""
+    _, first, inverse = np.unique(X, axis=0, return_index=True, return_inverse=True)
+    ref = first[inverse.ravel()]  # index of the first copy of each row
+    tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(f), np.abs(f[ref])))
+    bad = np.flatnonzero(np.abs(f - f[ref]) > tol)
+    if bad.size:
+        j = int(bad[0])
+        i = int(ref[j])
+        raise ValueError(
+            f"design rows {i} and {j} are identical but their responses "
+            f"differ ({float(f[i])!r} vs {float(f[j])!r}); a noiseless GP cannot "
+            "interpolate both"
+        )
 
 
 def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
     """Fit kernel parameters by multi-start maximum likelihood.
 
     The mean and variance are profiled analytically at each candidate
-    theta; the search runs in log-theta space from one unit start plus a
-    seeded low-discrepancy scatter. The returned likelihood dominates the
-    likelihood at every start.
+    theta. From one unit start plus a seeded low-discrepancy scatter, each
+    search runs L-BFGS-B in log-theta within the clip bounds, on the
+    analytic gradient of the profile likelihood; the mismatch matrix is
+    built once per fit. The returned likelihood dominates the likelihood
+    at every start. A theta whose Cholesky factorisation fails scores a
+    large finite value with zero gradient, so the line search backs off.
 
     Constant responses (zero variance) yield a flagged constant-predictor
-    model rather than an error.
+    model rather than an error. Identical rows with different responses
+    raise ValueError.
     """
     # imported here: the optimiser stack roughly doubles `import quip`
     from scipy.optimize import minimize
@@ -182,12 +229,14 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
         raise ValueError(f"responses shape {f.shape} does not match n={D.n}")
     if not np.all(np.isfinite(f)):
         raise ValueError("responses must be finite")
+    X = D.as_array()
+    _check_duplicate_rows(X, f)
     f_range = float(f.max() - f.min())
     if f_range <= 1e-13 * max(1.0, abs(float(f[0]))):
         return _constant_model(D, f, config.nugget)
 
-    X = D.as_array()
     d = D.d
+    E = _mismatch(X)
     starts = [np.zeros(d)]
     if config.n_starts > 1:
         m = config.n_starts - 1
@@ -196,21 +245,25 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
         extra = sob.random(pow2)[:m]
         starts.extend(LOG_THETA_LO + (LOG_THETA_HI - LOG_THETA_LO) * extra)
 
+    def objective(lt):
+        out = _nll_and_grad(lt, E, f, config.nugget)
+        return (_FAILED_NLL, np.zeros(d)) if out is None else out[:2]
+
     best_nll = np.inf
     best = None
     for s in starts:
-        nll0, fit0 = _profiled_nll(s, X, f, config.nugget)
-        if nll0 < best_nll and fit0 is not None:
-            best_nll, best = nll0, fit0
         res = minimize(
-            lambda lt: _profiled_nll(lt, X, f, config.nugget)[0],
+            objective,
             s,
-            method="Nelder-Mead",
-            options={"maxiter": config.max_iter, "xatol": 1e-4, "fatol": 1e-8},
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(LOG_THETA_LO, LOG_THETA_HI)] * d,
+            options={"maxiter": config.max_iter},
         )
-        nll1, fit1 = _profiled_nll(res.x, X, f, config.nugget)
-        if nll1 < best_nll and fit1 is not None:
-            best_nll, best = nll1, fit1
+        for lt in (s, res.x):
+            out = _nll_and_grad(lt, E, f, config.nugget)
+            if out is not None and out[0] < best_nll:
+                best_nll, best = out[0], out[2]
     if best is None:
         raise DegenerateResponseError("likelihood evaluation failed at every start")
     theta, mu, tau2 = best
@@ -232,8 +285,7 @@ def d_optimality_ratio(
     n_designs = math.comb(lattice + n - 1, n)
     if n_designs > guard:
         raise TooLargeError(f"{n_designs} designs exceeds enumeration guard")
-    pts = lattice_array(d, M)
-    dist = np.count_nonzero(pts[:, None, :] != pts[None, :, :], axis=2)
+    pts, dist = lattice_distances(d, M)
     corr = cross_correlation(pts, pts, np.full(d, theta * k))
 
     best_det = -np.inf

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import q0
-from .encoding import Design, design_from_array, lattice_array, min_pairwise_distance
+from .encoding import Design, design_from_array, lattice_distances, min_pairwise_distance
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -366,8 +366,7 @@ def brute_force_maximin(
         raise TooLargeError(
             f"enumeration for (n={n}, d={d}, M={M}) exceeds guard"
         )
-    pts = lattice_array(d, M)
-    dist = (pts[:, None, :] != pts[None, :, :]).sum(axis=2)
+    pts, dist = lattice_distances(d, M)
 
     chosen: list[int] = []
 

@@ -186,6 +186,28 @@ class TestSequentialCmd:
         code, _, err = run_cli(capsys, *argv, "--M", "2")
         assert code == 1 and "below level 3" in err
 
+    def test_csv_missing_point_named(self, capsys, tmp_path):
+        # {1,2}^2 without (2,2): the campaign reaches the missing point
+        table = tmp_path / "table.csv"
+        table.write_text("1,1,0.5\n1,2,1.0\n2,1,2.0\n")
+        code, _, err = run_cli(
+            capsys, "sequential", "--simulator", "csv", "--table", str(table),
+            "--acq", "ucb", "--n-init", "2", "--n-seq", "2", "--seed", "1",
+            "--gap", "0.0",
+        )
+        assert code == 1
+        assert "point [2, 2] is not in lookup table" in err and str(table) in err
+
+    def test_csv_ragged_rows_rejected(self, capsys, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text("1,1,0.5\n\n1,2,3,1.0\n")
+        code, _, err = run_cli(
+            capsys, "sequential", "--simulator", "csv", "--table", str(table),
+            "--acq", "ucb", "--n-init", "2", "--n-seq", "1",
+        )
+        assert code == 1
+        assert f"row 3 of lookup table {table} has 4 fields, expected 3" in err
+
 
 class TestBenchCmd:
     def test_tiny_plan(self, capsys, tmp_path):

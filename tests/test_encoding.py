@@ -16,6 +16,7 @@ from quip.encoding import (
     design_to_dict,
     hamming,
     lattice_array,
+    lattice_distances,
     load_design,
     min_pairwise_distance,
     read_json,
@@ -185,6 +186,12 @@ class TestAllPoints:
         for d, M in ((2, 3), (3, 2), (1, 4)):
             want = [list(p) for p in itertools.product(range(1, M + 1), repeat=d)]
             assert lattice_array(d, M).tolist() == want
+
+    def test_distances_match_hamming(self):
+        pts, dist = lattice_distances(3, 2)
+        assert pts.tolist() == lattice_array(3, 2).tolist()
+        P = [Point(tuple(int(v) for v in row), 2) for row in pts]
+        assert dist.tolist() == [[hamming(x, y) for y in P] for x in P]
 
 
 class TestSerialization:

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import quip
+from quip import gp
 from quip.encoding import Point, design_from_array
 from quip.gp import (
+    DegenerateResponseError,
     FitConfig,
     KernelParams,
     build_model,
@@ -162,6 +164,132 @@ class TestFitMle:
         a = fit_mle(D, f, FitConfig(seed=9))
         b = fit_mle(D, f, FitConfig(seed=9))
         assert np.array_equal(a.params.theta, b.params.theta)
+
+
+# Profile NLL reached by the previous per-start Nelder-Mead fit (maxiter 200,
+# xatol 1e-4, fatol 1e-8 on the clipped objective) on _snake_model(k)
+NELDER_MEAD_NLL = [
+    81.25767749371806, 92.30073706583316, 102.90109589648945,
+    119.24114320203853, 136.20438598005865, 148.41813912756268,
+    158.90927074691, 168.16167072144623, 184.1791893546229, 190.79197807352725,
+]
+
+
+def _snake_model(k):
+    """Design, responses and fit settings of the k-th likelihood model:
+    n = 20 + 3k distinct rows of {1..5}^8, snake rewards."""
+    from quip.simulators import default_snake, snake_reward
+
+    D = _random_distinct_design(np.random.default_rng(k), 20 + 3 * k, 8, 5)
+    world = default_snake()
+    f = np.array([snake_reward(world, p).value for p in D.points])
+    return D, f, FitConfig(n_starts=4, seed=k)
+
+
+class TestLikelihood:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gradient_matches_central_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        d = 5
+        D = _random_distinct_design(rng, 12 + 2 * seed, d, 3)
+        f = rng.normal(size=D.n)
+        E = gp._mismatch(D.as_array())
+        lt = rng.uniform(np.log(0.05), np.log(3.0), d)  # interior theta
+        _, grad, _ = gp._nll_and_grad(lt, E, f, gp.DEFAULT_NUGGET)
+        h = 1e-5
+        num = np.array([
+            (gp._nll_and_grad(lt + h * e, E, f, gp.DEFAULT_NUGGET)[0]
+             - gp._nll_and_grad(lt - h * e, E, f, gp.DEFAULT_NUGGET)[0]) / (2 * h)
+            for e in np.eye(d)
+        ])
+        assert np.max(np.abs(grad - num)) <= 1e-5 * np.max(np.abs(grad))
+
+    def test_wrapper_matches_direct_nll(self):
+        # the profile NLL from first principles: mu and tau2 by GLS
+        rng = np.random.default_rng(11)
+        D = _random_distinct_design(rng, 10, 4, 3)
+        f = rng.normal(size=10)
+        theta = rng.uniform(0.2, 2.0, 4)
+        K = covariance_matrix(D, theta) + gp.DEFAULT_NUGGET * np.eye(10)
+        Ki = np.linalg.inv(K)
+        ones = np.ones(10)
+        mu = (ones @ Ki @ f) / (ones @ Ki @ ones)
+        tau2 = (f - mu) @ Ki @ (f - mu) / 10
+        want = 5 * np.log(tau2) + 0.5 * np.linalg.slogdet(K)[1]
+        nll, (th, mu1, tau21) = gp._profiled_nll(
+            np.log(theta), D.as_array(), f, gp.DEFAULT_NUGGET
+        )
+        assert nll == pytest.approx(want, rel=1e-10)
+        assert mu1 == pytest.approx(mu, rel=1e-8) and tau21 == pytest.approx(tau2, rel=1e-8)
+        assert np.allclose(th, theta, rtol=1e-14)
+
+    def test_nll_no_worse_than_nelder_mead(self):
+        nll = []
+        for k in range(10):
+            D, f, cfg = _snake_model(k)
+            model = fit_mle(D, f, cfg)
+            nll.append(gp._profiled_nll(
+                np.log(model.params.theta), D.as_array(), f, cfg.nugget)[0])
+        # on model 2 the simplex crossed into a basin (102.901) that no
+        # L-BFGS-B search from the same four starts reaches (best 103.042)
+        worse = {k for k in range(10) if nll[k] > NELDER_MEAD_NLL[k] + 1e-9}
+        assert worse <= {2}
+        assert nll[2] <= NELDER_MEAD_NLL[2] + 0.15
+        assert sum(nll) < sum(NELDER_MEAD_NLL)
+
+    def test_failed_cholesky_at_a_start_does_not_abort(self, monkeypatch):
+        # factorisations of a correlation matrix with an entry below
+        # exp(-2.5) fail: the unit start does (rows 3 apart), and so do
+        # line-search steps that leave the region
+        rng = np.random.default_rng(12)
+        D = _random_distinct_design(rng, 14, 4, 3)
+        f = rng.normal(size=14)
+        real = gp.dpotrf
+        failures = []
+
+        def dpotrf(a, lower=0):
+            if a.min() < np.exp(-2.5):
+                failures.append(a.min())
+                return a, 1
+            return real(a, lower=lower)
+
+        monkeypatch.setattr(gp, "dpotrf", dpotrf)
+        X = D.as_array()
+        assert gp._profiled_nll(np.zeros(4), X, f, gp.DEFAULT_NUGGET)[0] == np.inf
+        cfg = FitConfig(n_starts=4, seed=0)
+        model = fit_mle(D, f, cfg)
+        assert len(failures) > 1
+        nll = gp._profiled_nll(np.log(model.params.theta), X, f, cfg.nugget)[0]
+        assert np.isfinite(nll)
+        assert covariance_matrix(D, model.params.theta).min() >= np.exp(-2.5)
+
+    def test_failed_cholesky_everywhere_raises(self, monkeypatch):
+        monkeypatch.setattr(gp, "dpotrf", lambda a, lower=0: (a, 1))
+        D = design_from_array([[1, 1], [2, 2], [1, 2]], 2)
+        with pytest.raises(DegenerateResponseError):
+            fit_mle(D, [0.0, 1.0, 2.0], FitConfig(n_starts=2))
+
+
+class TestDuplicateRows:
+    def _data(self):
+        rng = np.random.default_rng(0)
+        X = rng.integers(1, 4, size=(10, 4))
+        f = rng.normal(size=10)
+        return X, f
+
+    def test_conflicting_responses_rejected(self):
+        # previously: theta pinned at the 1e-3 clip and tau2 ~ 2.1e6
+        X, f = self._data()
+        D = design_from_array(np.vstack([X, X[:2]]), 3)
+        with pytest.raises(ValueError, match="rows 0 and 10 are identical"):
+            fit_mle(D, np.append(f, f[:2] + 0.5))
+
+    def test_repeats_with_equal_responses_fit(self):
+        X, f = self._data()
+        D = design_from_array(np.vstack([X, X[:2]]), 3)
+        model = fit_mle(D, np.append(f, f[:2]), FitConfig(n_starts=4, seed=0))
+        mean, _ = predict_batch(model, X)
+        assert np.max(np.abs(mean - f)) <= 1e-5 * (f.max() - f.min())
 
 
 class TestDOptimalityRatio:
