@@ -6,8 +6,6 @@ from .acquisition import (
     AcquisitionSpec,
     candidate_set_acquisition,
     enumerate_acquisition,
-    eval_alm,
-    eval_ucb,
     optimize_acquisition,
     random_point,
 )
@@ -28,9 +26,7 @@ from .gp import (
     build_model,
     d_optimality_ratio,
     fit_mle,
-    kernel,
     load_model,
-    predict,
     predict_batch,
     save_model,
 )
@@ -83,13 +79,10 @@ __all__ = [
     "d_optimality_ratio",
     "design_from_array",
     "enumerate_acquisition",
-    "eval_alm",
-    "eval_ucb",
     "fit_mle",
     "gilbert_q",
     "hamming",
     "hamming_ball",
-    "kernel",
     "load_campaign",
     "load_design",
     "load_model",
@@ -97,7 +90,6 @@ __all__ = [
     "min_pairwise_distance",
     "optimize_acquisition",
     "optimize_maximin",
-    "predict",
     "predict_batch",
     "q0",
     "random_point",

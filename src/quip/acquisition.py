@@ -3,10 +3,9 @@ global optimization.
 
 Two criteria are supported, both derived from the fitted surrogate:
 
-* ALM: pick the point of maximum posterior variance. Internally this
-  minimizes the quadratic form Q(x) = g' W g with g the correlation
-  vector to the design and W the inverse correlation matrix, since
-  var = tau2 * (1 - Q).
+* ALM: pick the point of maximum posterior variance tau2 * (1 - Q(x)),
+  where Q(x) = g' W g is the quadratic form of the correlation vector g
+  to the design and the inverse correlation matrix W.
 * UCB: pick the point maximizing mean + lambda * stddev.
 
 The global optimizer is a best-first branch-and-bound over one-factor-at-
@@ -33,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .encoding import Point, lattice_array
-from .gp import GpModel, _posterior, cross_correlation, predict
-from .maximin import TooLargeError, check_time_limit
+from .encoding import Point, TooLargeError, check_time_limit, lattice_array
+from .gp import GpModel, _posterior, cross_correlation
 
 DEFAULT_LAMBDA = 2.96
 DEFAULT_GAP = 0.10
@@ -71,18 +69,6 @@ class AcqSolveReport:
     nodes: int
     status: str
     elapsed: float
-
-
-def eval_alm(model: GpModel, x: Point) -> float:
-    """The quadratic form Q(x) = g' Gamma^{-1} g minimized by ALM, read
-    off the posterior variance tau2 * (1 - Q) (which clips Q at 1)."""
-    _, var = predict(model, x)
-    return 1.0 - var / model.params.tau2
-
-
-def eval_ucb(model: GpModel, x: Point, lam: float = DEFAULT_LAMBDA) -> float:
-    mean, var = predict(model, x)
-    return mean + lam * np.sqrt(var)
 
 
 def _objective(model: GpModel, G: np.ndarray, spec: AcquisitionSpec) -> np.ndarray:
@@ -154,11 +140,6 @@ class _BnB:
         mean_high = self.mu + (U @ self.ap + L @ self.an)
         return mean_high + self.spec.lam * np.sqrt(var_high)
 
-    def _leaf_values(self, G: np.ndarray) -> np.ndarray:
-        """Objective at fully assigned points from their exact correlation
-        rows G (one row per point)."""
-        return _objective(self.model, G, self.spec)
-
     def _to_factor_order(self, levels: tuple[int, ...]) -> np.ndarray:
         out = np.zeros(self.d, dtype=np.int64)
         out[self.order] = levels
@@ -205,7 +186,7 @@ class _BnB:
             Uc = self.F[depth] * self._upper(levels)
             if depth + 1 == self.d:
                 # free_min[d] == 1: the children are exact correlation rows
-                vals = self._leaf_values(Uc)
+                vals = _objective(self.model, Uc, self.spec)
                 i = int(np.argmax(vals))  # first argmax, as a strict > scan
                 if vals[i] > incumbent:
                     incumbent = float(vals[i])

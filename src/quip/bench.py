@@ -9,8 +9,9 @@ percentile band across replications.
 from __future__ import annotations
 
 import csv
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,25 +22,19 @@ from .acquisition import (
     optimize_acquisition,
     random_point,
 )
+from .bounds import q0
 from .encoding import Design, Point, design_from_array, read_json, write_json
-from .gp import FitConfig, fit_mle
+from .gp import FitConfig, fit_mle, predict_batch
 from .maximin import FeasibilityInstance, solve_feasibility
 from .sequential import rrmse, run_campaign
-from .simulators import (
-    default_maze,
-    default_rover,
-    default_snake,
-    maze_cost,
-    rover_cost,
-    snake_reward,
-)
+from .simulators import PROBLEMS, default_snake, snake_reward
 
 METHODS = ("quip", "random", "candidate")
 
 
 @dataclass(frozen=True)
 class BenchPlan:
-    problem: str  # "maze" | "snake" | "rover"
+    problem: str  # a key of simulators.PROBLEMS
     methods: tuple[str, ...] = METHODS
     replications: int = 20
     seed: int = 0
@@ -56,6 +51,8 @@ class BenchPlan:
     test_seed: int = 12345
 
     def __post_init__(self):
+        if self.problem not in PROBLEMS:
+            raise ValueError(f"unknown problem {self.problem!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not self.methods:
@@ -65,6 +62,11 @@ class BenchPlan:
                 raise ValueError(f"unknown method {m!r}")
         if self.mode not in ("opt", "active"):
             raise ValueError("mode must be 'opt' or 'active'")
+        self.spec()  # reject a bad acquisition now, not inside the first arm
+
+    def spec(self) -> AcquisitionSpec:
+        """The acquisition spec every arm solves with."""
+        return AcquisitionSpec(self.acq, self.lam, self.gap_tolerance, self.time_limit)
 
 
 @dataclass(frozen=True)
@@ -77,19 +79,11 @@ class BenchReport:
 def problem_objective(problem: str, d: int | None = None):
     """(d, M, objective) for a problem id; objective is maximization-signed
     (costs are negated)."""
-    if problem == "maze":
-        world = default_maze()
-        dd = d or 12
-        return dd, 5, lambda x: -maze_cost(world, x).value
-    if problem == "snake":
-        world = default_snake()
-        dd = d or 12
-        return dd, 5, lambda x: snake_reward(world, x).value
-    if problem == "rover":
-        course = default_rover()
-        dd = d or 8
-        return dd, 9, lambda x: rover_cost(course, x).value * -1.0
-    raise ValueError(f"unknown problem {problem!r}")
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r}")
+    p = PROBLEMS[problem]
+    config = p.default_config()
+    return d or p.d, p.M, lambda x: p.sign * p.simulate(config, x).value
 
 
 def _rep_seed(master: int, rep: int) -> int:
@@ -99,8 +93,6 @@ def _rep_seed(master: int, rep: int) -> int:
 def initial_design(n: int, d: int, M: int, seed: int) -> Design:
     """Seeded space-filling initial design: a witness at the guaranteed
     distance q0 (fast; the full maximin optimum is not needed here)."""
-    from .bounds import q0
-
     rep = solve_feasibility(FeasibilityInstance(n, d, M, q=q0(n, d, M), seed=seed))
     assert rep.design is not None
     return rep.design
@@ -114,8 +106,6 @@ def _test_set(d: int, M: int, size: int, seed: int, objective):
 
 
 def _rrmse_on_test(D: Design, f: np.ndarray, X_test, y_test, fit_seed: int):
-    from .gp import predict_batch
-
     model = fit_mle(D, f, FitConfig(n_starts=4, seed=fit_seed))
     mean, _ = predict_batch(model, X_test)
     return rrmse(y_test, mean)
@@ -124,7 +114,7 @@ def _rrmse_on_test(D: Design, f: np.ndarray, X_test, y_test, fit_seed: int):
 def _run_arm(method: str, plan: BenchPlan, rep: int, d: int, M: int, objective,
              init: Design, f0: np.ndarray, test=None) -> list[dict]:
     seed = _rep_seed(plan.seed, rep)
-    spec = AcquisitionSpec(plan.acq, plan.lam, plan.gap_tolerance, plan.time_limit)
+    spec = plan.spec()
     rows: list[dict] = []
 
     def row(it, best, elapsed, extra=None):
@@ -299,27 +289,9 @@ def write_rows_csv(rows, path) -> None:
 
 def write_report(report: BenchReport, out_dir) -> None:
     """Emit rows.csv and summary.json under out_dir (created if missing)."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     write_rows_csv(report.rows, os.path.join(out_dir, "rows.csv"))
-    summary = {
-        "plan": {
-            "problem": report.plan.problem,
-            "methods": list(report.plan.methods),
-            "replications": report.plan.replications,
-            "seed": report.plan.seed,
-            "n_init": report.plan.n_init,
-            "n_seq": report.plan.n_seq,
-            "d": report.plan.d,
-            "acq": report.plan.acq,
-            "lam": report.plan.lam,
-            "gap_tolerance": report.plan.gap_tolerance,
-            "candidate_c": report.plan.candidate_c,
-            "mode": report.plan.mode,
-        },
-        "aggregate": list(report.summary),
-    }
+    summary = {"plan": asdict(report.plan), "aggregate": list(report.summary)}
     write_json(summary, os.path.join(out_dir, "summary.json"))
 
 

@@ -186,26 +186,9 @@ def _parse_path(text: str) -> list[int]:
 
 
 def _cmd_simulate(args) -> int:
-    levels = _parse_path(args.path)
-    if args.problem == "rover":
-        course = (
-            simulators.load_course(args.config) if args.config
-            else simulators.default_rover()
-        )
-        res = simulators.rover_cost(course, encoding.Point(tuple(levels), 9))
-    else:
-        if args.config:
-            world = simulators.load_world(args.config)
-        else:
-            world = (
-                simulators.default_maze() if args.problem == "maze"
-                else simulators.default_snake()
-            )
-        x = encoding.Point(tuple(levels), 5)
-        res = (
-            simulators.maze_cost(world, x) if args.problem == "maze"
-            else simulators.snake_reward(world, x)
-        )
+    p = simulators.PROBLEMS[args.problem]
+    config = p.load_config(args.config) if args.config else p.default_config()
+    res = p.simulate(config, encoding.Point(tuple(_parse_path(args.path)), p.M))
     _emit(
         {
             "problem": args.problem,
@@ -292,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_suggest)
 
     q = sub.add_parser("sequential", help="run a sequential design campaign")
-    q.add_argument("--simulator", choices=["maze", "snake", "rover", "csv"],
+    q.add_argument("--simulator", choices=[*simulators.PROBLEMS, "csv"],
                    required=True)
     q.add_argument("--acq", choices=["alm", "ucb"], required=True)
     q.add_argument("--n-init", type=int, default=20)
@@ -311,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_sequential)
 
     m = sub.add_parser("simulate", help="evaluate one simulator path")
-    m.add_argument("--problem", choices=["maze", "snake", "rover"], required=True)
+    m.add_argument("--problem", choices=list(simulators.PROBLEMS), required=True)
     m.add_argument("--config", default=None)
     m.add_argument("--path", required=True, help="comma-separated levels")
     m.set_defaults(func=_cmd_simulate)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -25,6 +26,17 @@ class DimensionMismatchError(ValueError):
 
 class NeedsTwoPointsError(ValueError):
     """Operation requires a design with at least two points."""
+
+
+class TooLargeError(ValueError):
+    """Brute-force enumeration would exceed the size guard."""
+
+
+def check_time_limit(time_limit: float | None) -> None:
+    """Reject a wall-clock limit that is neither None (no limit) nor a
+    finite positive number of seconds."""
+    if time_limit is not None and not (math.isfinite(time_limit) and time_limit > 0):
+        raise ValueError(f"time limit must be positive and finite, got {time_limit!r}")
 
 
 @dataclass(frozen=True)

@@ -22,16 +22,16 @@ from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .encoding import (
     Design,
-    Point,
+    TooLargeError,
     design_from_dict,
     design_to_dict,
     lattice_distances,
     read_json,
     write_json,
 )
-from .maximin import TooLargeError
 
-DEFAULT_NUGGET = 1e-8
+DEFAULT_NUGGET = 1e-8  # diagonal jitter of every fitted model
+_MAX_ITER = 200  # cap on L-BFGS-B iterations per start
 LOG_THETA_LO = math.log(1e-3)
 LOG_THETA_HI = math.log(10.0)
 _FAILED_NLL = 1e10  # objective where the Cholesky factorisation fails
@@ -59,8 +59,6 @@ class KernelParams:
 @dataclass(frozen=True)
 class FitConfig:
     n_starts: int = 8
-    max_iter: int = 200  # cap on L-BFGS-B iterations per start
-    nugget: float = DEFAULT_NUGGET
     seed: int = 0
 
 
@@ -85,26 +83,14 @@ def cross_correlation(X_new: np.ndarray, X: np.ndarray, theta) -> np.ndarray:
     return np.exp(-(neq @ np.asarray(theta, dtype=float)))
 
 
-def kernel(x: Point, y: Point, theta) -> float:
-    if x.d != y.d or x.M != y.M or np.shape(theta) != (x.d,):
-        raise ValueError("kernel arguments do not share dimensions")
-    X, Y = np.asarray([x.levels]), np.asarray([y.levels])
-    return float(cross_correlation(X, Y, theta)[0, 0])
-
-
-def covariance_matrix(D: Design, theta) -> np.ndarray:
-    """n x n correlation matrix under the exchangeable kernel."""
-    X = D.as_array()
-    return cross_correlation(X, X, theta)
-
-
 def build_model(
     D: Design, f, params: KernelParams, nugget: float = DEFAULT_NUGGET
 ) -> GpModel:
     f = np.asarray(f, dtype=float)
     if f.shape != (D.n,):
         raise ValueError(f"responses shape {f.shape} does not match n={D.n}")
-    gamma = covariance_matrix(D, params.theta)
+    X = D.as_array()
+    gamma = cross_correlation(X, X, params.theta)
     L = cholesky(gamma + nugget * np.eye(D.n), lower=True)
     alpha = cho_solve((L, True), f - params.mu)
     return GpModel(D, f, params, L, alpha, nugget)
@@ -131,12 +117,6 @@ def predict_batch(model: GpModel, X_new: np.ndarray) -> tuple[np.ndarray, np.nda
     """Vectorized posterior mean/variance for an m x d array of levels."""
     G = cross_correlation(X_new, model.design.as_array(), model.params.theta)
     return _posterior(model, G)
-
-
-def predict(model: GpModel, x: Point) -> tuple[float, float]:
-    """Posterior mean and variance at a single point."""
-    mean, var = predict_batch(model, np.asarray([x.levels]))
-    return float(mean[0]), float(var[0])
 
 
 def _mismatch(X: np.ndarray) -> np.ndarray:
@@ -233,7 +213,7 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
     _check_duplicate_rows(X, f)
     f_range = float(f.max() - f.min())
     if f_range <= 1e-13 * max(1.0, abs(float(f[0]))):
-        return _constant_model(D, f, config.nugget)
+        return _constant_model(D, f, DEFAULT_NUGGET)
 
     d = D.d
     E = _mismatch(X)
@@ -246,7 +226,7 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
         starts.extend(LOG_THETA_LO + (LOG_THETA_HI - LOG_THETA_LO) * extra)
 
     def objective(lt):
-        out = _nll_and_grad(lt, E, f, config.nugget)
+        out = _nll_and_grad(lt, E, f, DEFAULT_NUGGET)
         return (_FAILED_NLL, np.zeros(d)) if out is None else out[:2]
 
     best_nll = np.inf
@@ -258,16 +238,16 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
             jac=True,
             method="L-BFGS-B",
             bounds=[(LOG_THETA_LO, LOG_THETA_HI)] * d,
-            options={"maxiter": config.max_iter},
+            options={"maxiter": _MAX_ITER},
         )
         for lt in (s, res.x):
-            out = _nll_and_grad(lt, E, f, config.nugget)
+            out = _nll_and_grad(lt, E, f, DEFAULT_NUGGET)
             if out is not None and out[0] < best_nll:
                 best_nll, best = out[0], out[2]
     if best is None:
         raise DegenerateResponseError("likelihood evaluation failed at every start")
     theta, mu, tau2 = best
-    return build_model(D, f, KernelParams(theta, mu, tau2), config.nugget)
+    return build_model(D, f, KernelParams(theta, mu, tau2))
 
 
 def d_optimality_ratio(

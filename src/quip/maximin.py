@@ -19,14 +19,14 @@ restrictions, so the restriction is sound for infeasibility certificates.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import q0
-from .encoding import Design, design_from_array, lattice_distances, min_pairwise_distance
+from .encoding import Design, design_from_array, lattice_distances
+from .encoding import TooLargeError, check_time_limit  # TooLargeError: re-exported
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -35,19 +35,6 @@ TIME_LIMIT = "time_limit"
 
 class InvalidDistanceError(ValueError):
     """Requested distance q outside {0..d}."""
-
-
-class TooLargeError(ValueError):
-    """Brute-force enumeration would exceed the size guard."""
-
-
-def check_time_limit(time_limit: float | None) -> None:
-    """Reject a wall-clock limit that is neither None (no limit) nor a
-    finite positive number of seconds."""
-    if time_limit is not None and not (
-        math.isfinite(time_limit) and time_limit > 0
-    ):
-        raise ValueError(f"time limit must be positive and finite, got {time_limit!r}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +60,6 @@ class SolveReport:
     status: str  # FEASIBLE | INFEASIBLE | TIME_LIMIT
     design: Design | None
     q: int
-    achieved_q: int | None
     nodes_explored: int
     elapsed: float
 
@@ -88,8 +74,7 @@ class MaximinResult:
 
 def _report(arr: np.ndarray, M: int, q: int, nodes: int, t0: float) -> SolveReport:
     D = design_from_array(arr, M)
-    achieved = min_pairwise_distance(D) if D.n > 1 else D.d
-    return SolveReport(FEASIBLE, D, q, achieved, nodes, time.perf_counter() - t0)
+    return SolveReport(FEASIBLE, D, q, nodes, time.perf_counter() - t0)
 
 
 def _repair(arr: np.ndarray, M: int, q: int, rng: np.random.Generator) -> bool:
@@ -278,8 +263,8 @@ def solve_feasibility(inst: FeasibilityInstance) -> SolveReport:
     if search.solution is not None:
         return _report(search.solution, M, q, search.nodes, t0)
     if search.timed_out:
-        return SolveReport(TIME_LIMIT, None, q, None, search.nodes, elapsed)
-    return SolveReport(INFEASIBLE, None, q, None, search.nodes, elapsed)
+        return SolveReport(TIME_LIMIT, None, q, search.nodes, elapsed)
+    return SolveReport(INFEASIBLE, None, q, search.nodes, elapsed)
 
 
 def optimize_maximin(
@@ -318,10 +303,12 @@ def optimize_maximin(
             f"feasibility solve at the guaranteed distance q0={qt} timed out"
         )
     if rep.status == INFEASIBLE:
-        # only reachable when n > M**d: fall back to the duplicate design
-        rep = solve_feasibility(FeasibilityInstance(n, d, M, 0, seed=seed))
-        trace.append(rep)
-        return MaximinResult(rep.design, 0, True, tuple(trace))
+        # q0 is feasible by construction: 0 when n > M**d (the q = 0
+        # shortcut answers), else the sphere-covering bound, so this
+        # verdict would mean the complete search is unsound
+        raise RuntimeError(
+            f"feasibility solve reported the guaranteed distance q0={qt} infeasible"
+        )
 
     best = rep.design
     q_star = qt

@@ -12,7 +12,7 @@ costs should be passed in negated (wrap as ``lambda x: -cost(x)``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .encoding import (
     read_json,
     write_json,
 )
-from .gp import FitConfig, KernelParams, build_model, fit_mle
+from .gp import FitConfig, fit_mle
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,10 @@ def run_campaign(
     n_seq: int,
     seed: int = 0,
     fit_config: FitConfig | None = None,
-    fixed_params: KernelParams | None = None,
 ) -> Campaign:
     """Run the sequential loop for n_seq iterations and return the Campaign.
 
     `simulator` maps a Point to a scalar response (maximization sign).
-    `fixed_params` freezes the kernel parameters instead of refitting every
-    iteration; this test mode isolates acquisition behavior from fit drift.
 
     If an iteration raises, a CampaignError carrying the completed partial
     campaign is raised instead of discarding progress.
@@ -102,10 +99,7 @@ def run_campaign(
     for it in range(1, n_seq + 1):
         t0 = time.perf_counter()
         try:
-            if fixed_params is not None:
-                model = build_model(D, f, fixed_params, fit_config.nugget)
-            else:
-                model = fit_mle(D, f, fit_config)
+            model = fit_mle(D, f, fit_config)
             rep = optimize_acquisition(model, spec)
             x = rep.best_point
             y = float(simulator(x))
@@ -138,12 +132,7 @@ def campaign_to_dict(c: Campaign) -> dict:
     return {
         "design": design_to_dict(c.design),
         "responses": [float(v) for v in c.responses],
-        "spec": {
-            "kind": c.spec.kind,
-            "lam": c.spec.lam,
-            "gap_tolerance": c.spec.gap_tolerance,
-            "time_limit": c.spec.time_limit,
-        },
+        "spec": asdict(c.spec),
         "n_seq": c.n_seq,
         "history": list(c.history),
         "seed": c.seed,

@@ -12,6 +12,8 @@ Three problems share the "one factor = one timestep decision" layout:
 
 Grid coordinates are 1-indexed (x right, y up). Every simulator records a
 per-step trace from which its scalar value is exactly recomputable.
+`PROBLEMS` maps each problem name to its lattice, default configuration
+and simulator; the benchmark harness and the CLI dispatch through it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -277,3 +280,26 @@ def load_world(path) -> GridWorld:
 def load_course(path) -> ObstacleCourse:
     with open(path) as fh:
         return course_from_dict(json.load(fh))
+
+
+class Problem(NamedTuple):
+    """A shipped problem; `sign` turns the simulator's value into a reward."""
+
+    M: int  # actions per step
+    d: int  # default path length
+    default_config: Callable[[], object]
+    load_config: Callable[[str], object]
+    simulate: Callable[[object, Point], SimResult]
+    sign: float
+
+
+# simulators are looked up by name at call time, so a wrapper installed on
+# the module attribute (a profiler, a test double) applies here too
+PROBLEMS = {
+    "maze": Problem(5, 12, default_maze, load_world,
+                    lambda world, x: maze_cost(world, x), -1.0),
+    "snake": Problem(5, 12, default_snake, load_world,
+                     lambda world, x: snake_reward(world, x), 1.0),
+    "rover": Problem(9, 8, default_rover, load_course,
+                     lambda course, x: rover_cost(course, x), -1.0),
+}

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from quip.acquisition import (
     AcquisitionSpec,
     _BnB,
+    _objective,
     _objective_batch,
     candidate_set_acquisition,
     enumerate_acquisition,
-    eval_alm,
-    eval_ucb,
     optimize_acquisition,
     random_point,
 )
 from quip.encoding import Point, design_from_array, lattice_array
-from quip.gp import FitConfig, KernelParams, build_model, fit_mle, predict
+from quip.gp import FitConfig, KernelParams, build_model, fit_mle, predict_batch
 
 
 def _model(seed, n=6, d=4, M=3, theta_scale=1.0):
@@ -74,28 +73,34 @@ class TestSpec:
 
 class TestEvalFunctions:
     def test_alm_variance_consistency(self):
-        # tau2 * (1 - eval_alm(x)) == predict(x).var
+        # the ALM objective is tau2 * (1 - Q) with Q = g' K^{-1} g, and it
+        # is the posterior variance
         model = _model(0)
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            x = random_point(model.design.d, model.design.M, rng)
-            q = eval_alm(model, x)
-            _, var = predict(model, x)
-            assert abs(model.params.tau2 * (1.0 - q) - var) <= 1e-10
+        X = np.array([
+            random_point(model.design.d, model.design.M, rng).levels for _ in range(100)
+        ])
+        alm = _objective_batch(model, X, AcquisitionSpec("alm"))
+        _, var = predict_batch(model, X)
+        K = model.chol @ model.chol.T
+        D = model.design.as_array()
+        for x, a, v in zip(X, alm, var):
+            g = np.exp(-((D != x) @ model.params.theta))
+            q = g @ np.linalg.solve(K, g)
+            assert abs(model.params.tau2 * (1.0 - q) - a) <= 1e-10
+            assert abs(a - v) <= 1e-10
 
     def test_ucb_closed_form_n1_consistency(self):
         model = _model(2)
-        x = Point((1, 2, 3, 1), 3)
-        mean, var = predict(model, x)
-        assert eval_ucb(model, x, 2.0) == pytest.approx(
-            mean + 2.0 * np.sqrt(var), abs=1e-12
-        )
+        x = np.array([[1, 2, 3, 1]])
+        (mean,), (var,) = predict_batch(model, x)
+        ucb = _objective_batch(model, x, AcquisitionSpec("ucb", lam=2.0))[0]
+        assert ucb == pytest.approx(mean + 2.0 * np.sqrt(var), abs=1e-12)
 
     def test_alm_zero_at_training_points(self):
         model = _model(3)
-        for p in model.design.points:
-            _, var = predict(model, p)
-            assert var <= 1e-6 * model.params.tau2
+        _, var = predict_batch(model, model.design.as_array())
+        assert np.all(var <= 1e-6 * model.params.tau2)
 
 
 class TestBoundAdmissibility:
@@ -119,7 +124,7 @@ class TestBoundAdmissibility:
                             for i in range(depth)
                         ):
                             g = bnb._upper(tuple(row[bnb.order]))[None, :]
-                            best = max(best, bnb._leaf_values(g)[0])
+                            best = max(best, _objective(model, g, spec)[0])
                     assert bound >= best - 1e-10, (kind, prefix)
 
 
@@ -143,7 +148,7 @@ class TestLeafValues:
             bnb = _BnB(model, spec)
             G = np.stack([bnb._upper(tuple(row[bnb.order])) for row in full[rows]])
             np.testing.assert_allclose(
-                bnb._leaf_values(G),
+                _objective(model, G, spec),
                 _objective_batch(model, full[rows], spec),
                 rtol=1e-12,
                 atol=1e-12 * scale,
@@ -220,7 +225,8 @@ class TestOptimize:
 
     def test_xi_tensor_materialization_d2_m2(self):
         # materialize the quadratic-form coefficient tensor on the one-hot
-        # encoding and confirm the multilinear form matches eval_alm
+        # encoding and confirm the multilinear form matches the ALM
+        # objective tau2 * (1 - Q)
         from scipy.linalg import cho_solve
 
         model = _model(5, n=3, d=2, M=2)
@@ -244,9 +250,8 @@ class TestOptimize:
                 xi = float(gr @ W @ gs)
                 total += xi * e[0, k1] * e[1, k2] * e[0, l1] * e[1, l2]
             assert total == pytest.approx(q_direct, abs=1e-10)
-            assert q_direct == pytest.approx(
-                eval_alm(model, Point(lv, 2)), abs=1e-10
-            )
+            var = _objective_batch(model, x[None, :], AcquisitionSpec("alm"))[0]
+            assert q_direct == pytest.approx(1.0 - var / model.params.tau2, abs=1e-10)
 
 
 class TestEnumerate:

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from quip import simulators
 from quip.bench import (
     BenchPlan,
+    BenchReport,
     aggregate,
     bound_oracle_scatter,
     initial_design,
@@ -29,6 +31,22 @@ class TestBenchPlan:
         with pytest.raises(ValueError):
             BenchPlan("snake", mode="plot")
 
+    def test_unknown_problem_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown problem 'chess'"):
+            BenchPlan("chess")
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"problem": "chess"}))
+        with pytest.raises(ValueError, match="unknown problem"):
+            load_plan(path)
+
+    def test_unknown_acquisition_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown acquisition kind 'ei'"):
+            BenchPlan("snake", acq="ei")
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"problem": "snake", "acq": "ei"}))
+        with pytest.raises(ValueError, match="unknown acquisition kind"):
+            load_plan(path)
+
     def test_from_dict(self):
         p = plan_from_dict(
             {"problem": "maze", "methods": ["random"], "replications": 2}
@@ -45,6 +63,23 @@ class TestProblemObjective:
             assert (d, M) == (dd, mm)
         with pytest.raises(ValueError):
             problem_objective("chess")
+
+    def test_simulator_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper installed on the module attribute sees every evaluation
+        calls = []
+        real = simulators.snake_reward
+
+        def counted(world, x):
+            calls.append(x)
+            return real(world, x)
+
+        monkeypatch.setattr(simulators, "snake_reward", counted)
+        d, M, obj = problem_objective("snake")
+        from quip.encoding import Point
+
+        p = Point((1,) * d, M)
+        assert obj(p) == real(simulators.default_snake(), p).value
+        assert calls == [p]
 
     def test_costs_negated(self):
         from quip.encoding import Point
@@ -136,6 +171,15 @@ class TestRunBench:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["schema_version"] == 1
         assert summary["plan"]["problem"] == "snake"
+
+    def test_summary_plan_round_trips(self, tmp_path):
+        # every field is recorded: a plan without a time limit must not
+        # come back with the 5 s default
+        plan = BenchPlan("rover", replications=3, time_limit=None, test_size=7,
+                         test_seed=8, methods=("random",))
+        write_report(BenchReport(plan, ({"method": "random"},)), tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert plan_from_dict(summary["plan"]) == plan
 
     def test_load_plan(self, tmp_path):
         path = tmp_path / "plan.json"

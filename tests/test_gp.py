@@ -8,21 +8,18 @@ import pytest
 
 import quip
 from quip import gp
-from quip.encoding import Point, design_from_array
+from quip.encoding import design_from_array
 from quip.gp import (
     DegenerateResponseError,
     FitConfig,
     KernelParams,
     build_model,
-    covariance_matrix,
     cross_correlation,
     d_optimality_ratio,
     fit_mle,
-    kernel,
     load_model,
     model_from_dict,
     model_to_dict,
-    predict,
     predict_batch,
     save_model,
 )
@@ -40,33 +37,23 @@ def _random_distinct_design(rng, n, d, M):
 
 class TestKernel:
     def test_identity(self):
-        p = Point((1, 2, 3), 3)
-        assert kernel(p, p, [1.0, 2.0, 0.5]) == 1.0
+        X = np.array([[1, 2, 3]])
+        assert cross_correlation(X, X, [1.0, 2.0, 0.5])[0, 0] == 1.0
 
     def test_hand_value(self):
         # differs in factors 0 and 2: exp(-(0.5 + 2.0))
-        x, y = Point((1, 2, 1), 2), Point((2, 2, 2), 2)
-        assert kernel(x, y, [0.5, 1.0, 2.0]) == pytest.approx(np.exp(-2.5), rel=1e-15)
-
-    def test_dimension_check(self):
-        with pytest.raises(ValueError):
-            kernel(Point((1,), 2), Point((1, 1), 2), [1.0])
+        x, y = np.array([[1, 2, 1]]), np.array([[2, 2, 2]])
+        assert cross_correlation(x, y, [0.5, 1.0, 2.0])[0, 0] == pytest.approx(
+            np.exp(-2.5), rel=1e-15
+        )
 
     def test_covariance_matrix_psd_and_unit_diag(self):
         rng = np.random.default_rng(0)
-        D = _random_distinct_design(rng, 8, 5, 3)
-        G = covariance_matrix(D, rng.uniform(0.2, 2.0, 5))
+        X = _random_distinct_design(rng, 8, 5, 3).as_array()
+        G = cross_correlation(X, X, rng.uniform(0.2, 2.0, 5))
         assert np.allclose(np.diag(G), 1.0)
         assert np.allclose(G, G.T)
         assert np.linalg.eigvalsh(G).min() > -1e-10
-
-    def test_cross_correlation_consistency(self):
-        rng = np.random.default_rng(1)
-        D = _random_distinct_design(rng, 6, 4, 3)
-        theta = rng.uniform(0.2, 2.0, 4)
-        G = covariance_matrix(D, theta)
-        C = cross_correlation(D.as_array(), D.as_array(), theta)
-        assert np.allclose(G, C)
 
 
 class TestKernelParams:
@@ -88,25 +75,13 @@ class TestPredict:
         assert np.max(np.abs(mean - f)) <= 1e-5 * frange
         assert var.max() <= 1e-5 * model.params.tau2
 
-    def test_single_matches_batch(self):
-        rng = np.random.default_rng(3)
-        D = _random_distinct_design(rng, 6, 4, 3)
-        f = rng.normal(size=6)
-        model = build_model(D, f, KernelParams(np.full(4, 0.7), 0.1, 1.3))
-        X = rng.integers(1, 4, size=(20, 4))
-        means, vars_ = predict_batch(model, X)
-        for i, row in enumerate(X):
-            m, v = predict(model, Point(tuple(int(x) for x in row), 3))
-            assert m == pytest.approx(means[i], abs=1e-12)
-            assert v == pytest.approx(vars_[i], abs=1e-12)
-
     def test_far_point_reverts_to_prior(self):
         # with large theta, an unrelated point has mean ~ mu, var ~ tau2
         D = design_from_array([[1, 1, 1], [2, 2, 2]], 3)
         model = build_model(
             D, [1.0, 3.0], KernelParams(np.full(3, 8.0), 2.0, 4.0)
         )
-        m, v = predict(model, Point((3, 3, 3), 3))
+        (m,), (v,) = predict_batch(model, np.array([[3, 3, 3]]))
         assert m == pytest.approx(2.0, abs=1e-3)
         assert v == pytest.approx(4.0, rel=1e-3)
 
@@ -121,9 +96,9 @@ class TestFitMle:
         cfg = FitConfig(n_starts=6, seed=5)
         model = fit_mle(D, f, cfg)
         best_nll, _ = _profiled_nll(
-            np.log(model.params.theta), D.as_array(), f, cfg.nugget
+            np.log(model.params.theta), D.as_array(), f, gp.DEFAULT_NUGGET
         )
-        nll0, _ = _profiled_nll(np.zeros(5), D.as_array(), f, cfg.nugget)
+        nll0, _ = _profiled_nll(np.zeros(5), D.as_array(), f, gp.DEFAULT_NUGGET)
         assert best_nll <= nll0 + 1e-9
 
     def test_recovers_signal_direction(self):
@@ -138,7 +113,7 @@ class TestFitMle:
         D = design_from_array([[1, 1], [2, 2], [1, 2]], 2)
         model = fit_mle(D, [3.0, 3.0, 3.0])
         assert model.is_constant
-        m, v = predict(model, Point((2, 1), 2))
+        (m,), (v,) = predict_batch(model, np.array([[2, 1]]))
         assert m == 3.0 and v == 0.0
 
     def test_needs_two_points(self):
@@ -210,7 +185,8 @@ class TestLikelihood:
         D = _random_distinct_design(rng, 10, 4, 3)
         f = rng.normal(size=10)
         theta = rng.uniform(0.2, 2.0, 4)
-        K = covariance_matrix(D, theta) + gp.DEFAULT_NUGGET * np.eye(10)
+        X = D.as_array()
+        K = cross_correlation(X, X, theta) + gp.DEFAULT_NUGGET * np.eye(10)
         Ki = np.linalg.inv(K)
         ones = np.ones(10)
         mu = (ones @ Ki @ f) / (ones @ Ki @ ones)
@@ -229,7 +205,7 @@ class TestLikelihood:
             D, f, cfg = _snake_model(k)
             model = fit_mle(D, f, cfg)
             nll.append(gp._profiled_nll(
-                np.log(model.params.theta), D.as_array(), f, cfg.nugget)[0])
+                np.log(model.params.theta), D.as_array(), f, gp.DEFAULT_NUGGET)[0])
         # on model 2 the simplex crossed into a basin (102.901) that no
         # L-BFGS-B search from the same four starts reaches (best 103.042)
         worse = {k for k in range(10) if nll[k] > NELDER_MEAD_NLL[k] + 1e-9}
@@ -259,9 +235,9 @@ class TestLikelihood:
         cfg = FitConfig(n_starts=4, seed=0)
         model = fit_mle(D, f, cfg)
         assert len(failures) > 1
-        nll = gp._profiled_nll(np.log(model.params.theta), X, f, cfg.nugget)[0]
+        nll = gp._profiled_nll(np.log(model.params.theta), X, f, gp.DEFAULT_NUGGET)[0]
         assert np.isfinite(nll)
-        assert covariance_matrix(D, model.params.theta).min() >= np.exp(-2.5)
+        assert cross_correlation(X, X, model.params.theta).min() >= np.exp(-2.5)
 
     def test_failed_cholesky_everywhere_raises(self, monkeypatch):
         monkeypatch.setattr(gp, "dpotrf", lambda a, lower=0: (a, 1))
@@ -326,7 +302,8 @@ class TestSerialization:
         model = fit_mle(D, [5.0, 5.0])
         again = model_from_dict(model_to_dict(model))
         assert again.is_constant
-        assert predict(again, Point((1, 2), 2)) == (5.0, 0.0)
+        mean, var = predict_batch(again, np.array([[1, 2]]))
+        assert (mean[0], var[0]) == (5.0, 0.0)
 
 
 def test_import_leaves_optimiser_stack_unloaded():

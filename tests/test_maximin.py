@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from quip import maximin
 from quip.bounds import q0
 from quip.encoding import design_from_array, min_pairwise_distance
 from quip.maximin import (
@@ -10,6 +11,7 @@ from quip.maximin import (
     INFEASIBLE,
     FeasibilityInstance,
     InvalidDistanceError,
+    SolveReport,
     TooLargeError,
     brute_force_maximin,
     optimize_maximin,
@@ -34,7 +36,6 @@ class TestSolveFeasibility:
         rep = solve_feasibility(FeasibilityInstance(4, 4, 3, 3))
         assert rep.status == FEASIBLE
         assert min_pairwise_distance(rep.design) >= 3
-        assert rep.achieved_q >= 3
 
     def test_certified_infeasible(self):
         # five points in {1,2}^3 at pairwise distance >= 2: the distance-2
@@ -103,6 +104,16 @@ class TestOptimizeMaximin:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             optimize_maximin(1, 3, 2)
+
+    def test_infeasible_at_q0_is_an_error(self, monkeypatch):
+        # q0 is feasible by construction, so an infeasibility verdict there
+        # is a solver fault, not a certified duplicate design
+        def infeasible(inst):
+            return SolveReport(INFEASIBLE, None, inst.q, 0, 0.0)
+
+        monkeypatch.setattr(maximin, "solve_feasibility", infeasible)
+        with pytest.raises(RuntimeError, match=f"q0={q0(4, 3, 2)} infeasible"):
+            optimize_maximin(4, 3, 2)
 
     @pytest.mark.parametrize("limit", [0, -1.0, float("inf"), float("nan")])
     def test_time_limit_must_be_finite_positive(self, limit):
