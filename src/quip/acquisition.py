@@ -251,10 +251,8 @@ def enumerate_acquisition(
     return Point(tuple(int(v) for v in best_levels), M), best_val
 
 
-def random_point(d: int, M: int, rng: np.random.Generator | int) -> Point:
+def random_point(d: int, M: int, rng: np.random.Generator) -> Point:
     """Uniform draw from the lattice."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     return Point(tuple(int(v) for v in rng.integers(1, M + 1, size=d)), M)
 
 

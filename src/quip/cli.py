@@ -29,12 +29,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _emit(obj: dict) -> None:
-    encoding.write_json(obj)
-
-
 def _cmd_bound(args) -> int:
-    _emit(
+    encoding.write_json(
         {
             "n": args.n,
             "d": args.d,
@@ -52,7 +48,7 @@ def _cmd_design(args) -> int:
     )
     if args.out:
         encoding.save_design(result.design, args.out)
-    _emit(
+    encoding.write_json(
         {
             "n": args.n,
             "d": args.d,
@@ -79,7 +75,7 @@ def _cmd_fit(args) -> int:
     model = gp.fit_mle(D, f, gp.FitConfig(seed=args.seed))
     if args.out:
         gp.save_model(model, args.out)
-    _emit(
+    encoding.write_json(
         {
             "n": D.n,
             "d": D.d,
@@ -99,7 +95,7 @@ def _cmd_suggest(args) -> int:
         args.acq, args.lam, args.gap, args.time_limit
     )
     rep = acquisition.optimize_acquisition(model, spec)
-    _emit(
+    encoding.write_json(
         {
             "point": list(rep.best_point.levels),
             "value": rep.best_value,
@@ -170,7 +166,7 @@ def _cmd_sequential(args) -> int:
     if args.out:
         sequential.save_campaign(campaign, args.out)
     point, value = sequential.best_so_far(campaign)
-    _emit(
+    encoding.write_json(
         {
             "n_total": campaign.design.n,
             "iterations": len(campaign.history),
@@ -189,7 +185,7 @@ def _cmd_simulate(args) -> int:
     p = simulators.PROBLEMS[args.problem]
     config = p.load_config(args.config) if args.config else p.default_config()
     res = p.simulate(config, encoding.Point(tuple(_parse_path(args.path)), p.M))
-    _emit(
+    encoding.write_json(
         {
             "problem": args.problem,
             "value": res.value,
@@ -203,7 +199,7 @@ def _cmd_bench(args) -> int:
     plan = bench.load_plan(args.plan)
     report = bench.run_bench(plan)
     bench.write_report(report, args.out)
-    _emit(
+    encoding.write_json(
         {
             "rows": len(report.rows),
             "out": args.out,
@@ -216,7 +212,7 @@ def _cmd_bench(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.kind == "maximin":
         q_star, design = maximin.brute_force_maximin(args.n, args.d, args.M)
-        _emit(
+        encoding.write_json(
             {
                 "kind": "maximin",
                 "q_star": q_star,
@@ -227,7 +223,7 @@ def _cmd_oracle(args) -> int:
         model = gp.load_model(args.model)
         spec = acquisition.AcquisitionSpec(args.acq, args.lam, 0.0)
         point, value = acquisition.enumerate_acquisition(model, spec)
-        _emit(
+        encoding.write_json(
             {
                 "kind": "acquisition",
                 "point": list(point.levels),
@@ -242,17 +238,24 @@ def build_parser() -> argparse.ArgumentParser:
                 "acquisition over categorical lattices.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("bound", parents=[], help="feasible-distance bounds")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--d", type=int, required=True)
-    b.add_argument("--M", type=int, required=True)
+    # flags shared between subcommands, each defined once
+    lattice = argparse.ArgumentParser(add_help=False)
+    for flag in ("--n", "--d", "--M"):
+        lattice.add_argument(flag, type=int, required=True)
+    acq = argparse.ArgumentParser(add_help=False)
+    acq.add_argument("--acq", choices=["alm", "ucb"], required=True)
+    acq.add_argument("--lambda", dest="lam", type=float,
+                     default=acquisition.DEFAULT_LAMBDA)
+    time_limit = argparse.ArgumentParser(add_help=False)
+    time_limit.add_argument("--time-limit", type=float, default=None)
+    limits = argparse.ArgumentParser(add_help=False, parents=[time_limit])
+    limits.add_argument("--gap", type=float, default=acquisition.DEFAULT_GAP)
+
+    b = sub.add_parser("bound", parents=[lattice], help="feasible-distance bounds")
     b.set_defaults(func=_cmd_bound)
 
-    d = sub.add_parser("design", help="exact maximin design")
-    d.add_argument("--n", type=int, required=True)
-    d.add_argument("--d", type=int, required=True)
-    d.add_argument("--M", type=int, required=True)
-    d.add_argument("--time-limit", type=float, default=None)
+    d = sub.add_parser("design", parents=[lattice, time_limit],
+                       help="exact maximin design")
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out", default=None)
     d.set_defaults(func=_cmd_design)
@@ -265,19 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--out", default=None)
     f.set_defaults(func=_cmd_fit)
 
-    s = sub.add_parser("suggest", help="optimize an acquisition criterion")
+    s = sub.add_parser("suggest", parents=[acq, limits],
+                       help="optimize an acquisition criterion")
     s.add_argument("--model", required=True)
-    s.add_argument("--acq", choices=["alm", "ucb"], required=True)
-    s.add_argument("--lambda", dest="lam", type=float,
-                   default=acquisition.DEFAULT_LAMBDA)
-    s.add_argument("--gap", type=float, default=acquisition.DEFAULT_GAP)
-    s.add_argument("--time-limit", type=float, default=None)
     s.set_defaults(func=_cmd_suggest)
 
-    q = sub.add_parser("sequential", help="run a sequential design campaign")
+    q = sub.add_parser("sequential", parents=[acq, limits],
+                       help="run a sequential design campaign")
     q.add_argument("--simulator", choices=[*simulators.PROBLEMS, "csv"],
                    required=True)
-    q.add_argument("--acq", choices=["alm", "ucb"], required=True)
     q.add_argument("--n-init", type=int, default=20)
     q.add_argument("--n-seq", type=int, default=30)
     q.add_argument("--seed", type=int, default=0)
@@ -286,10 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--table", default=None,
                    help="lookup table CSV for the csv simulator")
     q.add_argument("--init-design", default=None)
-    q.add_argument("--lambda", dest="lam", type=float,
-                   default=acquisition.DEFAULT_LAMBDA)
-    q.add_argument("--gap", type=float, default=acquisition.DEFAULT_GAP)
-    q.add_argument("--time-limit", type=float, default=None)
     q.add_argument("--out", default=None)
     q.set_defaults(func=_cmd_sequential)
 
@@ -306,16 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="brute-force testing oracles")
     osub = o.add_subparsers(dest="kind", required=True)
-    om = osub.add_parser("maximin")
-    om.add_argument("--n", type=int, required=True)
-    om.add_argument("--d", type=int, required=True)
-    om.add_argument("--M", type=int, required=True)
+    om = osub.add_parser("maximin", parents=[lattice])
     om.set_defaults(func=_cmd_oracle)
-    oa = osub.add_parser("acquisition")
+    oa = osub.add_parser("acquisition", parents=[acq])
     oa.add_argument("--model", required=True)
-    oa.add_argument("--acq", choices=["alm", "ucb"], required=True)
-    oa.add_argument("--lambda", dest="lam", type=float,
-                    default=acquisition.DEFAULT_LAMBDA)
     oa.set_defaults(func=_cmd_oracle)
 
     return p

@@ -38,7 +38,10 @@ _FAILED_NLL = 1e10  # objective where the Cholesky factorisation fails
 
 
 class DegenerateResponseError(ValueError):
-    """Responses are constant; the GP variance estimate collapses."""
+    """The likelihood could not be evaluated at any start: the Cholesky
+    factorisation failed (or gave no positive variance) at every start and
+    every point its search reached. Constant responses do not raise this;
+    they get the flagged constant-predictor model."""
 
 
 @dataclass(frozen=True)
@@ -154,14 +157,6 @@ def _nll_and_grad(log_theta: np.ndarray, E: np.ndarray, f: np.ndarray, nugget: f
     W = (2.0 * K_inv - np.outer(a, a / tau2)) * gamma
     grad = -0.5 * theta * (W.ravel() @ E)
     return nll, grad, (theta, mu, tau2)
-
-
-def _profiled_nll(log_theta: np.ndarray, X: np.ndarray, f: np.ndarray, nugget: float):
-    """Negative profile log-likelihood at clipped log-theta, and the fitted
-    (theta, mu, tau2); (inf, None) when the factorisation fails."""
-    lt = np.clip(log_theta, LOG_THETA_LO, LOG_THETA_HI)
-    out = _nll_and_grad(lt, _mismatch(X), np.asarray(f, dtype=float), nugget)
-    return (np.inf, None) if out is None else (out[0], out[2])
 
 
 def _check_duplicate_rows(X: np.ndarray, f: np.ndarray) -> None:

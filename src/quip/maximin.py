@@ -77,10 +77,17 @@ def _report(arr: np.ndarray, M: int, q: int, nodes: int, t0: float) -> SolveRepo
     return SolveReport(FEASIBLE, D, q, nodes, time.perf_counter() - t0)
 
 
-def _repair(arr: np.ndarray, M: int, q: int, rng: np.random.Generator) -> bool:
+def _expired(deadline: float | None) -> bool:
+    return deadline is not None and time.perf_counter() > deadline
+
+
+def _repair(
+    arr: np.ndarray, M: int, q: int, rng: np.random.Generator, deadline: float | None
+) -> bool:
     """Bounded single-cell local search lifting `arr` to min distance >= q.
 
-    Mutates arr in place; budget of 10*n*d moves. Returns True on success.
+    Mutates arr in place; budget of 10*n*d moves, cut short at the deadline.
+    Returns True on success.
     """
     n, d = arr.shape
     budget = 10 * n * d
@@ -94,6 +101,8 @@ def _repair(arr: np.ndarray, M: int, q: int, rng: np.random.Generator) -> bool:
                 break
         if viol is None:
             return True
+        if _expired(deadline):
+            return False
         a, b = viol
         # move one cell of the later row off the earlier row's level
         eq_cols = np.nonzero(arr[a] == arr[b])[0]
@@ -104,14 +113,15 @@ def _repair(arr: np.ndarray, M: int, q: int, rng: np.random.Generator) -> bool:
 
 
 def _greedy_rows(
-    n: int, d: int, M: int, q: int, rng: np.random.Generator, attempts: int = 60
+    n: int, d: int, M: int, q: int, rng: np.random.Generator, deadline: float | None
 ) -> np.ndarray | None:
     """Randomized greedy construction: add rows one at a time, each sampled
-    until it sits at distance >= q from all previous rows."""
-    if q <= 0:
-        return np.ones((n, d), dtype=np.int64)
+    until it sits at distance >= q from all previous rows. Up to 60
+    attempts; the first always runs, later ones only before the deadline."""
     tries_per_row = 120
-    for _ in range(attempts):
+    for attempt in range(60):
+        if attempt and _expired(deadline):
+            return None
         rows = [np.ones(d, dtype=np.int64)]
         ok = True
         while len(rows) < n:
@@ -153,41 +163,32 @@ def _canonicalize(arr: np.ndarray) -> np.ndarray:
 
 
 class _CompleteSearch:
-    """Depth-first complete search over canonical designs."""
+    """Depth-first complete search over canonical designs.
 
-    def __init__(self, inst: FeasibilityInstance, hint: np.ndarray | None):
+    The search descends one cell per level, so it keeps its frames on an
+    explicit stack: a design of n rows is (n-1)*d cells deep, past Python's
+    recursion limit for a few hundred rows.
+    """
+
+    def __init__(
+        self, inst: FeasibilityInstance, hint: np.ndarray | None, deadline: float | None
+    ):
         self.n, self.d, self.M, self.q = inst.n, inst.d, inst.M, inst.q
         self.grid = np.zeros((self.n, self.d), dtype=np.int64)
         self.hint = hint
         self.nodes = 0
-        self.deadline = (
-            time.perf_counter() + inst.time_limit
-            if inst.time_limit is not None
-            else None
-        )
+        self.deadline = deadline
         self.timed_out = False
         self.solution: np.ndarray | None = None
         # max level used so far per column (value-precedence state)
         self.maxused = np.zeros(self.d, dtype=np.int64)
 
-    def run(self) -> None:
-        # row 0 is all-ones by value precedence; distance constraints
-        # involve no pair yet.
-        self.grid[0, :] = 1
-        self.maxused[:] = 1
-        if self.n == 1:
-            self.solution = self.grid.copy()
-            return
-        self._fill(1, 0, np.zeros(1, dtype=np.int64), True)
-
-    def _fill(self, i: int, j: int, mism: np.ndarray, tight: bool) -> bool:
-        """Assign cell (i, j). `mism` holds mismatch counts of the partial
-        row i against rows 0..i-1 over columns < j. `tight` means the row-i
-        prefix equals the row-(i-1) prefix so far. Returns True to stop."""
-        if j == self.d:
-            return self._next_row(i)
-        n, d, q = self.n, self.d, self.q
-        rem_after = d - j - 1
+    def _frame(self, i: int, j: int, mism: np.ndarray, tight: bool) -> tuple:
+        """Search state for cell (i, j). `mism` holds mismatch counts of the
+        partial row i against rows 0..i-1 over columns < j. `tight` means
+        the row-i prefix equals the row-(i-1) prefix so far. The frame keeps
+        the iterator over the levels still to try and column j's max level
+        on entry, restored before each level is tried."""
         lo = int(self.grid[i - 1, j]) if tight else 1
         hi = min(self.M, int(self.maxused[j]) + 1)
         values = range(lo, hi + 1)
@@ -195,29 +196,44 @@ class _CompleteSearch:
             h = int(self.hint[i, j])
             if lo <= h <= hi:
                 values = [h] + [v for v in range(lo, hi + 1) if v != h]
-        for v in values:
-            self.nodes += 1
-            if self.deadline is not None and self.nodes % 2048 == 0:
-                if time.perf_counter() > self.deadline:
-                    self.timed_out = True
-                    return True
-            new_mism = mism + (self.grid[:i, j] != v)
-            if np.any(new_mism + rem_after < q):
-                continue
-            self.grid[i, j] = v
-            old_max = self.maxused[j]
-            if v > old_max:
-                self.maxused[j] = v
-            if self._fill(i, j + 1, new_mism, tight and v == lo):
-                return True
-            self.maxused[j] = old_max
-        return False
+        return i, j, mism, tight, lo, iter(values), int(self.maxused[j])
 
-    def _next_row(self, i: int) -> bool:
-        if i + 1 == self.n:
+    def run(self) -> None:
+        # row 0 is all-ones by value precedence; distance constraints
+        # involve no pair yet.
+        self.grid[0, :] = 1
+        self.maxused[:] = 1
+        n, d, q = self.n, self.d, self.q
+        if n == 1:
             self.solution = self.grid.copy()
-            return True
-        return self._fill(i + 1, 0, np.zeros(i + 1, dtype=np.int64), True)
+            return
+        stack = [self._frame(1, 0, np.zeros(1, dtype=np.int64), True)]
+        while stack:
+            i, j, mism, tight, lo, values, old_max = stack[-1]
+            self.maxused[j] = old_max
+            rem_after = d - j - 1
+            for v in values:
+                self.nodes += 1
+                if self.nodes % 2048 == 0 and _expired(self.deadline):
+                    self.timed_out = True
+                    return
+                new_mism = mism + (self.grid[:i, j] != v)
+                if np.any(new_mism + rem_after < q):
+                    continue
+                self.grid[i, j] = v
+                if v > old_max:
+                    self.maxused[j] = v
+                if j + 1 < d:
+                    stack.append(self._frame(i, j + 1, new_mism, tight and v == lo))
+                elif i + 1 < n:
+                    row = np.zeros(i + 1, dtype=np.int64)
+                    stack.append(self._frame(i + 1, 0, row, True))
+                else:
+                    self.solution = self.grid.copy()
+                    return
+                break
+            else:
+                stack.pop()
 
 
 def solve_feasibility(inst: FeasibilityInstance) -> SolveReport:
@@ -225,9 +241,12 @@ def solve_feasibility(inst: FeasibilityInstance) -> SolveReport:
 
     FEASIBLE reports carry a witness design; INFEASIBLE is certified by
     exhaustion of the complete search and is never emitted after a
-    time-limit abort.
+    time-limit abort. The time limit covers the whole solve: repair stops
+    at the deadline, greedy construction starts no attempt after its first
+    once the deadline has passed, and the complete search stops there.
     """
     t0 = time.perf_counter()
+    deadline = t0 + inst.time_limit if inst.time_limit is not None else None
     n, d, M, q = inst.n, inst.d, inst.M, inst.q
 
     if q == 0 or n == 1:
@@ -247,17 +266,17 @@ def solve_feasibility(inst: FeasibilityInstance) -> SolveReport:
         if (ws.n, ws.d, ws.M) != (n, d, M):
             raise ValueError("warm start shape does not match instance")
         arr = ws.as_array().copy()
-        if _repair(arr, M, q, rng):
+        if _repair(arr, M, q, rng, deadline):
             return _report(arr, M, q, 0, t0)
         hint = _canonicalize(ws.as_array())
 
     # Phase 1b: randomized greedy construction.
-    greedy = _greedy_rows(n, d, M, q, rng)
+    greedy = _greedy_rows(n, d, M, q, rng, deadline)
     if greedy is not None:
         return _report(greedy, M, q, 0, t0)
 
     # Phase 2: complete search with symmetry breaking.
-    search = _CompleteSearch(inst, hint)
+    search = _CompleteSearch(inst, hint, deadline)
     search.run()
     elapsed = time.perf_counter() - t0
     if search.solution is not None:

@@ -140,14 +140,10 @@ def campaign_to_dict(c: Campaign) -> dict:
 
 
 def campaign_from_dict(obj: dict) -> Campaign:
-    s = obj["spec"]
-    spec = AcquisitionSpec(
-        s["kind"], float(s["lam"]), float(s["gap_tolerance"]), s.get("time_limit")
-    )
     return Campaign(
         design_from_dict(obj["design"]),
         np.asarray(obj["responses"], dtype=float),
-        spec,
+        AcquisitionSpec(**obj["spec"]),
         int(obj["n_seq"]),
         tuple(obj["history"]),
         int(obj["seed"]),

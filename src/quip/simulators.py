@@ -48,9 +48,6 @@ class GridWorld:
     goal: tuple[int, int] | None = None
     obstacles: frozenset = frozenset()
     prizes: frozenset = frozenset()
-    # a convention that the reward definition leaves open, kept in config
-    # so alternatives stay testable
-    start_is_prize: bool = False
 
     def __post_init__(self):
         if not self.in_bounds(self.start):
@@ -85,22 +82,6 @@ def distance_field(world: GridWorld) -> dict[tuple[int, int], int]:
     return dist
 
 
-def walk(world: GridWorld, path: Point) -> list[tuple[int, int]]:
-    """Positions after each step under the bounce-stay rule: a move into an
-    obstacle or off the grid leaves the position unchanged."""
-    if path.M != 5:
-        raise ValueError("maze/snake paths use M=5 actions")
-    pos = world.start
-    out = []
-    for a in path.levels:
-        dx, dy = MOVES5[a]
-        cand = (pos[0] + dx, pos[1] + dy)
-        if world.in_bounds(cand) and cand not in world.obstacles:
-            pos = cand
-        out.append(pos)
-    return out
-
-
 def maze_cost(world: GridWorld, path: Point) -> SimResult:
     """Cost of a path: BFS distance from its final cell to the goal."""
     if path.M != 5:
@@ -130,14 +111,14 @@ def snake_reward(world: GridWorld, path: Point) -> SimResult:
     Step j landing on a prize square scores 5*(d-j+1), doubled when the
     previous square was also a prize; a non-prize in-bounds square scores
     -2*(j-1); stepping out of bounds scores -10 and keeps the previous
-    position. The starting square counts as non-prize for the first step
-    unless the config says otherwise.
+    position. The starting square never counts as a prize before the
+    first step, so that step is never doubled.
     """
     if path.M != 5:
         raise ValueError("maze/snake paths use M=5 actions")
     d = path.d
     pos = world.start
-    prev_on_prize = world.start_is_prize and pos in world.prizes
+    prev_on_prize = False
     total = 0.0
     trace = []
     for j, a in enumerate(path.levels, start=1):
@@ -190,15 +171,13 @@ def rover_decision(code: int, course: ObstacleCourse) -> tuple[float, float]:
     return (speed * float(np.cos(angle)), speed * float(np.sin(angle)))
 
 
-def rover_cost(
-    course: ObstacleCourse, path: Point, substeps: int | None = None
-) -> SimResult:
+def rover_cost(course: ObstacleCourse, path: Point) -> SimResult:
     """Trajectory cost: trapezoidal integral of (obstacle occupancy + 0.05)
-    along the path at sub-step resolution, plus 50 * distance from the
-    final position to the target, minus a constant 5."""
+    along the path at `course.substeps` sub-steps per step, plus 50 *
+    distance from the final position to the target, minus a constant 5."""
     if path.M != 9:
         raise ValueError("rover paths use M=9 actions")
-    S = substeps if substeps is not None else course.substeps
+    S = course.substeps
     pos = np.asarray(course.start, dtype=float)
     trace = []
     running = 0.0
@@ -233,6 +212,9 @@ def gridworld_from_dict(obj: dict) -> GridWorld:
     # ("clamp"), the only out-of-bounds rule the simulators implement
     if obj.get("oob_rule", "clamp") != "clamp":
         raise ValueError(f"unsupported oob_rule {obj['oob_rule']!r}; only 'clamp'")
+    # the starting square never scores as a prize (see snake_reward)
+    if obj.get("start_is_prize", False):
+        raise ValueError("unsupported start_is_prize true; the start is never a prize")
     return GridWorld(
         width=int(obj["width"]),
         height=int(obj["height"]),
@@ -240,7 +222,6 @@ def gridworld_from_dict(obj: dict) -> GridWorld:
         goal=tuple(obj["goal"]) if obj.get("goal") else None,
         obstacles=frozenset(tuple(c) for c in obj.get("obstacles", [])),
         prizes=frozenset(tuple(c) for c in obj.get("prizes", [])),
-        start_is_prize=bool(obj.get("start_is_prize", False)),
     )
 
 

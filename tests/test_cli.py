@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from quip.cli import main
+from quip.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -232,3 +233,62 @@ class TestOracleCmd:
         )
         assert code == 0
         assert json.loads(out)["q_star"] == 2
+
+
+def _flags(parser, prefix=()):
+    """{subcommand: {option strings: (dest, type, default, required, choices)}}"""
+    out = {}
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            for name, sp in a.choices.items():
+                out.update(_flags(sp, prefix + (name,)))
+        elif a.option_strings and not isinstance(a, argparse._HelpAction) and prefix:
+            out.setdefault(" ".join(prefix), {})[tuple(a.option_strings)] = (
+                a.dest, a.type and a.type.__name__, a.default, a.required,
+                a.choices and tuple(a.choices),
+            )
+    return out
+
+
+_LATTICE = {("--n",): ("n", "int", None, True, None),
+            ("--d",): ("d", "int", None, True, None),
+            ("--M",): ("M", "int", None, True, None)}
+_ACQ = {("--acq",): ("acq", None, None, True, ("alm", "ucb")),
+        ("--lambda",): ("lam", "float", 2.96, False, None)}
+_TIME_LIMIT = {("--time-limit",): ("time_limit", "float", None, False, None)}
+_GAP = {("--gap",): ("gap", "float", 0.1, False, None)}
+_SEED = {("--seed",): ("seed", "int", 0, False, None)}
+_OUT = {("--out",): ("out", None, None, False, None)}
+
+
+def test_flag_inventory():
+    # every subcommand's flags, as the parser defined them one by one
+    assert _flags(build_parser()) == {
+        "bound": _LATTICE,
+        "design": {**_LATTICE, **_TIME_LIMIT, **_SEED, **_OUT},
+        "fit": {("--design",): ("design", None, None, True, None),
+                ("--responses",): ("responses", None, None, True, None),
+                ("--M",): ("M", "int", None, False, None), **_SEED, **_OUT},
+        "suggest": {**_ACQ, **_GAP, **_TIME_LIMIT,
+                    ("--model",): ("model", None, None, True, None)},
+        "sequential": {
+            **_ACQ, **_GAP, **_TIME_LIMIT, **_SEED, **_OUT,
+            ("--simulator",): ("simulator", None, None, True,
+                               ("maze", "snake", "rover", "csv")),
+            ("--n-init",): ("n_init", "int", 20, False, None),
+            ("--n-seq",): ("n_seq", "int", 30, False, None),
+            ("--d",): ("d", "int", None, False, None),
+            ("--M",): ("M", "int", None, False, None),
+            ("--table",): ("table", None, None, False, None),
+            ("--init-design",): ("init_design", None, None, False, None),
+        },
+        "simulate": {("--problem",): ("problem", None, None, True,
+                                      ("maze", "snake", "rover")),
+                     ("--config",): ("config", None, None, False, None),
+                     ("--path",): ("path", None, None, True, None)},
+        "bench": {("--plan",): ("plan", None, None, True, None),
+                  ("--out",): ("out", None, None, True, None)},
+        "oracle maximin": _LATTICE,
+        "oracle acquisition": {**_ACQ,
+                               ("--model",): ("model", None, None, True, None)},
+    }

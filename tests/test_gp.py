@@ -88,17 +88,15 @@ class TestPredict:
 
 class TestFitMle:
     def test_likelihood_dominates_starts(self):
-        from quip.gp import _profiled_nll
-
         rng = np.random.default_rng(4)
         D = _random_distinct_design(rng, 12, 5, 3)
         f = np.sin(D.as_array().sum(axis=1)) + 0.1 * rng.normal(size=12)
         cfg = FitConfig(n_starts=6, seed=5)
         model = fit_mle(D, f, cfg)
-        best_nll, _ = _profiled_nll(
-            np.log(model.params.theta), D.as_array(), f, gp.DEFAULT_NUGGET
-        )
-        nll0, _ = _profiled_nll(np.zeros(5), D.as_array(), f, gp.DEFAULT_NUGGET)
+        E = gp._mismatch(D.as_array())
+        theta = model.params.theta
+        best_nll = gp._nll_and_grad(np.log(theta), E, f, gp.DEFAULT_NUGGET)[0]
+        nll0 = gp._nll_and_grad(np.zeros(5), E, f, gp.DEFAULT_NUGGET)[0]
         assert best_nll <= nll0 + 1e-9
 
     def test_recovers_signal_direction(self):
@@ -192,8 +190,8 @@ class TestLikelihood:
         mu = (ones @ Ki @ f) / (ones @ Ki @ ones)
         tau2 = (f - mu) @ Ki @ (f - mu) / 10
         want = 5 * np.log(tau2) + 0.5 * np.linalg.slogdet(K)[1]
-        nll, (th, mu1, tau21) = gp._profiled_nll(
-            np.log(theta), D.as_array(), f, gp.DEFAULT_NUGGET
+        nll, _, (th, mu1, tau21) = gp._nll_and_grad(
+            np.log(theta), gp._mismatch(D.as_array()), f, gp.DEFAULT_NUGGET
         )
         assert nll == pytest.approx(want, rel=1e-10)
         assert mu1 == pytest.approx(mu, rel=1e-8) and tau21 == pytest.approx(tau2, rel=1e-8)
@@ -204,8 +202,9 @@ class TestLikelihood:
         for k in range(10):
             D, f, cfg = _snake_model(k)
             model = fit_mle(D, f, cfg)
-            nll.append(gp._profiled_nll(
-                np.log(model.params.theta), D.as_array(), f, gp.DEFAULT_NUGGET)[0])
+            nll.append(gp._nll_and_grad(
+                np.log(model.params.theta), gp._mismatch(D.as_array()), f,
+                gp.DEFAULT_NUGGET)[0])
         # on model 2 the simplex crossed into a basin (102.901) that no
         # L-BFGS-B search from the same four starts reaches (best 103.042)
         worse = {k for k in range(10) if nll[k] > NELDER_MEAD_NLL[k] + 1e-9}
@@ -231,11 +230,13 @@ class TestLikelihood:
 
         monkeypatch.setattr(gp, "dpotrf", dpotrf)
         X = D.as_array()
-        assert gp._profiled_nll(np.zeros(4), X, f, gp.DEFAULT_NUGGET)[0] == np.inf
+        E = gp._mismatch(X)
+        assert gp._nll_and_grad(np.zeros(4), E, f, gp.DEFAULT_NUGGET) is None
         cfg = FitConfig(n_starts=4, seed=0)
         model = fit_mle(D, f, cfg)
         assert len(failures) > 1
-        nll = gp._profiled_nll(np.log(model.params.theta), X, f, gp.DEFAULT_NUGGET)[0]
+        theta = model.params.theta
+        nll = gp._nll_and_grad(np.log(theta), E, f, gp.DEFAULT_NUGGET)[0]
         assert np.isfinite(nll)
         assert cross_correlation(X, X, model.params.theta).min() >= np.exp(-2.5)
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ class TestSolveFeasibility:
         with pytest.raises(ValueError):
             solve_feasibility(FeasibilityInstance(3, 3, 2, 2, warm_start=ws))
 
+    def test_deep_search_does_not_recurse(self):
+        # greedy construction fails here and the complete search goes
+        # (n-1)*d = 2990 cells deep, past Python's recursion limit
+        rep = solve_feasibility(FeasibilityInstance(300, 10, 2, 2))
+        assert rep.status == FEASIBLE and rep.nodes_explored > 0
+        assert min_pairwise_distance(rep.design) >= 2
+
     def test_determinism(self):
         a = solve_feasibility(FeasibilityInstance(6, 5, 3, 3, seed=42))
         b = solve_feasibility(FeasibilityInstance(6, 5, 3, 3, seed=42))
@@ -114,6 +122,15 @@ class TestOptimizeMaximin:
         monkeypatch.setattr(maximin, "solve_feasibility", infeasible)
         with pytest.raises(RuntimeError, match=f"q0={q0(4, 3, 2)} infeasible"):
             optimize_maximin(4, 3, 2)
+
+    def test_time_limit_covers_the_whole_solve(self):
+        # each solve past q0 spends seconds in warm-start repair and greedy
+        # construction before any complete search starts
+        t0 = time.perf_counter()
+        r = optimize_maximin(100, 10, 5, time_limit=1.0)
+        assert time.perf_counter() - t0 < 2.0
+        assert not r.certified
+        assert min_pairwise_distance(r.design) >= r.q_star
 
     @pytest.mark.parametrize("limit", [0, -1.0, float("inf"), float("nan")])
     def test_time_limit_must_be_finite_positive(self, limit):

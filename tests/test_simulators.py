@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from quip.simulators import (
     rover_cost,
     rover_decision,
     snake_reward,
-    walk,
 )
 
 
@@ -42,6 +42,12 @@ class TestGridWorld:
         assert gridworld_from_dict(dict(obj, oob_rule="clamp")).width == 4
         with pytest.raises(ValueError, match="oob_rule"):
             gridworld_from_dict(dict(obj, oob_rule="wrap"))
+
+    def test_start_is_never_a_prize(self):
+        obj = {"width": 4, "height": 4, "start": [1, 1], "prizes": [[1, 1]]}
+        assert gridworld_from_dict(dict(obj, start_is_prize=False)).width == 4
+        with pytest.raises(ValueError, match="start_is_prize"):
+            gridworld_from_dict(dict(obj, start_is_prize=True))
 
 
 class TestMaze:
@@ -83,14 +89,14 @@ class TestMaze:
         for _ in range(50):
             path = Point(tuple(rng.integers(1, 6, size=12)), 5)
             res = maze_cost(w, path)
-            final = walk(w, path)[-1]
+            final = res.trace[-1]["position"]
             assert res.value == bfs(final)
 
     def test_bounce_stay(self):
         w = GridWorld(3, 3, (1, 1), goal=(3, 3), obstacles=frozenset({(2, 1)}))
         # moving right into the obstacle leaves the position unchanged
-        positions = walk(w, Point((4, 4, 5), 5))
-        assert positions[0] == (1, 1)
+        trace = maze_cost(w, Point((4, 4, 5), 5)).trace
+        assert trace[0]["position"] == (1, 1)
 
     @pytest.mark.parametrize("levels", [(1, 2, 7), (1, 2, 3)])
     def test_wrong_m(self, levels):
@@ -184,8 +190,8 @@ class TestRover:
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = Point(tuple(rng.integers(1, 10, size=8)), 9)
-            a = rover_cost(c, p, substeps=20)
-            b = rover_cost(c, p, substeps=200)
+            a = rover_cost(c, p)
+            b = rover_cost(dataclasses.replace(c, substeps=200), p)
             assert a.value == pytest.approx(b.value, abs=1e-6)
 
     def test_cost_lower_bound(self):
