@@ -117,8 +117,8 @@ def _run_arm(method: str, plan: BenchPlan, rep: int, d: int, M: int, objective,
     spec = plan.spec()
     rows: list[dict] = []
 
-    def row(it, best, elapsed, extra=None):
-        r = {
+    def row(it, best, elapsed):
+        return {
             "method": method,
             "replication": rep,
             "seed": seed,
@@ -128,9 +128,6 @@ def _run_arm(method: str, plan: BenchPlan, rep: int, d: int, M: int, objective,
             "rrmse": None,
             "candidate_c": plan.candidate_c if method == "candidate" else None,
         }
-        if extra:
-            r.update(extra)
-        return r
 
     D = init
     f = f0.copy()

@@ -111,9 +111,11 @@ def _cmd_suggest(args) -> int:
 
 def _csv_table_simulator(path, M):
     """(d, M, lookup) for a table of `levels..., response` rows. M defaults
-    to the table's largest level (at least 2). Rows of unequal length are
-    rejected here; looking up a point the table lacks raises ValueError."""
+    to the table's largest level (at least 2). Rows of unequal length and
+    repeated points with different responses are rejected here; looking up
+    a point the table lacks raises ValueError."""
     table: dict[tuple[int, ...], float] = {}
+    first_line: dict[tuple[int, ...], int] = {}
     width = None
     with open(path) as fh:
         for line, row in enumerate(csv.reader(fh), 1):
@@ -125,7 +127,14 @@ def _csv_table_simulator(path, M):
                     f"row {line} of lookup table {path} has {len(row)} "
                     f"fields, expected {width}"
                 )
-            table[tuple(int(v) for v in row[:-1])] = float(row[-1])
+            levels, value = tuple(int(v) for v in row[:-1]), float(row[-1])
+            if levels in table and table[levels] != value:
+                raise ValueError(
+                    f"rows {first_line[levels]} and {line} of lookup table "
+                    f"{path} give point {list(levels)} different responses"
+                )
+            table[levels] = value
+            first_line.setdefault(levels, line)
     if not table:
         raise ValueError(f"no rows in lookup table {path}")
     d = width - 1

@@ -64,6 +64,10 @@ class FitConfig:
     n_starts: int = 8
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_starts < 1:
+            raise ValueError(f"n_starts={self.n_starts} must be at least 1")
+
 
 @dataclass(frozen=True)
 class GpModel:

@@ -3,8 +3,9 @@
 The feasibility question "does an n-point design in {1..M}^d with minimum
 pairwise Hamming distance >= q exist?" is answered by a two-phase solver:
 
-1. a cheap seeded incumbent search (warm-start repair, then randomized
-   greedy row construction) that can only prove feasibility, and
+1. one cheap seeded heuristic that can only prove feasibility: repair of
+   the warm start when there is one, else randomized greedy row
+   construction, and
 2. a complete depth-first backtracking search over canonical designs that
    certifies infeasibility by exhaustion.
 
@@ -53,6 +54,9 @@ class FeasibilityInstance:
         if not 0 <= self.q <= self.d:
             raise InvalidDistanceError(f"q={self.q} outside 0..{self.d}")
         check_time_limit(self.time_limit)
+        ws = self.warm_start
+        if ws is not None and (ws.n, ws.d, ws.M) != (self.n, self.d, self.M):
+            raise ValueError("warm start shape does not match instance")
 
 
 @dataclass(frozen=True)
@@ -86,29 +90,29 @@ def _repair(
 ) -> bool:
     """Bounded single-cell local search lifting `arr` to min distance >= q.
 
-    Mutates arr in place; budget of 10*n*d moves, cut short at the deadline.
-    Returns True on success.
+    `short[b, a]` (a < b) marks pairs closer than q. Each move takes the
+    first one in row-major order, moves one cell of row b off row a's
+    level and updates row and column b. Mutates arr in place; budget of
+    10*n*d moves, cut short at the deadline. Returns True on success.
     """
     n, d = arr.shape
-    budget = 10 * n * d
-    for _ in range(budget):
-        viol = None
-        for i in range(n):
-            mism = np.count_nonzero(arr[:i] != arr[i], axis=1)
-            short = np.nonzero(mism < q)[0]
-            if short.size:
-                viol = (int(short[0]), i)
-                break
-        if viol is None:
+    short = np.zeros((n, n), dtype=bool)
+    for i in range(1, n):
+        short[i, :i] = np.count_nonzero(arr[:i] != arr[i], axis=1) < q
+    for _ in range(10 * n * d):
+        k = int(short.argmax())
+        if not short.flat[k]:
             return True
         if _expired(deadline):
             return False
-        a, b = viol
-        # move one cell of the later row off the earlier row's level
+        b, a = divmod(k, n)
         eq_cols = np.nonzero(arr[a] == arr[b])[0]
         j = int(rng.choice(eq_cols))
         choices = [v for v in range(1, M + 1) if v != arr[b, j]]
         arr[b, j] = choices[int(rng.integers(len(choices)))]
+        row = np.count_nonzero(arr != arr[b], axis=1) < q
+        short[b, :b] = row[:b]
+        short[b + 1 :, b] = row[b + 1 :]
     return False
 
 
@@ -204,9 +208,6 @@ class _CompleteSearch:
         self.grid[0, :] = 1
         self.maxused[:] = 1
         n, d, q = self.n, self.d, self.q
-        if n == 1:
-            self.solution = self.grid.copy()
-            return
         stack = [self._frame(1, 0, np.zeros(1, dtype=np.int64), True)]
         while stack:
             i, j, mism, tight, lo, values, old_max = stack[-1]
@@ -259,21 +260,17 @@ def solve_feasibility(inst: FeasibilityInstance) -> SolveReport:
         np.random.SeedSequence([inst.seed, n, d, M, q, 0x51D]).generate_state(4)
     )
 
-    # Phase 1a: warm-start repair.
+    # Phase 1: repair of the warm start, else randomized greedy construction.
     hint = None
     if inst.warm_start is not None:
-        ws = inst.warm_start
-        if (ws.n, ws.d, ws.M) != (n, d, M):
-            raise ValueError("warm start shape does not match instance")
-        arr = ws.as_array().copy()
+        arr = inst.warm_start.as_array().copy()
         if _repair(arr, M, q, rng, deadline):
             return _report(arr, M, q, 0, t0)
-        hint = _canonicalize(ws.as_array())
-
-    # Phase 1b: randomized greedy construction.
-    greedy = _greedy_rows(n, d, M, q, rng, deadline)
-    if greedy is not None:
-        return _report(greedy, M, q, 0, t0)
+        hint = _canonicalize(inst.warm_start.as_array())
+    else:
+        greedy = _greedy_rows(n, d, M, q, rng, deadline)
+        if greedy is not None:
+            return _report(greedy, M, q, 0, t0)
 
     # Phase 2: complete search with symmetry breaking.
     search = _CompleteSearch(inst, hint, deadline)

@@ -112,10 +112,13 @@ def snake_reward(world: GridWorld, path: Point) -> SimResult:
     previous square was also a prize; a non-prize in-bounds square scores
     -2*(j-1); stepping out of bounds scores -10 and keeps the previous
     position. The starting square never counts as a prize before the
-    first step, so that step is never doubled.
+    first step, so that step is never doubled. Snake worlds have no
+    obstacles; a world with some is rejected.
     """
     if path.M != 5:
         raise ValueError("maze/snake paths use M=5 actions")
+    if world.obstacles:
+        raise ValueError("snake worlds have no obstacles")
     d = path.d
     pos = world.start
     prev_on_prize = False
@@ -226,13 +229,15 @@ def gridworld_from_dict(obj: dict) -> GridWorld:
 
 
 def course_from_dict(obj: dict) -> ObstacleCourse:
+    base = ObstacleCourse()
+    speeds = obj.get("speeds", {})
     return ObstacleCourse(
-        start=tuple(obj.get("start", (0.05, 0.05))),
-        target=tuple(obj.get("target", (0.75, 0.75))),
-        speed_low=float(obj.get("speeds", {}).get("low", 0.05)),
-        speed_high=float(obj.get("speeds", {}).get("high", 0.125)),
-        boxes=tuple(tuple(b) for b in obj.get("boxes", [])),
-        substeps=int(obj.get("substeps", 20)),
+        start=tuple(obj.get("start", base.start)),
+        target=tuple(obj.get("target", base.target)),
+        speed_low=float(speeds.get("low", base.speed_low)),
+        speed_high=float(speeds.get("high", base.speed_high)),
+        boxes=tuple(tuple(b) for b in obj.get("boxes", base.boxes)),
+        substeps=int(obj.get("substeps", base.substeps)),
     )
 
 

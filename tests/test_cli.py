@@ -209,6 +209,18 @@ class TestSequentialCmd:
         assert code == 1
         assert f"row 3 of lookup table {table} has 4 fields, expected 3" in err
 
+    def test_csv_conflicting_repeat_rejected(self, capsys, tmp_path):
+        # an identical repeat is harmless; a different response is not
+        table = tmp_path / "table.csv"
+        table.write_text("1,1,5.0\n1,2,1.0\n1,2,1.0\n2,1,2.0\n1,1,7.0\n")
+        code, _, err = run_cli(
+            capsys, "sequential", "--simulator", "csv", "--table", str(table),
+            "--acq", "ucb", "--n-init", "2", "--n-seq", "1",
+        )
+        assert code == 1
+        assert (f"rows 1 and 5 of lookup table {table} give point [1, 1] "
+                "different responses") in err
+
 
 class TestBenchCmd:
     def test_tiny_plan(self, capsys, tmp_path):

@@ -125,6 +125,11 @@ class TestFitMle:
         with pytest.raises(ValueError, match="does not match n=5"):
             fit_mle(D, f)
 
+    @pytest.mark.parametrize("n_starts", [0, -3])
+    def test_n_starts_must_be_positive(self, n_starts):
+        with pytest.raises(ValueError, match="n_starts"):
+            FitConfig(n_starts=n_starts)
+
     def test_non_finite_rejected(self):
         D = design_from_array([[1, 1], [2, 2]], 2)
         with pytest.raises(ValueError):

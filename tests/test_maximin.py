@@ -61,9 +61,16 @@ class TestSolveFeasibility:
         assert min_pairwise_distance(rep.design) >= 2
 
     def test_warm_start_shape_mismatch(self):
-        ws = design_from_array([[1, 1]], 2)
-        with pytest.raises(ValueError):
-            solve_feasibility(FeasibilityInstance(3, 3, 2, 2, warm_start=ws))
+        five_by_four = design_from_array([[1, 2, 1, 2]] * 5, 2)
+        for n, d, M, q, ws in [
+            (3, 3, 2, 2, design_from_array([[1, 1]], 2)),
+            # the q = 0 and n = 1 shortcuts must not return the warm start
+            (3, 2, 2, 0, five_by_four),
+            (1, 2, 2, 1, five_by_four),
+            (3, 2, 2, 1, design_from_array([[1, 3], [2, 1], [3, 3]], 3)),
+        ]:
+            with pytest.raises(ValueError, match="warm start shape"):
+                solve_feasibility(FeasibilityInstance(n, d, M, q, warm_start=ws))
 
     def test_deep_search_does_not_recurse(self):
         # greedy construction fails here and the complete search goes
@@ -76,6 +83,40 @@ class TestSolveFeasibility:
         a = solve_feasibility(FeasibilityInstance(6, 5, 3, 3, seed=42))
         b = solve_feasibility(FeasibilityInstance(6, 5, 3, 3, seed=42))
         assert a.design == b.design
+
+
+# (n, d, M, q, seed, success, repaired rows): outputs of the original
+# rescanning repair, which the short-pair table must reproduce move for move
+REPAIR_PINS = [
+    (3, 4, 2, 2, 0, True, "2221 1111 1222"),
+    (5, 3, 2, 2, 1, False, "122 211 111 121 121"),
+    (4, 4, 3, 3, 2, True, "3111 2321 2233 1123"),
+    (6, 5, 3, 3, 3, True, "31111 33213 12221 13311 22322 23121"),
+    (8, 7, 2, 4, 4, False, "2222222 1121122 2122111 1212112 2111212 1211221 2221211 1112212"),
+    (8, 7, 2, 4, 5, False, "2212122 1211111 1111222 1122211 2221221 2121112 2121212 2121122"),
+    (12, 5, 2, 2, 6, True, "12212 22112 12122 12111 21222 11121 22121 12221 22211 11112 21111 11211"),
+    (12, 6, 3, 4, 7, False, "323323 311113 332311 121121 213222 222332 131232 122213 233133 113331 111231 113331"),
+    (13, 6, 3, 4, 8, False, "311311 232312 122211 223131 112133 321122 333213 231221 113222 213122 122111 313112 323323"),
+    (10, 8, 4, 6, 9, True, "24421334 33244434 11423241 21142124 42434233 32141311 14113413 43311221 22332441 21231212"),
+    (2, 3, 2, 3, 10, True, "221 112"),
+    (9, 7, 2, 4, 11, False, "1121222 2211221 2222122 1212212 1112121 2122211 1221111 2111112 2122211"),
+    (9, 7, 2, 5, 12, False, "2122111 1211122 1211211 1121121 1111212 2112122 2212221 1221212 2121222"),
+    (15, 6, 5, 5, 13, False, "555515 521143 444155 135233 415322 143421 332412 222531 323254 354341 514434 241314 253242 151443 345341"),
+    (20, 8, 5, 6, 14, True, "15421425 24131414 43435451 14143253 12445542 33255323 32511115 31525554 55512522 43311534 11112431 45252444 44224513 42122152 54355131 55234235 53144312 25544151 25453533 44333322"),
+    (7, 2, 3, 2, 15, False, "33 12 21 23 22 31 33"),
+    (16, 4, 2, 2, 16, False, "2221 2111 1211 1222 2212 1121 1112 2122 2122 2121 1221 2211 2121 1221 2222 2112"),
+    (11, 9, 3, 6, 17, True, "331122321 122322213 113123123 333212232 211121212 212333322 221232123 332111113 223311131 132233131 123231312"),
+    (6, 6, 2, 4, 18, False, "211221 112212 121111 222122 221112 112212"),
+    (14, 9, 2, 4, 19, True, "211211211 112221221 121121211 222222121 221221222 111222111 122112221 112122212 211111122 122212112 211122221 222121112 212112111 212212222"),
+]
+
+
+@pytest.mark.parametrize("n, d, M, q, seed, ok, rows", REPAIR_PINS)
+def test_repair_pinned_outputs(n, d, M, q, seed, ok, rows):
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(1, M + 1, size=(n, d))
+    assert maximin._repair(arr, M, q, rng, None) is ok
+    assert [[int(c) for c in r] for r in rows.split()] == arr.tolist()
 
 
 class TestOptimizeMaximin:
@@ -124,13 +165,32 @@ class TestOptimizeMaximin:
             optimize_maximin(4, 3, 2)
 
     def test_time_limit_covers_the_whole_solve(self):
-        # each solve past q0 spends seconds in warm-start repair and greedy
-        # construction before any complete search starts
+        # each solve past q0 spends its time in warm-start repair before
+        # any complete search starts
         t0 = time.perf_counter()
         r = optimize_maximin(100, 10, 5, time_limit=1.0)
         assert time.perf_counter() - t0 < 2.0
         assert not r.certified
         assert min_pairwise_distance(r.design) >= r.q_star
+
+    def test_greedy_only_without_warm_start(self, monkeypatch):
+        # every solve past q0 is warm-started: a failed repair goes straight
+        # to the hinted complete search, with no greedy construction
+        warm = []
+        solve, greedy = maximin.solve_feasibility, maximin._greedy_rows
+
+        def tracked_solve(inst):
+            warm.append(inst.warm_start is not None)
+            return solve(inst)
+
+        def cold_greedy(*args):
+            assert not warm[-1], "greedy construction in a warm-started solve"
+            return greedy(*args)
+
+        monkeypatch.setattr(maximin, "solve_feasibility", tracked_solve)
+        monkeypatch.setattr(maximin, "_greedy_rows", cold_greedy)
+        r = optimize_maximin(9, 7, 2)
+        assert r.certified and warm == [False] + [True] * (len(warm) - 1)
 
     @pytest.mark.parametrize("limit", [0, -1.0, float("inf"), float("nan")])
     def test_time_limit_must_be_finite_positive(self, limit):

@@ -154,6 +154,13 @@ class TestSnake:
                     -10.0, -2.0 * (j - 1), 5.0 * (d - j + 1), 10.0 * (d - j + 1)
                 }
 
+    def test_obstacles_rejected(self):
+        # action 4 from (4, 4) would land on the obstacle at (5, 4)
+        w = GridWorld(8, 8, (4, 4), obstacles=frozenset({(5, 4)}))
+        with pytest.raises(ValueError, match="obstacles"):
+            snake_reward(w, Point((4,) + (5,) * 11, 5))
+        assert not default_snake().obstacles
+
     def test_trace_consistency(self):
         w = default_snake()
         rng = np.random.default_rng(2)
@@ -224,6 +231,7 @@ class TestRover:
     def test_course_config(self):
         c = course_from_dict({"speeds": {"low": 0.1, "high": 0.2}, "boxes": []})
         assert c.speed_low == 0.1 and c.speed_high == 0.2
+        assert course_from_dict({}) == ObstacleCourse()
 
 
 class TestDeterminism:
