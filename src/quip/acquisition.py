@@ -12,14 +12,28 @@ The global optimizer is a best-first branch-and-bound over one-factor-at-
 a-time assignments. With a subset of factors fixed, each correlation
 g_r factors into an exact prefix times a product of free-factor terms,
 each in [exp(-theta_l), 1]; this sandwiches every g_r in an interval
-[L_r, U_r] from which admissible bounds on Q, the mean, and the standard
-deviation follow by splitting coefficient signs. A popped node expands all
-M children at once: their [L, U] rows come from per-factor multiplier
-tables, and every child bound from two matrix products with the sign-split
-W. At the last factor the children are exact correlation rows (L = U = g),
-so leaves are scored exactly in one batch, with no design rebuild. The
-search stops once the best open bound no longer exceeds the incumbent,
-which certifies the incumbent as the global optimum.
+[L_r, U_r], with L = f U for one factor f per depth. The mean bound splits
+the coefficient signs of alpha. Q = g'Wg is bounded below by the larger of
+two bounds: the sign split L'W+L + U'W-U, and the midpoint-radius bound
+c'Wc - 2|Wc|'r with c = (L + U)/2 and r = (U - L)/2, the tangent plane of
+the convex Q at c (W is positive definite), which keeps the cancellation
+between entries of W of opposite sign. That cancellation is large when
+theta sits at its lower clip and W is ill-conditioned, where the sign split
+alone stays loose even on narrow boxes; the sign split is still the tighter
+one on some boxes and saves nodes. A popped node expands all M children
+at once: their U rows come from per-factor multiplier tables, and both
+bounds of every child from the same two matrix products U W+ and U W-. At
+the last factor the children are exact correlation rows (L = U = g), so
+leaves are scored exactly in one batch, with no design rebuild. The search
+stops once the best open bound no longer exceeds the incumbent, which
+certifies the incumbent as the global optimum.
+
+Everything is evaluated in floating point, so a certificate holds up to
+rounding: the certified bound is at least the true optimum less
+1e-10 * |optimum|, and for UCB less also the rounding of the mean g'alpha,
+at most n * eps * sum|alpha| (alpha has large entries of both signs when
+Gamma is near-singular). Both are tested on clip-pinned models against
+full enumeration.
 """
 
 from __future__ import annotations
@@ -90,8 +104,9 @@ class _BnB:
     """Best-first branch-and-bound over per-factor level assignments.
 
     The heap holds level prefixes only; a popped node's U is rebuilt from
-    the per-factor multiplier tables, and all M children are bounded (or,
-    at the last factor, scored exactly) in one batched step.
+    the per-factor multiplier tables, and all M children are bounded (the
+    larger of the sign-split and midpoint-radius bounds on Q) or, at the
+    last factor, scored exactly, in one batched step.
     """
 
     def __init__(self, model: GpModel, spec: AcquisitionSpec):
@@ -129,15 +144,33 @@ class _BnB:
             U = U * self.F[depth][v - 1]
         return U
 
-    def _bounds(self, L: np.ndarray, U: np.ndarray) -> np.ndarray:
+    def _q_lows(self, U: np.ndarray, fm: float) -> tuple[np.ndarray, np.ndarray]:
+        """The sign-split and the midpoint-radius lower bounds on Q = g'Wg
+        over each row's box [L, U] = [fm * U, U] (one row per node), in that
+        order.
+
+        Sign split: Q >= L'W+L + U'W-U. Midpoint-radius: with c = a*U and
+        r = b*U, a = (1 + fm)/2 and b = (1 - fm)/2, every g = c + e with
+        |e| <= r has Q = c'Wc + 2(Wc)'e + e'We >= c'Wc - 2|Wc|'r, since
+        W = K^{-1} is positive definite. This keeps the cancellation between
+        entries of W of opposite sign. Both come from P = U W+ and N = U W-,
+        since U W = P + N."""
+        P, N = U @ self.Wp, U @ self.Wn
+        pu = np.einsum("ij,ij->i", P, U)
+        nu = np.einsum("ij,ij->i", N, U)
+        a, b = 0.5 * (1.0 + fm), 0.5 * (1.0 - fm)
+        split = fm * fm * pu + nu
+        mid = a * (a * (pu + nu) - 2.0 * b * np.einsum("ij,ij->i", np.abs(P + N), U))
+        return split, mid
+
+    def _bounds(self, U: np.ndarray, fm: float) -> np.ndarray:
         """Admissible upper bounds on the objective over each row's subtree,
-        from stacked correlation intervals [L, U] (one row per node)."""
-        q_low = np.einsum("ij,ij->i", L @ self.Wp, L)
-        q_low += np.einsum("ij,ij->i", U @ self.Wn, U)
+        whose correlations lie in [fm * U, U] (one row per node)."""
+        q_low = np.maximum(*self._q_lows(U, fm))
         var_high = self.tau2 * np.maximum(0.0, 1.0 - np.maximum(0.0, q_low))
         if self.spec.kind == "alm":
             return var_high
-        mean_high = self.mu + (U @ self.ap + L @ self.an)
+        mean_high = self.mu + (U @ self.ap + (fm * U) @ self.an)
         return mean_high + self.spec.lam * np.sqrt(var_high)
 
     def _to_factor_order(self, levels: tuple[int, ...]) -> np.ndarray:
@@ -153,7 +186,7 @@ class _BnB:
 
         counter = itertools.count()
         U0 = np.ones((1, self.n))
-        root = float(self._bounds(U0 * self.free_min[0], U0)[0])
+        root = float(self._bounds(U0, self.free_min[0])[0])
         heap: list[tuple[float, int, tuple[int, ...]]] = [(-root, next(counter), ())]
 
         # seed incumbent with training points (always feasible re-selections)
@@ -192,7 +225,7 @@ class _BnB:
                     incumbent = float(vals[i])
                     incumbent_levels = self._to_factor_order(levels + (i + 1,))
                 continue
-            child_bounds = self._bounds(Uc * self.free_min[depth + 1], Uc)
+            child_bounds = self._bounds(Uc, self.free_min[depth + 1])
             for v, b in enumerate(child_bounds.tolist(), start=1):
                 if b > incumbent + 1e-15:
                     heapq.heappush(heap, (-b, next(counter), levels + (v,)))
@@ -238,7 +271,8 @@ def enumerate_acquisition(
         raise TooLargeError(f"lattice size {M}**{d} exceeds enumeration guard")
     best_val = -np.inf
     best_levels = None
-    chunk = 65536
+    # rows per block: cross_correlation makes a rows x n x d float temporary
+    chunk = max(1, 2**18 // (model.design.n * d))
     full = lattice_array(d, M)
     for lo in range(0, full.shape[0], chunk):
         block = full[lo : lo + chunk]

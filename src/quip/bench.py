@@ -231,6 +231,10 @@ def bound_oracle_scatter(
     and records the certified bound alongside the true enumerated optimum.
     Levels are interpreted as the first M of the 5 grid actions.
     """
+    if not 2 <= M <= 5:
+        raise ValueError(f"M={M} must lie in 2..5: levels are snake actions")
+    if n > M**d:
+        raise ValueError(f"n={n} distinct rows do not fit in {M}**{d} points")
     world = default_snake()
     spec = AcquisitionSpec(acq, lam, gap_tolerance)
     spec0 = AcquisitionSpec(acq, lam, 0.0)

@@ -18,6 +18,8 @@ from quip.acquisition import (
 from quip.encoding import Point, design_from_array, lattice_array
 from quip.gp import FitConfig, KernelParams, build_model, fit_mle, predict_batch
 
+THETA_CLIP = 1e-3  # the fit's lower theta clip, exp(gp.LOG_THETA_LO)
+
 
 def _model(seed, n=6, d=4, M=3, theta_scale=1.0):
     rng = np.random.default_rng(seed)
@@ -34,6 +36,18 @@ def _model(seed, n=6, d=4, M=3, theta_scale=1.0):
     return build_model(D, f, params)
 
 
+def _clip_model(seed, n, d, M):
+    """Model with theta at the fit's lower clip in all factors but one, so
+    Gamma is near-singular and W has large entries of both signs."""
+    rng = np.random.default_rng(seed)
+    full = lattice_array(d, M)
+    rows = full[rng.choice(len(full), n, replace=False)]
+    theta = np.full(d, THETA_CLIP)
+    theta[rng.integers(d)] = rng.uniform(0.2, 2.0)
+    params = KernelParams(theta, rng.normal(), rng.uniform(0.5, 2.0))
+    return build_model(design_from_array(rows, M), rng.normal(size=n), params)
+
+
 @st.composite
 def _small_models(draw):
     """Random model with d <= 4, M <= 3 and n <= 8 distinct design rows."""
@@ -44,7 +58,14 @@ def _small_models(draw):
     rows = draw(
         st.lists(st.integers(0, len(full) - 1), min_size=n, max_size=n, unique=True)
     )
-    theta = draw(st.lists(st.floats(0.05, 3.0), min_size=d, max_size=d))
+    # some factors at the fit's lower clip, where Gamma is near-singular
+    theta = draw(
+        st.lists(
+            st.one_of(st.just(THETA_CLIP), st.floats(0.05, 3.0)),
+            min_size=d,
+            max_size=d,
+        )
+    )
     f = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
     params = KernelParams(
         np.array(theta), draw(st.floats(-2.0, 2.0)), draw(st.floats(0.1, 3.0))
@@ -104,28 +125,36 @@ class TestEvalFunctions:
 
 
 class TestBoundAdmissibility:
-    def test_bound_dominates_subtree(self):
-        # every internal node's bound >= max objective over its subtree
-        model = _model(4, n=5, d=3, M=2)
+    @staticmethod
+    def _check_subtrees(model):
+        # every internal node's objective bound >= max objective over its
+        # subtree, and each of the two bounds on Q alone <= min Q there
+        d, M = model.design.d, model.design.M
+        full = lattice_array(d, M)
         for kind in ("alm", "ucb"):
             spec = AcquisitionSpec(kind, gap_tolerance=0.0)
             bnb = _BnB(model, spec)
-            full = lattice_array(3, 2)
-            for depth in range(3):
-                for prefix in itertools.product(range(1, 3), repeat=depth):
-                    U = bnb._upper(prefix)[None, :]
-                    bound = bnb._bounds(U * bnb.free_min[depth], U)[0]
+            G = np.stack([bnb._upper(tuple(row[bnb.order])) for row in full])
+            vals = _objective(model, G, spec)
+            Q = np.einsum("ij,ij->i", G @ (bnb.Wp + bnb.Wn), G)
+            for depth in range(d):
+                for prefix in itertools.product(range(1, M + 1), repeat=depth):
                     # subtree members: points agreeing with prefix in the
                     # branching order
-                    best = -np.inf
-                    for row in full:
-                        if all(
-                            row[bnb.order[i]] == prefix[i]
-                            for i in range(depth)
-                        ):
-                            g = bnb._upper(tuple(row[bnb.order]))[None, :]
-                            best = max(best, _objective(model, g, spec)[0])
-                    assert bound >= best - 1e-10, (kind, prefix)
+                    inside = np.all(full[:, bnb.order[:depth]] == prefix, axis=1)
+                    U = bnb._upper(prefix)[None, :]
+                    fm = bnb.free_min[depth]
+                    bound = bnb._bounds(U, fm)[0]
+                    assert bound >= vals[inside].max() - 1e-10, (kind, prefix)
+                    for name, q_low in zip(("split", "mid"), bnb._q_lows(U, fm)):
+                        assert q_low[0] <= Q[inside].min() + 1e-10, (name, prefix)
+
+    def test_bound_dominates_subtree(self):
+        self._check_subtrees(_model(4, n=5, d=3, M=2))
+        # clip-pinned: W has large entries of both signs; on both models a
+        # midpoint bound with (Wc)'r in place of |Wc|'r overshoots min Q
+        self._check_subtrees(_clip_model(0, n=8, d=3, M=3))
+        self._check_subtrees(_clip_model(14, n=10, d=4, M=3))
 
 
 class TestLeafValues:
@@ -252,6 +281,44 @@ class TestOptimize:
             assert total == pytest.approx(q_direct, abs=1e-10)
             var = _objective_batch(model, x[None, :], AcquisitionSpec("alm"))[0]
             assert q_direct == pytest.approx(1.0 - var / model.params.tau2, abs=1e-10)
+
+
+class TestClipPinned:
+    """Gap-0 branch and bound against enumeration where most theta sit at
+    the fit's lower clip, Gamma is near-singular and both bounds on Q are
+    exercised. The certificate tolerance is the documented one: 1e-10
+    relative, plus for UCB the rounding of the mean g'alpha, a sum of
+    large terms of both signs here, which is at most n * eps * sum|alpha|."""
+
+    @staticmethod
+    def _models(count):
+        for seed in range(count):
+            rng = np.random.default_rng([seed, 0xC11])
+            d, M = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+            while M**d > 5000:
+                M -= 1
+            full = lattice_array(d, M)
+            n = int(rng.integers(min(4, len(full)), min(30, len(full)) + 1))
+            rows = full[rng.choice(len(full), n, replace=False)]
+            theta = np.full(d, THETA_CLIP)
+            free = rng.choice(d, int(rng.integers(0, (d - 1) // 2 + 1)), replace=False)
+            theta[free] = rng.uniform(0.05, 3.0, len(free))
+            params = KernelParams(theta, rng.normal(), rng.uniform(0.5, 2.0))
+            yield build_model(design_from_array(rows, M), rng.normal(size=n), params)
+
+    def test_gap0_matches_enumeration(self):
+        eps = np.finfo(float).eps
+        for i, model in enumerate(self._models(20)):
+            for kind in ("alm", "ucb"):
+                spec = AcquisitionSpec(kind, gap_tolerance=0.0)
+                rep = optimize_acquisition(model, spec)
+                _, opt = enumerate_acquisition(model, spec)
+                slack = 0.0
+                if kind == "ucb":
+                    slack = model.design.n * eps * np.abs(model.alpha).sum()
+                assert rep.status == "optimal", (i, kind)
+                assert abs(rep.best_value - opt) <= 1e-9 * abs(opt) + slack, (i, kind)
+                assert rep.certified_bound >= opt - 1e-10 * abs(opt) - slack, (i, kind)
 
 
 class TestEnumerate:

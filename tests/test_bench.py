@@ -215,3 +215,10 @@ class TestBoundOracleScatter:
                 r["true_optimum"], abs=1e-9
             )
             assert r["incumbent"] == pytest.approx(r["true_optimum"], abs=1e-9)
+
+    @pytest.mark.parametrize("kwargs", [dict(d=2, M=2, n=5), dict(d=2, M=6, n=4),
+                                        dict(d=2, M=1, n=1)])
+    def test_impossible_plans_rejected(self, kwargs):
+        # n > M**d used to loop forever drawing distinct rows
+        with pytest.raises(ValueError):
+            bound_oracle_scatter(replications=1, **kwargs)
