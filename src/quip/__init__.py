@@ -9,7 +9,7 @@ from .acquisition import (
     optimize_acquisition,
     random_point,
 )
-from .bounds import gilbert_q, hamming_ball, q0
+from .bounds import code_size_bound, gilbert_q, hamming_ball, q0
 from .encoding import (
     Design,
     Point,
@@ -76,6 +76,7 @@ __all__ = [
     "brute_force_maximin",
     "build_model",
     "candidate_set_acquisition",
+    "code_size_bound",
     "d_optimality_ratio",
     "design_from_array",
     "enumerate_acquisition",

@@ -1,4 +1,9 @@
-"""Combinatorial lower bounds for the feasibility-program distance target.
+"""Combinatorial bounds for the maximin distance target.
+
+Lower bounds (:func:`gilbert_q`, :func:`q0`) give a distance that an
+n-point design always attains; the upper bound :func:`code_size_bound`
+caps how many rows a design at a given distance can have, which rules a
+distance target out without a search.
 
 All arithmetic is exact big-integer arithmetic: M**d overflows fixed-width
 integers long before reaching interesting problem sizes, and a single
@@ -55,3 +60,33 @@ def q0(n: int, d: int, M: int) -> int:
     if n <= M:
         return d
     return gilbert_q(n, d, M)
+
+
+def code_size_bound(d: int, q: int, M: int) -> int:
+    """Upper bound on A_M(d, q): rows of a design in {1..M}^d whose pairwise
+    Hamming distances are all >= q, for q >= 1.
+
+    The minimum of three classical bounds:
+
+    - Singleton: M**(d-q+1) (delete q-1 columns; the rows stay distinct);
+    - sphere packing: balls of radius (q-1)//2 around the rows are disjoint;
+    - Plotkin on a shortened code: for every m <= d with M*q > (M-1)*m,
+      M**(d-m) * (M*q // (M*q - (M-1)*m)). Keeping the rows with the most
+      common level of a column and deleting it loses at most a factor M of
+      the rows; Plotkin's averaging argument bounds the rest at length m.
+
+    For q > d at most one row fits. For q <= 0 no bound exists (rows may
+    repeat), so the call is rejected.
+    """
+    if d < 1 or M < 2:
+        raise ValueError(f"need d >= 1, M >= 2, got d={d}, M={M}")
+    if q < 1:
+        raise ValueError(f"no bound on the rows at distance q={q} < 1: rows may repeat")
+    if q > d:
+        return 1
+    best = min(M ** (d - q + 1), M**d // hamming_ball(d, (q - 1) // 2, M))
+    for m in range(1, d + 1):
+        slack = M * q - (M - 1) * m
+        if slack > 0:
+            best = min(best, M ** (d - m) * (M * q // slack))
+    return best

@@ -55,6 +55,7 @@ def _cmd_design(args) -> int:
             "M": args.M,
             "q_star": result.q_star,
             "certified": result.certified,
+            "certificate": result.certificate,
             "nodes": sum(r.nodes_explored for r in result.trace),
             "elapsed": sum(r.elapsed for r in result.trace),
             "design": result.design.as_array().tolist(),

@@ -9,6 +9,11 @@ pairwise Hamming distance >= q exist?" is answered by a two-phase solver:
 2. a complete depth-first backtracking search over canonical designs that
    certifies infeasibility by exhaustion.
 
+The maximin driver raises q while a witness exists. Its optimum q* is
+certified either by exhaustion (the solve at q*+1 is infeasible) or by a
+bound (:func:`quip.bounds.code_size_bound` admits fewer than n rows at
+distance q*+1, so no solve is needed).
+
 The complete search assigns one cell at a time (row-major) and breaks the
 problem's symmetries -- row permutations and independent per-column level
 relabelings -- by restricting to canonical matrices: rows in non-decreasing
@@ -25,13 +30,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import q0
+from .bounds import code_size_bound, q0
 from .encoding import Design, design_from_array, lattice_distances
 from .encoding import TooLargeError, check_time_limit  # TooLargeError: re-exported
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 TIME_LIMIT = "time_limit"
+
+BOUND = "bound"
+EXHAUSTION = "exhaustion"
 
 
 class InvalidDistanceError(ValueError):
@@ -72,8 +80,13 @@ class SolveReport:
 class MaximinResult:
     design: Design
     q_star: int
-    certified: bool  # False when a time limit left q_star a lower bound only
+    # BOUND | EXHAUSTION; None when a time limit left q_star a lower bound only
+    certificate: str | None
     trace: tuple[SolveReport, ...] = field(default=())
+
+    @property
+    def certified(self) -> bool:
+        return self.certificate is not None
 
 
 def _report(arr: np.ndarray, M: int, q: int, nodes: int, t0: float) -> SolveReport:
@@ -250,7 +263,11 @@ def solve_feasibility(inst: FeasibilityInstance) -> SolveReport:
     deadline = t0 + inst.time_limit if inst.time_limit is not None else None
     n, d, M, q = inst.n, inst.d, inst.M, inst.q
 
-    if q == 0 or n == 1:
+    if n <= M:
+        # the constant rows (i, i, ..., i) are at mutual distance d >= q
+        arr = np.repeat(np.arange(1, n + 1, dtype=np.int64), d).reshape(n, d)
+        return _report(arr, M, q, 0, t0)
+    if q == 0:
         arr = np.ones((n, d), dtype=np.int64)
         if inst.warm_start is not None:
             arr = inst.warm_start.as_array()
@@ -292,11 +309,14 @@ def optimize_maximin(
 ) -> MaximinResult:
     """Maximin design driver: start from the guaranteed-feasible distance
     q0(n, d, M), then raise the target by one (warm-starting from the last
-    witness) until the feasibility solve certifies infeasibility or the
-    target exceeds d-1.
+    witness) while code_size_bound admits n rows at the target.
 
-    When a feasibility solve times out, the incumbent design is returned
-    with certified=False: q_star is then only a lower bound.
+    The ascent ends with a certificate: "exhaustion" when the feasibility
+    solve at q_star+1 is infeasible, "bound" when code_size_bound rules
+    q_star+1 out (this covers q_star = d, and the pigeonhole cap q_star <=
+    d-1 for n > M, which is Singleton's bound at q = d). When a
+    feasibility solve times out, the incumbent design is returned with
+    certificate None (certified False): q_star is then only a lower bound.
     """
     if n < 2:
         raise ValueError("optimize_maximin needs n >= 2")
@@ -319,18 +339,18 @@ def optimize_maximin(
             f"feasibility solve at the guaranteed distance q0={qt} timed out"
         )
     if rep.status == INFEASIBLE:
-        # q0 is feasible by construction: 0 when n > M**d (the q = 0
-        # shortcut answers), else the sphere-covering bound, so this
-        # verdict would mean the complete search is unsound
+        # q0 is feasible by construction: d when n <= M and 0 when
+        # n > M**d (shortcuts answer both), else the sphere-covering bound,
+        # so this verdict would mean the complete search is unsound
         raise RuntimeError(
             f"feasibility solve reported the guaranteed distance q0={qt} infeasible"
         )
 
     best = rep.design
     q_star = qt
-    certified = True
+    certificate = BOUND
     qt += 1
-    while qt <= d - 1:
+    while code_size_bound(d, qt, M) >= n:
         rep = solve_feasibility(
             FeasibilityInstance(
                 n, d, M, qt, time_limit=remaining(), warm_start=best, seed=seed
@@ -342,11 +362,12 @@ def optimize_maximin(
             q_star = qt
             qt += 1
         elif rep.status == INFEASIBLE:
+            certificate = EXHAUSTION
             break
         else:  # time limit: no infeasibility claim is made
-            certified = False
+            certificate = None
             break
-    return MaximinResult(best, q_star, certified, tuple(trace))
+    return MaximinResult(best, q_star, certificate, tuple(trace))
 
 
 def brute_force_maximin(

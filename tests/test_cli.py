@@ -38,8 +38,15 @@ class TestDesign:
         assert code == 0
         obj = json.loads(out)
         assert obj["q_star"] == 3 and obj["certified"]
+        assert obj["certificate"] == "bound"  # q* = d
         saved = json.loads(out_file.read_text())
         assert saved["n"] == 2
+
+    def test_certificate_by_exhaustion(self, capsys):
+        code, out, _ = run_cli(capsys, "design", "--n", "5", "--d", "6", "--M", "3")
+        obj = json.loads(out)
+        assert code == 0 and obj["q_star"] == 4
+        assert obj["certificate"] == "exhaustion"
 
     def test_zero_time_limit_is_an_error(self, capsys):
         code, _, err = run_cli(

@@ -54,6 +54,13 @@ class TestSolveFeasibility:
         rep = solve_feasibility(FeasibilityInstance(1, 3, 2, 3))
         assert rep.status == FEASIBLE and rep.design.n == 1
 
+    def test_constant_rows_when_n_at_most_M(self):
+        # (i, i, ..., i) for i = 1..n: distance d, no search
+        rep = solve_feasibility(FeasibilityInstance(8, 10, 10, 10))
+        assert rep.status == FEASIBLE and rep.nodes_explored == 0
+        assert rep.design.as_array().tolist() == [[i] * 10 for i in range(1, 9)]
+        assert min_pairwise_distance(rep.design) == 10
+
     def test_warm_start_repair(self):
         ws = design_from_array([[1, 1, 1, 1], [1, 1, 1, 2], [2, 2, 2, 2]], 2)
         rep = solve_feasibility(FeasibilityInstance(3, 4, 2, 2, warm_start=ws))
@@ -139,6 +146,24 @@ class TestOptimizeMaximin:
         bq, _ = brute_force_maximin(5, 2, 2)
         assert r.q_star == bq
 
+    @pytest.mark.parametrize("n, d, M, limit, q_star", [
+        (9, 7, 2, None, 3), (20, 8, 5, 5.0, 6)])
+    def test_certified_by_bound(self, n, d, M, limit, q_star):
+        # Plotkin: A_2(7, 4) <= 8 < 9 and A_5(8, 7) <= 11 < 20, so the
+        # witness at q* certifies it with no exhaustive solve
+        r = optimize_maximin(n, d, M, time_limit=limit)
+        assert r.certificate == "bound" and r.certified
+        assert all(rep.status == FEASIBLE for rep in r.trace)
+        assert r.q_star == q_star
+        assert min_pairwise_distance(r.design) >= r.q_star
+
+    def test_certified_by_exhaustion(self):
+        # no bound rules out q = 5 for (5, 6, 3): the solve there is
+        # infeasible by exhaustion
+        r = optimize_maximin(5, 6, 3)
+        assert r.q_star == 4 and r.certificate == "exhaustion"
+        assert r.trace[-1].status == INFEASIBLE and r.trace[-1].q == 5
+
     def test_trace_records_all_targets(self):
         r = optimize_maximin(3, 3, 2)
         qs = [rep.q for rep in r.trace]
@@ -170,7 +195,7 @@ class TestOptimizeMaximin:
         t0 = time.perf_counter()
         r = optimize_maximin(100, 10, 5, time_limit=1.0)
         assert time.perf_counter() - t0 < 2.0
-        assert not r.certified
+        assert not r.certified and r.certificate is None
         assert min_pairwise_distance(r.design) >= r.q_star
 
     def test_greedy_only_without_warm_start(self, monkeypatch):
@@ -189,8 +214,9 @@ class TestOptimizeMaximin:
 
         monkeypatch.setattr(maximin, "solve_feasibility", tracked_solve)
         monkeypatch.setattr(maximin, "_greedy_rows", cold_greedy)
-        r = optimize_maximin(9, 7, 2)
-        assert r.certified and warm == [False] + [True] * (len(warm) - 1)
+        r = optimize_maximin(5, 6, 3)
+        assert r.certificate == "exhaustion"  # the failed repair was searched
+        assert warm == [False] + [True] * (len(warm) - 1)
 
     @pytest.mark.parametrize("limit", [0, -1.0, float("inf"), float("nan")])
     def test_time_limit_must_be_finite_positive(self, limit):
