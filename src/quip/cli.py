@@ -57,6 +57,9 @@ def _cmd_design(args) -> int:
             "certified": result.certified,
             "certificate": result.certificate,
             "nodes": sum(r.nodes_explored for r in result.trace),
+            "solves": [
+                [r.q, r.status, r.phase, r.nodes_explored] for r in result.trace
+            ],
             "elapsed": sum(r.elapsed for r in result.trace),
             "design": result.design.as_array().tolist(),
         }

@@ -47,6 +47,13 @@ class TestDesign:
         obj = json.loads(out)
         assert code == 0 and obj["q_star"] == 4
         assert obj["certificate"] == "exhaustion"
+        # [q, status, phase, nodes] per feasibility solve
+        assert obj["solves"] == [
+            [3, "feasible", "greedy", 0],
+            [4, "feasible", "repair", 0],
+            [5, "infeasible", "search", 9678],
+        ]
+        assert obj["nodes"] == 9678
 
     def test_zero_time_limit_is_an_error(self, capsys):
         code, _, err = run_cli(

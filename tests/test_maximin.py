@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quip import maximin
 from quip.bounds import q0
@@ -86,6 +89,20 @@ class TestSolveFeasibility:
         assert rep.status == FEASIBLE and rep.nodes_explored > 0
         assert min_pairwise_distance(rep.design) >= 2
 
+    def test_phase_names_the_deciding_phase(self):
+        ws = design_from_array([[1, 1, 1, 1], [1, 1, 1, 2], [2, 2, 2, 2]], 2)
+        for inst, phase in [
+            (FeasibilityInstance(8, 10, 10, 10), "shortcut"),  # n <= M
+            (FeasibilityInstance(10, 2, 2, 0), "shortcut"),  # q = 0
+            (FeasibilityInstance(3, 4, 2, 2, warm_start=ws), "repair"),
+            (FeasibilityInstance(4, 4, 3, 3), "greedy"),
+            (FeasibilityInstance(5, 3, 2, 2), "search"),  # infeasible
+            (FeasibilityInstance(300, 10, 2, 2), "search"),  # greedy fails
+        ]:
+            rep = solve_feasibility(inst)
+            assert rep.phase == phase, inst
+            assert (rep.nodes_explored > 0) == (phase == "search")
+
     def test_determinism(self):
         a = solve_feasibility(FeasibilityInstance(6, 5, 3, 3, seed=42))
         b = solve_feasibility(FeasibilityInstance(6, 5, 3, 3, seed=42))
@@ -124,6 +141,56 @@ def test_repair_pinned_outputs(n, d, M, q, seed, ok, rows):
     arr = rng.integers(1, M + 1, size=(n, d))
     assert maximin._repair(arr, M, q, rng, None) is ok
     assert [[int(c) for c in r] for r in rows.split()] == arr.tolist()
+
+
+def _witness(arr):
+    """The witness as row strings, or a digest of them past 200 cells."""
+    rows = " ".join("".join(str(int(c)) for c in r) for r in arr)
+    return rows if arr.size <= 200 else "sha256:" + hashlib.sha256(rows.encode()).hexdigest()[:16]
+
+
+# (n, d, M, q, hint rows or None, status, nodes, witness): outputs of the
+# numpy-array complete search, which the bitmask kernel must reproduce cell
+# for cell. Hints come from optimize_maximin's trace (the canonicalized
+# witness at q-1) or canonicalize a random design. An exhaustion tries every
+# level of every cell it reaches, so its node count guards the pruning and
+# the row-lex and value-precedence rules but not the visit order; the
+# witness searches guard the order.
+SEARCH_PINS = [
+    (4, 8, 3, 7, "11111111 21222222 22331231 32133313", INFEASIBLE, 16067, None),
+    (5, 6, 3, 5, "111111 112222 123213 222112 333311", INFEASIBLE, 9678, None),
+    (5, 5, 2, 3, "11111 11222 12221 21121 22222", INFEASIBLE, 729, None),
+    (5, 3, 2, 2, None, INFEASIBLE, 41, None),
+    (6, 6, 2, 4, None, INFEASIBLE, 964, None),
+    (7, 5, 2, 3, "11111 12111 12112 21112 21121 22121 22121", INFEASIBLE, 729, None),
+    (9, 7, 2, 4, None, INFEASIBLE, 130608, None),
+    (8, 7, 2, 4, "1111111 1121122 1211222 1222121 1222212 2112121 2121211 2122222", FEASIBLE, 403, "1111111 1121222 1212221 1222112 2112212 2122121 2211122 2221211"),
+    (12, 5, 2, 2, "11111 11121 11122 11211 11222 12111 12211 12212 12221 22121 22122 22212", FEASIBLE, 565, "11111 11122 11221 12211 12222 21112 21211 21222 22111 22122 22212 22221"),
+    (6, 5, 3, 4, "11111 22122 22212 23332 33222 33231", FEASIBLE, 4125, "11111 12222 22133 23312 31323 33231"),
+    (12, 6, 3, 4, "111111 112211 121222 211333 223313 231323 311222 322213 331113 331233 331321 332223", FEASIBLE, 31963, "111111 112222 121233 211332 223313 231221 232112 312133 313321 321122 322211 333232"),
+    (20, 8, 4, 5, "11111111 11222222 12123112 22331213 23231313 23341212 31214334 31413322 31423322 32212132 32314142 33313121 33342422 34231111 34313114 41134244 42144431 43121214 43444142 44313114", FEASIBLE, 214, "11111111 11222222 12123123 22331213 23231321 23341132 31214334 31413122 31421313 32212113 32314242 33313311 33342423 34231142 34323134 41134244 42144431 43121212 43444143 44313223"),
+    (10, 6, 3, 4, "111111 112212 121323 123213 123223 133133 211231 221322 223311 311232", FEASIBLE, 226, "111111 112222 121323 123231 133312 233133 311233 322332 331122 332211"),
+    (10, 5, 2, 2, "11111 11122 11122 12122 21121 21121 21212 22112 22112 22121", FEASIBLE, 113, "11111 11122 11221 12121 21121 21222 22111 22122 22212 22221"),
+    (300, 10, 2, 2, None, FEASIBLE, 3733, "sha256:e8a593f87f69977d"),
+    (6, 5, 3, 4, None, FEASIBLE, 146, "11111 12222 21233 23312 32331 33123"),
+    (20, 8, 4, 5, None, FEASIBLE, 2942, "11111111 11122222 11133333 11144444 12211223 12222114 12233441 12244332 13311334 13322443 13333112 13344221 14411442 14422331 14433224 14444113 21212132 21221241 21234314 21243423"),
+    (10, 6, 3, 4, None, FEASIBLE, 291, "111111 112222 113333 221122 222211 231233 233312 321313 323131 332123"),
+    (7, 4, 3, 3, None, FEASIBLE, 50, "1111 1222 1333 2123 2231 2312 3132"),
+    (9, 5, 3, 3, None, FEASIBLE, 71, "11111 11222 11333 12123 12231 12312 13132 13213 13321"),
+]
+
+
+@pytest.mark.parametrize("n, d, M, q, hint, status, nodes, witness", SEARCH_PINS)
+def test_search_pinned_outputs(n, d, M, q, hint, status, nodes, witness):
+    if hint is not None:
+        hint = np.array([[int(c) for c in r] for r in hint.split()])
+    # a changed visit order can turn a pin into a long search: stop it
+    deadline = time.perf_counter() + 60.0
+    search = maximin._CompleteSearch(FeasibilityInstance(n, d, M, q), hint, deadline)
+    search.run()
+    assert not search.timed_out and search.nodes == nodes
+    found = None if search.solution is None else _witness(search.solution)
+    assert (found is not None) == (status == FEASIBLE) and found == witness
 
 
 class TestOptimizeMaximin:
@@ -190,8 +257,9 @@ class TestOptimizeMaximin:
             optimize_maximin(4, 3, 2)
 
     def test_time_limit_covers_the_whole_solve(self):
-        # each solve past q0 spends its time in warm-start repair before
-        # any complete search starts
+        # the q = 7 solve's repair gives up within its move budget (about
+        # a tenth of the limit); its hinted complete search spends the rest
+        # of the second and stops at the deadline
         t0 = time.perf_counter()
         r = optimize_maximin(100, 10, 5, time_limit=1.0)
         assert time.perf_counter() - t0 < 2.0
@@ -261,3 +329,24 @@ class TestSymmetryBreakingSoundness:
             )
             rep = solve_feasibility(FeasibilityInstance(n, d, M, q))
             assert (rep.status == FEASIBLE) == truth, q
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        d=st.integers(1, 4),
+        M=st.integers(2, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_verdict_matches_brute_force(self, n, d, M, seed):
+        # feasibility is monotone in q, so brute force's clique search
+        # decides every q at once: feasible iff q <= its optimum
+        q_star, _ = brute_force_maximin(n, d, M, guard=10**12)
+        levels = np.random.default_rng(seed).integers(1, M + 1, size=(n, d))
+        for q in range(d + 1):
+            for warm in (None, design_from_array(levels, M)):
+                rep = solve_feasibility(
+                    FeasibilityInstance(n, d, M, q, warm_start=warm, seed=seed)
+                )
+                assert rep.status == (FEASIBLE if q <= q_star else INFEASIBLE), q
+                if rep.status == FEASIBLE:
+                    assert min_pairwise_distance(rep.design) >= q
