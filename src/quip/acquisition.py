@@ -12,25 +12,26 @@ The global optimizer is a best-first branch-and-bound over one-factor-at-
 a-time assignments. With a subset of factors fixed, each correlation
 g_r factors into an exact prefix times a product of free-factor terms,
 each in [exp(-theta_l), 1]; this sandwiches every g_r in an interval
-[L_r, U_r], with L = f U for one factor f per depth. The mean bound splits
-the coefficient signs of alpha. Q = g'Wg is bounded below by the larger of
-two bounds: the sign split L'W+L + U'W-U, and the midpoint-radius bound
-c'Wc - 2|Wc|'r with c = (L + U)/2 and r = (U - L)/2, the tangent plane of
-the convex Q at c (W is positive definite), which keeps the cancellation
-between entries of W of opposite sign. That cancellation is large when
-theta sits at its lower clip and W is ill-conditioned, where the sign split
-alone stays loose even on narrow boxes; the sign split is still the tighter
-one on some boxes and saves nodes. A popped node expands all M children
-at once: their U rows come from per-factor multiplier tables, and both
-bounds of every child from the same two matrix products U W+ and U W-. At
-the last factor the children are exact correlation rows (L = U = g), so
-leaves are scored exactly in one batch, with no design rebuild. The search
-stops once the best open bound no longer exceeds the incumbent, which
-certifies the incumbent as the global optimum.
+[L_r, U_r], with L = f U for one factor f per depth. The mean g'alpha is
+bounded by the box bound sum_r max(alpha_r L_r, alpha_r U_r). Q = g'Wg is
+bounded below by the midpoint-radius bound c'Wc - 2|Wc|'r with
+c = (L + U)/2 and r = (U - L)/2, the tangent plane of the convex Q at c
+(W is positive definite), which keeps the cancellation between entries of
+W of opposite sign. That cancellation is large when theta sits at its
+lower clip and W is ill-conditioned. A popped node expands all M children
+at once: their U rows come from per-factor multiplier tables, and the Q
+bound of every child from one matrix product U W. At the last factor the
+children are exact correlation rows (L = U = g), so leaves are scored
+exactly in one batch, with no design rebuild. The search stops once the
+best open bound no longer exceeds the incumbent, which certifies the
+incumbent as the global optimum.
 
 Everything is evaluated in floating point, so a certificate holds up to
 rounding: the certified bound is at least the true optimum less
-1e-10 * |optimum|, and for UCB less also the rounding of the mean g'alpha,
+1e-9 * |optimum| and less the absolute rounding of the computed objective.
+For ALM that is the rounding of 1 - Q, a difference of numbers near 1, at
+most n * eps * tau2, which exceeds the relative term where the largest
+variance is far below tau2. For UCB it is the rounding of the mean g'alpha,
 at most n * eps * sum|alpha| (alpha has large entries of both signs when
 Gamma is near-singular). Both are tested on clip-pinned models against
 full enumeration.
@@ -67,8 +68,8 @@ class AcquisitionSpec:
     def __post_init__(self):
         if self.kind not in ("alm", "ucb"):
             raise ValueError(f"unknown acquisition kind {self.kind!r}")
-        if self.kind == "ucb" and self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lambda must be finite and non-negative")
         if not 0.0 <= self.gap_tolerance < 1.0:
             raise ValueError("gap tolerance must lie in [0, 1)")
         check_time_limit(self.time_limit)
@@ -105,8 +106,8 @@ class _BnB:
 
     The heap holds level prefixes only; a popped node's U is rebuilt from
     the per-factor multiplier tables, and all M children are bounded (the
-    larger of the sign-split and midpoint-radius bounds on Q) or, at the
-    last factor, scored exactly, in one batched step.
+    midpoint-radius bound on Q from one product U W, the box bound on the
+    mean) or, at the last factor, scored exactly, in one batched step.
     """
 
     def __init__(self, model: GpModel, spec: AcquisitionSpec):
@@ -118,11 +119,8 @@ class _BnB:
         theta = model.params.theta
         self.order = np.argsort(-theta, kind="stable")  # most influential first
         decay = np.exp(-theta)
-        W = cho_solve((model.chol, True), np.eye(self.n))
-        self.Wp = np.maximum(W, 0.0)
-        self.Wn = np.minimum(W, 0.0)
-        self.ap = np.maximum(model.alpha, 0.0)
-        self.an = np.minimum(model.alpha, 0.0)
+        self.W = cho_solve((model.chol, True), np.eye(self.n))
+        self.alpha = model.alpha
         self.tau2 = model.params.tau2
         self.mu = model.params.mu
         # product of free-factor minimum terms for each prefix depth
@@ -144,33 +142,27 @@ class _BnB:
             U = U * self.F[depth][v - 1]
         return U
 
-    def _q_lows(self, U: np.ndarray, fm: float) -> tuple[np.ndarray, np.ndarray]:
-        """The sign-split and the midpoint-radius lower bounds on Q = g'Wg
-        over each row's box [L, U] = [fm * U, U] (one row per node), in that
-        order.
+    def _q_low(self, U: np.ndarray, fm: float) -> np.ndarray:
+        """Lower bound on Q = g'Wg over each row's box [fm * U, U] (one row
+        per node).
 
-        Sign split: Q >= L'W+L + U'W-U. Midpoint-radius: with c = a*U and
-        r = b*U, a = (1 + fm)/2 and b = (1 - fm)/2, every g = c + e with
-        |e| <= r has Q = c'Wc + 2(Wc)'e + e'We >= c'Wc - 2|Wc|'r, since
-        W = K^{-1} is positive definite. This keeps the cancellation between
-        entries of W of opposite sign. Both come from P = U W+ and N = U W-,
-        since U W = P + N."""
-        P, N = U @ self.Wp, U @ self.Wn
-        pu = np.einsum("ij,ij->i", P, U)
-        nu = np.einsum("ij,ij->i", N, U)
+        With c = a*U and r = b*U, a = (1 + fm)/2 and b = (1 - fm)/2, every
+        g = c + e with |e| <= r has Q = c'Wc + 2(Wc)'e + e'We >= c'Wc -
+        2|Wc|'r, since W = K^{-1} is positive definite. With P = U W this is
+        a * rowsum((a P - 2b |P|) o U), one product per call."""
+        P = U @ self.W
         a, b = 0.5 * (1.0 + fm), 0.5 * (1.0 - fm)
-        split = fm * fm * pu + nu
-        mid = a * (a * (pu + nu) - 2.0 * b * np.einsum("ij,ij->i", np.abs(P + N), U))
-        return split, mid
+        return a * np.einsum("ij,ij->i", a * P - 2.0 * b * np.abs(P), U)
 
     def _bounds(self, U: np.ndarray, fm: float) -> np.ndarray:
         """Admissible upper bounds on the objective over each row's subtree,
         whose correlations lie in [fm * U, U] (one row per node)."""
-        q_low = np.maximum(*self._q_lows(U, fm))
+        q_low = self._q_low(U, fm)
         var_high = self.tau2 * np.maximum(0.0, 1.0 - np.maximum(0.0, q_low))
         if self.spec.kind == "alm":
             return var_high
-        mean_high = self.mu + (U @ self.ap + (fm * U) @ self.an)
+        w = self.alpha * U  # alpha_r g_r ranges over [fm w_r, w_r] or the reverse
+        mean_high = self.mu + np.maximum(w, fm * w).sum(axis=1)
         return mean_high + self.spec.lam * np.sqrt(var_high)
 
     def _to_factor_order(self, levels: tuple[int, ...]) -> np.ndarray:

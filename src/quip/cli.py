@@ -168,7 +168,12 @@ def _simulator_for(args):
 def _cmd_sequential(args) -> int:
     d, M, objective = _simulator_for(args)
     if args.init_design:
-        init = encoding.load_design(args.init_design, M=M)
+        init = encoding.load_design(args.init_design, M=M)  # checks M
+        if init.d != d:
+            raise ValueError(
+                f"initial design {args.init_design} has d={init.d}, but the "
+                f"{args.simulator} simulator's lattice has d={d}"
+            )
     else:
         init = bench.initial_design(args.n_init, d, M, args.seed)
     f0 = np.array([objective(p) for p in init.points])

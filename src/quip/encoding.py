@@ -220,12 +220,16 @@ def load_design(path, M: int | None = None) -> Design:
     """Read a design from JSON, or from headerless CSV (one point per row).
 
     CSV has no (d, M) header, so `M` must be supplied for CSV input;
-    it defaults to the largest level present.
+    it defaults to the largest level present. A JSON design declares its
+    own M, which must equal `M` when `M` is given.
     """
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return design_from_dict(read_json(path))
+        D = design_from_dict(read_json(path))
+        if M is not None and D.M != M:
+            raise ValueError(f"design {path} has M={D.M}, expected M={M}")
+        return D
     rows = [
         [int(v) for v in row if v.strip() != ""]
         for row in csv.reader(text.splitlines())

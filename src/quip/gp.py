@@ -53,10 +53,12 @@ class KernelParams:
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=float)
         object.__setattr__(self, "theta", th)
-        if np.any(th <= 0):
-            raise ValueError("theta entries must be positive")
-        if self.tau2 <= 0:
-            raise ValueError("tau2 must be positive")
+        if not np.all(np.isfinite(th)) or np.any(th <= 0):
+            raise ValueError("theta entries must be finite and positive")
+        if not np.isfinite(self.mu):
+            raise ValueError("mu must be finite")
+        if not (np.isfinite(self.tau2) and self.tau2 > 0):
+            raise ValueError("tau2 must be finite and positive")
 
 
 @dataclass(frozen=True)

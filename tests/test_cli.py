@@ -124,6 +124,21 @@ class TestFitSuggest:
         )
         assert code == 1 and "time limit" in err
 
+    def test_suggest_nan_lambda_is_an_error(self, capsys, model_file):
+        code, _, err = run_cli(
+            capsys, "suggest", "--model", str(model_file), "--acq", "ucb",
+            "--lambda", "nan",
+        )
+        assert code == 1 and "lambda" in err
+
+    def test_nan_model_parameter_is_an_error(self, capsys, model_file, tmp_path):
+        obj = json.loads(model_file.read_text())
+        obj["tau2"] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(obj))  # json writes the token NaN
+        code, _, err = run_cli(capsys, "suggest", "--model", str(bad), "--acq", "alm")
+        assert code == 1 and "tau2" in err
+
     def test_malformed_model_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -234,6 +249,24 @@ class TestSequentialCmd:
         assert code == 1
         assert (f"rows 1 and 5 of lookup table {table} give point [1, 1] "
                 "different responses") in err
+
+    def test_init_design_lattice_must_match(self, capsys, tmp_path):
+        # a d=4 design for the snake at --d 6 (and its native d=12), and an
+        # M=3 design for the M=5 snake
+        d4 = tmp_path / "d4.json"
+        run_cli(capsys, "design", "--n", "4", "--d", "4", "--M", "5",
+                "--out", str(d4))
+        m3 = tmp_path / "m3.json"
+        run_cli(capsys, "design", "--n", "4", "--d", "6", "--M", "3",
+                "--out", str(m3))
+        argv = ["sequential", "--simulator", "snake", "--acq", "ucb",
+                "--n-seq", "1"]
+        for extra in (["--d", "6"], []):
+            code, _, err = run_cli(capsys, *argv, *extra, "--init-design", str(d4))
+            assert code == 1
+            assert f"initial design {d4} has d=4" in err
+        code, _, err = run_cli(capsys, *argv, "--d", "6", "--init-design", str(m3))
+        assert code == 1 and "has M=3, expected M=5" in err
 
 
 class TestBenchCmd:

@@ -207,6 +207,13 @@ class TestSerialization:
         D = design_from_array([[2, 2], [1, 1]], 2)
         assert design_from_dict(design_to_dict(D)) == D
 
+    def test_json_m_must_match(self, tmp_path):
+        path = tmp_path / "d.json"
+        save_design(design_from_array([[1, 2]], 2), path)
+        assert load_design(path, M=2).M == 2
+        with pytest.raises(ValueError, match="has M=2, expected M=3"):
+            load_design(path, M=3)
+
     def test_csv_load(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2,3\n3,1,2\n")

@@ -63,6 +63,15 @@ class TestKernelParams:
         with pytest.raises(ValueError):
             KernelParams(np.array([1.0]), 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="theta"):
+            KernelParams(np.array([1.0, bad]), 0.0, 1.0)
+        with pytest.raises(ValueError, match="mu"):
+            KernelParams(np.array([1.0]), bad, 1.0)
+        with pytest.raises(ValueError, match="tau2"):
+            KernelParams(np.array([1.0]), 0.0, bad)
+
 
 class TestPredict:
     def test_interpolation(self):
