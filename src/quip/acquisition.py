@@ -9,22 +9,36 @@ Two criteria are supported, both derived from the fitted surrogate:
 * UCB: pick the point maximizing mean + lambda * stddev.
 
 The global optimizer is a best-first branch-and-bound over one-factor-at-
-a-time assignments. With a subset of factors fixed, each correlation
-g_r factors into an exact prefix times a product of free-factor terms,
-each in [exp(-theta_l), 1]; this sandwiches every g_r in an interval
-[L_r, U_r], with L = f U for one factor f per depth. The mean g'alpha is
-bounded by the box bound sum_r max(alpha_r L_r, alpha_r U_r). Q = g'Wg is
-bounded below by the midpoint-radius bound c'Wc - 2|Wc|'r with
-c = (L + U)/2 and r = (U - L)/2, the tangent plane of the convex Q at c
-(W is positive definite), which keeps the cancellation between entries of
-W of opposite sign. That cancellation is large when theta sits at its
-lower clip and W is ill-conditioned. A popped node expands all M children
-at once: their U rows come from per-factor multiplier tables, and the Q
-bound of every child from one matrix product U W. At the last factor the
-children are exact correlation rows (L = U = g), so leaves are scored
-exactly in one batch, with no design rebuild. The search stops once the
-best open bound no longer exceeds the incumbent, which certifies the
-incumbent as the global optimum.
+a-time assignments. With a subset of factors fixed, each correlation is
+g_r = U_r exp(-t_r): an exact prefix product U_r times the free factors'
+term, with t_r = sum over free j of theta_j * 1{x_j != X_rj} in [0, T].
+Every bound rests on one function, `_linmax`, an upper bound on the
+maximum of a linear function l'g over the subtree. It relaxes each term
+w_r exp(-t_r), w = l o U, to the line w_r - beta_r t_r above it (the
+chord of the convex exp(-t) over [0, T] where w_r >= 0, the tangent at 0
+where w_r < 0), whose maximum over the free levels is exact and separable
+per factor, and keeps the smaller of that and the box bound
+sum_r max(w_r, exp(-T) w_r). It is used three times, with c = a U and
+a = (1 + exp(-T))/2:
+
+* the mean g'alpha, with l = alpha;
+* Q = g'Wg >= -c'Wc + 2(Wc)'g, the tangent plane of the convex Q at c
+  (W is positive definite), which keeps the cancellation between entries
+  of W of opposite sign, large when theta sits at its lower clip;
+* for UCB, where c'Wc < 1, the tangent plane of the concave UCB at c,
+  which reduces to mu + lambda tau2 / sigma(c) + linmax(grad o U) with
+  grad = alpha - lambda tau2 Wc / sigma(c). Each true correlation row has
+  g'Wg <= 1, where UCB is concave. Both terms grow like 1/sigma(c), so it
+  is applied only where 1 - c'Wc is well above its rounding, and the
+  smaller of it and the separate mean-plus-deviation bound is kept.
+
+A popped node expands all M children at once: their U rows come from
+per-factor multiplier tables, and their bounds from one matrix product U W
+and one product of the stacked w rows with a mismatch table built once per
+solve. At the last factor the children are exact correlation rows, so
+leaves are scored exactly in one batch, with no design rebuild. The search
+stops once the best open bound no longer exceeds the incumbent, which
+certifies the incumbent as the global optimum.
 
 Everything is evaluated in floating point, so a certificate holds up to
 rounding: the certified bound is at least the true optimum less
@@ -56,6 +70,9 @@ DEFAULT_GAP = 0.10
 STATUS_OPTIMAL = "optimal"
 STATUS_GAP = "gap_reached"
 STATUS_TIME_LIMIT = "time_limit"
+
+# the UCB tangent needs 1 - c'Wc above this many times its rounding scale
+_TANGENT_GUARD = 64.0
 
 
 @dataclass(frozen=True)
@@ -105,9 +122,9 @@ class _BnB:
     """Best-first branch-and-bound over per-factor level assignments.
 
     The heap holds level prefixes only; a popped node's U is rebuilt from
-    the per-factor multiplier tables, and all M children are bounded (the
-    midpoint-radius bound on Q from one product U W, the box bound on the
-    mean) or, at the last factor, scored exactly, in one batched step.
+    the per-factor multiplier tables, and all M children are bounded (from
+    one product U W and one `_linmax` call over their stacked rows) or, at
+    the last factor, scored exactly, in one batched step.
     """
 
     def __init__(self, model: GpModel, spec: AcquisitionSpec):
@@ -118,22 +135,22 @@ class _BnB:
         self.M = model.design.M
         theta = model.params.theta
         self.order = np.argsort(-theta, kind="stable")  # most influential first
-        decay = np.exp(-theta)
         self.W = cho_solve((model.chol, True), np.eye(self.n))
+        # row sums of |W|: a^2 U|W|1 bounds the rounding scale of c'Wc
+        self.w_abs = np.abs(self.W).sum(axis=1)
         self.alpha = model.alpha
         self.tau2 = model.params.tau2
         self.mu = model.params.mu
-        # product of free-factor minimum terms for each prefix depth
-        free_min = np.ones(self.d + 1)
-        for depth in range(self.d - 1, -1, -1):
-            free_min[depth] = free_min[depth + 1] * decay[self.order[depth]]
-        self.free_min = free_min
-        # F[depth][v-1, r]: correlation multiplier of training point r when
-        # the factor branched at this depth takes level v
+        # T, the summed theta of the free factors, and exp(-T) per depth
+        t = theta[self.order]
+        self.free_theta = np.append(np.cumsum(t[::-1])[::-1], 0.0)
+        self.free_min = np.exp(-self.free_theta)
+        # Z[depth*M + v-1, r]: theta_j * 1{X_rj != v} for the factor j
+        # branched at this depth, and F = exp(-Z) its correlation multiplier
         levels = np.arange(1, self.M + 1)[:, None]
-        self.F = [
-            np.where(self.X[:, j] == levels, 1.0, decay[j]) for j in self.order
-        ]
+        Z = t[:, None, None] * (self.X.T[self.order][:, None, :] != levels)
+        self.Z = Z.reshape(self.d * self.M, self.n)
+        self.F = np.exp(-Z)
 
     def _upper(self, levels: tuple[int, ...]) -> np.ndarray:
         """Exact prefix product U per training point for a level prefix."""
@@ -142,28 +159,63 @@ class _BnB:
             U = U * self.F[depth][v - 1]
         return U
 
-    def _q_low(self, U: np.ndarray, fm: float) -> np.ndarray:
-        """Lower bound on Q = g'Wg over each row's box [fm * U, U] (one row
-        per node).
+    def _linmax(self, w: np.ndarray, depth: int) -> np.ndarray:
+        """Upper bound, per row of w = l o U, on max l'g over the subtree of
+        a node at this depth with prefix products U.
 
-        With c = a*U and r = b*U, a = (1 + fm)/2 and b = (1 - fm)/2, every
-        g = c + e with |e| <= r has Q = c'Wc + 2(Wc)'e + e'We >= c'Wc -
-        2|Wc|'r, since W = K^{-1} is positive definite. With P = U W this is
-        a * rowsum((a P - 2b |P|) o U), one product per call."""
-        P = U @ self.W
-        a, b = 0.5 * (1.0 + fm), 0.5 * (1.0 - fm)
-        return a * np.einsum("ij,ij->i", a * P - 2.0 * b * np.abs(P), U)
+        There g_r = U_r exp(-t_r), t_r = sum over free factors j of theta_j
+        * 1{x_j != X_rj} in [0, T], and w_r exp(-t) <= w_r - beta_r t: the
+        chord beta_r = kappa w_r, kappa = (1 - exp(-T))/T, for w_r >= 0
+        (exp(-t) is convex) and the tangent at 0, beta_r = w_r, for w_r < 0.
+        The right side is linear in the free levels, so its maximum is exact
+        and separable: sum w - sum_j min_v sum_r beta_r Z[j, v, r]. The
+        result is the smaller of that and the box bound sum max(w, fm w)."""
+        T = self.free_theta[depth]
+        beta = np.where(w >= 0.0, (-np.expm1(-T) / T) * w, w)
+        S = beta @ self.Z[depth * self.M:].T
+        sep = w.sum(axis=1) - S.reshape(len(w), -1, self.M).min(axis=2).sum(axis=1)
+        box = np.maximum(w, self.free_min[depth] * w).sum(axis=1)
+        return np.minimum(sep, box)
 
-    def _bounds(self, U: np.ndarray, fm: float) -> np.ndarray:
-        """Admissible upper bounds on the objective over each row's subtree,
-        whose correlations lie in [fm * U, U] (one row per node)."""
-        q_low = self._q_low(U, fm)
+    def _parts(self, U: np.ndarray, depth: int):
+        """Per node row of U at this depth: a lower bound on Q = g'Wg over
+        its subtree and, for UCB, upper bounds on the mean and the UCB
+        tangent plane (inf where it is not applied; None for ALM).
+
+        With c = a U, a = (1 + fm)/2, the convex Q has Q(g) >= -c'Wc +
+        2(Wc)'g, so Q >= -c'Wc - linmax(-2(Wc) o U). Where c'Wc < 1 the
+        concave UCB is at most UCB(c) + grad'(g - c), grad = alpha -
+        lam tau2 Wc / sigma(c); alpha'c cancels, leaving mu + lam tau2 /
+        sigma(c) + linmax(grad o U). It is applied only where 1 - c'Wc
+        exceeds its rounding scale by _TANGENT_GUARD, since both terms grow
+        like 1/sigma(c) and cancel."""
+        fm = self.free_min[depth]
+        a = 0.5 * (1.0 + fm)
+        PU = (U @ self.W) * U  # (Wc) o U / a
+        qc = a * a * PU.sum(axis=1)
+        if self.spec.kind == "alm":
+            return -qc - self._linmax(-2.0 * a * PU, depth), None, None
+        s2 = 1.0 - qc
+        eps = np.finfo(float).eps
+        ok = s2 > _TANGENT_GUARD * self.n * eps * a * a * (U @ self.w_abs)
+        # sigma(c), or any finite stand-in where the tangent is not applied
+        sigma = np.sqrt(self.tau2 * np.where(ok, s2, 1.0))
+        slope = self.spec.lam * self.tau2 / sigma
+        wa = self.alpha * U
+        w = np.concatenate([wa, -2.0 * a * PU, wa - (a * slope)[:, None] * PU])
+        mean, lin, tan = self._linmax(w, depth).reshape(3, len(U))
+        tangent = np.where(ok, self.mu + slope + tan, np.inf)
+        return -qc - lin, self.mu + mean, tangent
+
+    def _bounds(self, U: np.ndarray, depth: int) -> np.ndarray:
+        """Admissible upper bounds on the objective over the subtree of each
+        node row of U at this depth: the variance from the Q bound and, for
+        UCB, the smaller of the mean-plus-deviation bound and the tangent."""
+        q_low, mean_high, tangent = self._parts(U, depth)
         var_high = self.tau2 * np.maximum(0.0, 1.0 - np.maximum(0.0, q_low))
         if self.spec.kind == "alm":
             return var_high
-        w = self.alpha * U  # alpha_r g_r ranges over [fm w_r, w_r] or the reverse
-        mean_high = self.mu + np.maximum(w, fm * w).sum(axis=1)
-        return mean_high + self.spec.lam * np.sqrt(var_high)
+        return np.minimum(mean_high + self.spec.lam * np.sqrt(var_high), tangent)
 
     def _to_factor_order(self, levels: tuple[int, ...]) -> np.ndarray:
         out = np.zeros(self.d, dtype=np.int64)
@@ -178,7 +230,7 @@ class _BnB:
 
         counter = itertools.count()
         U0 = np.ones((1, self.n))
-        root = float(self._bounds(U0, self.free_min[0])[0])
+        root = float(self._bounds(U0, 0)[0])
         heap: list[tuple[float, int, tuple[int, ...]]] = [(-root, next(counter), ())]
 
         # seed incumbent with training points (always feasible re-selections)
@@ -217,7 +269,7 @@ class _BnB:
                     incumbent = float(vals[i])
                     incumbent_levels = self._to_factor_order(levels + (i + 1,))
                 continue
-            child_bounds = self._bounds(Uc, self.free_min[depth + 1])
+            child_bounds = self._bounds(Uc, depth + 1)
             for v, b in enumerate(child_bounds.tolist(), start=1):
                 if b > incumbent + 1e-15:
                     heapq.heappush(heap, (-b, next(counter), levels + (v,)))

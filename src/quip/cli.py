@@ -188,6 +188,7 @@ def _cmd_sequential(args) -> int:
         {
             "n_total": campaign.design.n,
             "iterations": len(campaign.history),
+            "nodes": sum(h["nodes"] for h in campaign.history),
             "best_point": list(point.levels),
             "best_value": value,
         }

@@ -118,6 +118,7 @@ def run_campaign(
                 "certified_bound": rep.certified_bound,
                 "relative_gap": rep.relative_gap,
                 "solver_status": rep.status,
+                "nodes": rep.nodes,
                 "theta": [float(v) for v in model.params.theta],
                 "mu": float(model.params.mu),
                 "tau2": float(model.params.tau2),

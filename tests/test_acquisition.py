@@ -152,7 +152,9 @@ class TestBoundAdmissibility:
     @staticmethod
     def _check_subtrees(model):
         # every internal node's objective bound >= max objective over its
-        # subtree, and the bound on Q alone <= min Q there
+        # subtree, and each use of linmax holds there alone: the Q bound <=
+        # min Q and, for UCB, the mean bound >= max mean and, where applied,
+        # the tangent plane >= max UCB
         d, M = model.design.d, model.design.M
         full = lattice_array(d, M)
         for kind in ("alm", "ucb"):
@@ -160,6 +162,7 @@ class TestBoundAdmissibility:
             bnb = _BnB(model, spec)
             G = np.stack([bnb._upper(tuple(row[bnb.order])) for row in full])
             vals = _objective(model, G, spec)
+            mean = model.params.mu + G @ model.alpha
             Q = np.einsum("ij,ij->i", G @ bnb.W, G)
             for depth in range(d):
                 for prefix in itertools.product(range(1, M + 1), repeat=depth):
@@ -167,16 +170,18 @@ class TestBoundAdmissibility:
                     # branching order
                     inside = np.all(full[:, bnb.order[:depth]] == prefix, axis=1)
                     U = bnb._upper(prefix)[None, :]
-                    fm = bnb.free_min[depth]
-                    bound = bnb._bounds(U, fm)[0]
+                    bound = bnb._bounds(U, depth)[0]
                     assert bound >= vals[inside].max() - 1e-10, (kind, prefix)
-                    q_low = bnb._q_low(U, fm)[0]
+                    (q_low,), mean_high, tangent = bnb._parts(U, depth)
                     assert q_low <= Q[inside].min() + 1e-10, (kind, prefix)
+                    if kind == "ucb":
+                        assert mean_high[0] >= mean[inside].max() - 1e-10, prefix
+                        assert tangent[0] >= vals[inside].max() - 1e-10, prefix
 
     def test_bound_dominates_subtree(self):
         self._check_subtrees(_model(4, n=5, d=3, M=2))
-        # clip-pinned: W has large entries of both signs; on both models a
-        # midpoint bound with (Wc)'r in place of |Wc|'r overshoots min Q
+        # clip-pinned: W has large entries of both signs, so the rows w of
+        # the Q and tangent bounds do too
         self._check_subtrees(_clip_model(0, n=8, d=3, M=3))
         self._check_subtrees(_clip_model(14, n=10, d=4, M=3))
 
@@ -184,6 +189,67 @@ class TestBoundAdmissibility:
     @given(model=_small_models())
     def test_bound_dominates_subtree_property(self, model):
         self._check_subtrees(model)
+
+
+class TestLinmax:
+    """`_linmax` against the brute-force maximum of l'g over every subtree,
+    for random coefficients l of mixed sign (rows w = l o U)."""
+
+    @staticmethod
+    def _check(model, seed):
+        rng = np.random.default_rng(seed)
+        d, M = model.design.d, model.design.M
+        full = lattice_array(d, M)
+        bnb = _BnB(model, AcquisitionSpec("alm"))
+        G = np.stack([bnb._upper(tuple(row[bnb.order])) for row in full])
+        L = rng.normal(size=(8, model.design.n)) * rng.lognormal(size=(8, 1))
+        L[0], L[1] = np.abs(L[0]), -np.abs(L[1])  # one-signed rows too
+        for depth in range(d):
+            for prefix in itertools.product(range(1, M + 1), repeat=depth):
+                inside = np.all(full[:, bnb.order[:depth]] == prefix, axis=1)
+                w = L * bnb._upper(prefix)
+                bound = bnb._linmax(w, depth)
+                brute = (G[inside] @ L.T).max(axis=0)
+                box = np.maximum(w, bnb.free_min[depth] * w).sum(axis=1)
+                tol = 1e-12 * np.abs(w).sum(axis=1)
+                assert np.all(bound >= brute - tol), (depth, prefix)
+                assert np.all(bound <= box), (depth, prefix)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dominates_subtree_max(self, seed):
+        self._check(_model(seed + 30, n=6, d=4, M=3), seed)
+        self._check(_model(seed + 40, n=8, d=3, M=4, theta_scale=0.1), seed)
+        self._check(_clip_model(seed, n=8, d=3, M=3), seed)
+        self._check(_clip_model(seed + 14, n=10, d=4, M=3), seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(model=_small_models(), seed=st.integers(0, 2**16))
+    def test_dominates_subtree_max_property(self, model, seed):
+        self._check(model, seed)
+
+
+class TestUcbTangentGuard:
+    def test_separate_bound_where_cwc_reaches_one(self):
+        # rows U with c'Wc >= 1 or within rounding of 1 (c = a U): there
+        # lam tau2 / sigma(c) and the tangent's slope cancel at a scale that
+        # grows without limit, so the bound is the mean-plus-deviation one
+        for model in (_model(4, n=5, d=3, M=2), _clip_model(14, n=10, d=4, M=3)):
+            spec = AcquisitionSpec("ucb", gap_tolerance=0.0)
+            bnb = _BnB(model, spec)
+            depth = model.design.d - 1
+            u = bnb._upper(tuple(model.design.as_array()[0, bnb.order[:depth]]))
+            a = 0.5 * (1.0 + bnb.free_min[depth])
+            unit = u / (a * np.sqrt(u @ bnb.W @ u))  # c'Wc = 1
+            scales = [1.5, 1.0] + [1.0 - k * 1e-16 for k in range(1, 40)]
+            U = np.stack([s * unit for s in scales])
+            q_low, mean_high, tangent = bnb._parts(U, depth)
+            var_high = model.params.tau2 * np.maximum(0.0, 1.0 - np.maximum(0.0, q_low))
+            separate = mean_high + spec.lam * np.sqrt(var_high)
+            assert np.all(np.isinf(tangent))
+            np.testing.assert_array_equal(bnb._bounds(U, depth), separate)
+            # at the root, far from c'Wc = 1, the tangent applies
+            _, _, tangent = bnb._parts(np.ones((1, model.design.n)), 0)
+            assert np.isfinite(tangent[0])
 
 
 class TestLeafValues:

@@ -195,6 +195,7 @@ class TestSequentialCmd:
         assert obj["n_total"] == 5
         saved = json.loads(out_file.read_text())
         assert len(saved["history"]) == 3
+        assert obj["nodes"] == sum(h["nodes"] for h in saved["history"])
 
     def test_csv_simulator_infers_m(self, capsys, tmp_path):
         # exhaustive table on {1,2,3}^3, best at (3,3,3): without --M the

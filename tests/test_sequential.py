@@ -78,6 +78,24 @@ class TestRunCampaign:
                 _synthetic(Point(tuple(h["point"]), 2)), abs=1e-12
             )
 
+    def test_history_records_solve_nodes(self, monkeypatch):
+        import quip.sequential as seq
+
+        reps = []
+
+        def recording(model, spec):
+            reps.append(optimize_acquisition(model, spec))
+            return reps[-1]
+
+        monkeypatch.setattr(seq, "optimize_acquisition", recording)
+        D = design_from_array([[1, 1, 1], [2, 2, 2]], 2)
+        f = np.array([_synthetic(p) for p in D.points])
+        c = run_campaign(
+            D, f, _synthetic, AcquisitionSpec("ucb", gap_tolerance=0.0), 3, seed=0
+        )
+        assert [h["nodes"] for h in c.history] == [r.nodes for r in reps]
+        assert all(r.nodes > 0 for r in reps)
+
     def test_alm_no_repeats_while_uncovered(self):
         # noiseless GP: variance is zero at sampled points, positive
         # elsewhere, so ALM never re-selects while the lattice is uncovered
