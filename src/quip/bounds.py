@@ -5,6 +5,15 @@ n-point design always attains; the upper bound :func:`code_size_bound`
 caps how many rows a design at a given distance can have, which rules a
 distance target out without a search.
 
+The upper bound's Plotkin term counts pairs exactly (Plotkin 1960, "Binary
+codes with specified minimum distance", IRE Trans. IT-6): the pairwise
+distances of n rows sum to at least C(n, 2)*q, and one column makes at
+most C(n, 2) minus the agreeing pairs of balanced level counts differ. The
+largest n passing that test is found by a scan that ends at the
+real-valued Plotkin bound, which caps it. For binary designs at odd q the
+parity extension A_2(d, q) = A_2(d+1, q+1) (MacWilliams & Sloane 1977,
+"The Theory of Error-Correcting Codes", ch. 2) tightens it further.
+
 All arithmetic is exact big-integer arithmetic: M**d overflows fixed-width
 integers long before reaching interesting problem sizes, and a single
 rounding error would invalidate the feasibility guarantee. Comparisons of
@@ -62,6 +71,21 @@ def q0(n: int, d: int, M: int) -> int:
     return gilbert_q(n, d, M)
 
 
+def _column_pairs(n: int, M: int) -> int:
+    """Most pairs of n rows that one column with M levels can make differ:
+    C(n, 2) minus the agreeing pairs of the balanced level counts (n = k*M
+    + r gives r counts of k+1 and M-r counts of k)."""
+    k, r = divmod(n, M)
+    return comb(n, 2) - r * comb(k + 1, 2) - (M - r) * comb(k, 2)
+
+
+def _plotkin(m: int, q: int, M: int) -> int:
+    """Largest n with C(n, 2)*q <= m*P(n, M), an upper bound on A_M(m, q)
+    for M*q > (M-1)*m; P is :func:`_column_pairs`."""
+    cap = M * q // (M * q - (M - 1) * m)
+    return max(n for n in range(1, cap + 1) if comb(n, 2) * q <= m * _column_pairs(n, M))
+
+
 def code_size_bound(d: int, q: int, M: int) -> int:
     """Upper bound on A_M(d, q): rows of a design in {1..M}^d whose pairwise
     Hamming distances are all >= q, for q >= 1.
@@ -71,9 +95,19 @@ def code_size_bound(d: int, q: int, M: int) -> int:
     - Singleton: M**(d-q+1) (delete q-1 columns; the rows stay distinct);
     - sphere packing: balls of radius (q-1)//2 around the rows are disjoint;
     - Plotkin on a shortened code: for every m <= d with M*q > (M-1)*m,
-      M**(d-m) * (M*q // (M*q - (M-1)*m)). Keeping the rows with the most
-      common level of a column and deleting it loses at most a factor M of
-      the rows; Plotkin's averaging argument bounds the rest at length m.
+      M**(d-m) * A, where A bounds the rows at length m. Keeping the rows
+      with the most common level of a column and deleting it loses at most
+      a factor M of the rows. A is Plotkin's (1960) averaging argument in
+      integers: n rows at pairwise distance >= q have pair distances summing
+      to at least C(n, 2)*q, and one column makes at most P(n, M) pairs
+      differ (:func:`_column_pairs`), so C(n, 2)*q <= m*P(n, M). A is the
+      largest n passing this test. Since P(n, M) <= n**2*(M-1)/(2*M), no n
+      above M*q // (M*q - (M-1)*m) passes (the real-valued Plotkin bound),
+      so the scan stops there and A never exceeds it.
+
+    For M = 2 and odd q, the binary parity extension also applies: a parity
+    column turns every distance of exactly q into q+1, so A_2(d, q) =
+    A_2(d+1, q+1) (MacWilliams & Sloane 1977, ch. 2).
 
     For q > d at most one row fits. For q <= 0 no bound exists (rows may
     repeat), so the call is rejected.
@@ -86,7 +120,8 @@ def code_size_bound(d: int, q: int, M: int) -> int:
         return 1
     best = min(M ** (d - q + 1), M**d // hamming_ball(d, (q - 1) // 2, M))
     for m in range(1, d + 1):
-        slack = M * q - (M - 1) * m
-        if slack > 0:
-            best = min(best, M ** (d - m) * (M * q // slack))
+        if M * q > (M - 1) * m:
+            best = min(best, M ** (d - m) * _plotkin(m, q, M))
+    if M == 2 and q % 2 == 1:
+        best = min(best, code_size_bound(d + 1, q + 1, 2))
     return best

@@ -30,13 +30,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_bound(args) -> int:
+    n, d, M = args.n, args.d, args.M
     encoding.write_json(
         {
-            "n": args.n,
-            "d": args.d,
-            "M": args.M,
-            "q0": bounds.q0(args.n, args.d, args.M),
-            "gilbert_q": bounds.gilbert_q(args.n, args.d, args.M),
+            "n": n,
+            "d": d,
+            "M": M,
+            "q0": bounds.q0(n, d, M),
+            "gilbert_q": bounds.gilbert_q(n, d, M),
+            # the maximin ascent's ceiling: q* lies in [q0, q_upper]
+            "q_upper": max(
+                (q for q in range(1, d + 1) if bounds.code_size_bound(d, q, M) >= n), default=0
+            ),
         }
     )
     return EXIT_OK
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     limits = argparse.ArgumentParser(add_help=False, parents=[time_limit])
     limits.add_argument("--gap", type=float, default=acquisition.DEFAULT_GAP)
 
-    b = sub.add_parser("bound", parents=[lattice], help="feasible-distance bounds")
+    b = sub.add_parser("bound", parents=[lattice], help="maximin distance bounds q0 and q_upper")
     b.set_defaults(func=_cmd_bound)
 
     d = sub.add_parser("design", parents=[lattice, time_limit],

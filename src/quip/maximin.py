@@ -10,9 +10,12 @@ pairwise Hamming distance >= q exist?" is answered by a two-phase solver:
    certifies infeasibility by exhaustion.
 
 The maximin driver raises q while a witness exists. Its optimum q* is
-certified either by exhaustion (the solve at q*+1 is infeasible) or by a
-bound (:func:`quip.bounds.code_size_bound` admits fewer than n rows at
-distance q*+1, so no solve is needed).
+certified either by a bound (:func:`quip.bounds.code_size_bound` admits
+fewer than n rows at distance q*+1, so no solve is needed) or by
+exhaustion (the solve at q*+1 is infeasible). The bound counts the pairs
+one column can make differ exactly and applies the binary parity
+extension, so exhaustion is rare: it decides only where the bound is
+loose, and no instance of the benchmark suite needs it.
 
 The complete search assigns one cell at a time (row-major) and breaks the
 problem's symmetries -- row permutations and independent per-column level
@@ -365,12 +368,13 @@ def optimize_maximin(
     q0(n, d, M), then raise the target by one (warm-starting from the last
     witness) while code_size_bound admits n rows at the target.
 
-    The ascent ends with a certificate: "exhaustion" when the feasibility
-    solve at q_star+1 is infeasible, "bound" when code_size_bound rules
+    The ascent ends with a certificate: "bound" when code_size_bound rules
     q_star+1 out (this covers q_star = d, and the pigeonhole cap q_star <=
-    d-1 for n > M, which is Singleton's bound at q = d). When a
-    feasibility solve times out, the incumbent design is returned with
-    certificate None (certified False): q_star is then only a lower bound.
+    d-1 for n > M, which is Singleton's bound at q = d), "exhaustion" when
+    the bound is loose there and the feasibility solve at q_star+1 is
+    infeasible. When a feasibility solve times out, the incumbent design is
+    returned with certificate None (certified False): q_star is then only a
+    lower bound.
     """
     if n < 2:
         raise ValueError("optimize_maximin needs n >= 2")

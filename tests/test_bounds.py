@@ -64,11 +64,25 @@ class TestQ0:
 class TestCodeSizeBound:
     @pytest.mark.parametrize("d, q, M, upper", [
         (7, 4, 2, 8),  # Plotkin
-        (8, 7, 5, 11),  # Plotkin on the full length
+        # Plotkin on the full length, counting pairs: one column makes at
+        # most C(11, 2) - 3 - 4*1 = 48 of 11 rows' pairs differ, and
+        # 55*7 = 385 > 8*48; for 10 rows 45*7 = 315 <= 8*40. The
+        # real-valued Plotkin bound gives 35 // 3 = 11.
+        (8, 7, 5, 10),
         (8, 8, 9, 9),  # Singleton = Plotkin
         (4, 3, 3, 9),  # Singleton, sphere packing and Plotkin agree
         (4, 2, 2, 8),  # Singleton
-        (5, 3, 2, 5),  # sphere packing beats Plotkin's 6
+        # counting pairs on 4 columns: 3*3 = 9 > 4*2 rules out 3 rows, so
+        # A_2(5, 3) <= 2 * 2 = 4 (the parity extension A_2(6, 4) <= 4
+        # agrees: 6*4 <= 6*4, and 5 rows exceed the cap 8 // 2); sphere
+        # packing gives 32 // 6 = 5
+        (5, 3, 2, 4),
+        # parity extension: A_2(9, 5) = A_2(10, 6) <= 6 (15*6 <= 10*9,
+        # and 7 rows exceed the cap 12 // 2), where counting pairs on 9
+        # columns alone gives 8
+        (9, 5, 2, 6),
+        (8, 7, 3, 3),  # counting pairs: 6*7 = 42 > 8*5 rules out 4 rows
+        (6, 5, 3, 4),  # counting pairs: 10*5 = 50 > 6*8 rules out 5 rows
         (5, 1, 3, 3**5),  # distinct rows: the whole lattice
         (4, 5, 3, 1),  # q > d: two rows differ in at most d columns
         (1, 2, 2, 1),
@@ -87,6 +101,28 @@ class TestCodeSizeBound:
                 assert code_size_bound(d, q, M) >= n, (n, d, M, q)
                 checked += 1
         assert checked >= 50
+
+    def test_never_above_the_real_valued_formula(self):
+        # the minimum of Singleton, sphere packing and the real-valued
+        # shortened Plotkin bound, as code_size_bound was before counting
+        # pairs and the parity extension
+        def real_valued(d, q, M):
+            best = min(M ** (d - q + 1), M**d // hamming_ball(d, (q - 1) // 2, M))
+            for m in range(1, d + 1):
+                slack = M * q - (M - 1) * m
+                if slack > 0:
+                    best = min(best, M ** (d - m) * (M * q // slack))
+            return best
+
+        for d, M in itertools.product(range(1, 13), range(2, 10)):
+            for q in range(1, d + 1):
+                assert code_size_bound(d, q, M) <= real_valued(d, q, M), (d, q, M)
+
+    def test_nonincreasing_in_q(self):
+        # so the ascent's first q with fewer than n rows is its ceiling
+        for d, M in itertools.product(range(1, 13), range(2, 10)):
+            sizes = [code_size_bound(d, q, M) for q in range(1, d + 2)]
+            assert sizes == sorted(sizes, reverse=True), (d, M)
 
     def test_nonpositive_distance_has_no_bound(self):
         # rows may repeat at q <= 0: any number of them fits

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from quip import maximin
 from quip.cli import build_parser, main
 
 
@@ -20,7 +21,14 @@ class TestBound:
         obj = json.loads(out)
         assert obj["schema_version"] == 1
         assert obj["q0"] == 1
-        assert set(obj) == {"schema_version", "n", "d", "M", "q0", "gilbert_q"}
+        # A_2(3, 3) <= 2 < 4 rows, but (111, 122, 212, 221) is at distance 2
+        assert obj["q_upper"] == 2
+        assert set(obj) == {"schema_version", "n", "d", "M", "q0", "gilbert_q", "q_upper"}
+
+    def test_upper_zero_past_the_lattice(self, capsys):
+        # more rows than {1, 2}^2 holds: no distance q >= 1 admits them
+        _, out, _ = run_cli(capsys, "bound", "--n", "5", "--d", "2", "--M", "2")
+        assert json.loads(out)["q_upper"] == 0
 
     def test_usage_error_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--n", "4")
@@ -42,7 +50,9 @@ class TestDesign:
         saved = json.loads(out_file.read_text())
         assert saved["n"] == 2
 
-    def test_certificate_by_exhaustion(self, capsys):
+    def test_certificate_by_exhaustion(self, capsys, monkeypatch):
+        # under the Singleton bound alone, q = 5 is decided by exhaustion
+        monkeypatch.setattr(maximin, "code_size_bound", lambda d, q, M: M ** (d - q + 1))
         code, out, _ = run_cli(capsys, "design", "--n", "5", "--d", "6", "--M", "3")
         obj = json.loads(out)
         assert code == 0 and obj["q_star"] == 4

@@ -23,6 +23,12 @@ from quip.maximin import (
 )
 
 
+def singleton_only(monkeypatch):
+    """Stop the maximin ascent at the Singleton bound alone, so that (5, 6, 3)
+    still reaches the q = 5 solve, which only exhaustion decides."""
+    monkeypatch.setattr(maximin, "code_size_bound", lambda d, q, M: M ** (d - q + 1))
+
+
 class TestFeasibilityInstance:
     def test_invalid_distance(self):
         with pytest.raises(InvalidDistanceError):
@@ -216,7 +222,7 @@ class TestOptimizeMaximin:
     @pytest.mark.parametrize("n, d, M, limit, q_star", [
         (9, 7, 2, None, 3), (20, 8, 5, 5.0, 6)])
     def test_certified_by_bound(self, n, d, M, limit, q_star):
-        # Plotkin: A_2(7, 4) <= 8 < 9 and A_5(8, 7) <= 11 < 20, so the
+        # Plotkin: A_2(7, 4) <= 8 < 9 and A_5(8, 7) <= 10 < 20, so the
         # witness at q* certifies it with no exhaustive solve
         r = optimize_maximin(n, d, M, time_limit=limit)
         assert r.certificate == "bound" and r.certified
@@ -224,12 +230,26 @@ class TestOptimizeMaximin:
         assert r.q_star == q_star
         assert min_pairwise_distance(r.design) >= r.q_star
 
-    def test_certified_by_exhaustion(self):
-        # no bound rules out q = 5 for (5, 6, 3): the solve there is
-        # infeasible by exhaustion
+    @pytest.mark.parametrize("n, d, M, q_star", [
+        (4, 8, 3, 6), (5, 6, 3, 4), (5, 5, 2, 2), (7, 9, 2, 4)])
+    def test_column_count_and_parity_bounds_certify(self, n, d, M, q_star):
+        # counting the pairs one column makes differ rules out A_3(8, 7) >=
+        # 4 (6*7 > 8*5), A_3(6, 5) >= 5 (10*5 > 6*8) and A_2(4, 3) >= 3
+        # (3*3 > 4*2, so A_2(5, 3) <= 4); the parity extension gives
+        # A_2(9, 5) = A_2(10, 6) <= 6. Without these bounds each needs an
+        # exhaustive solve (the last one of 13.2M nodes).
+        r = optimize_maximin(n, d, M)
+        assert r.q_star == q_star and r.certificate == "bound"
+        assert all(rep.status == FEASIBLE for rep in r.trace)
+
+    def test_certified_by_exhaustion(self, monkeypatch):
+        # under the Singleton bound alone, q = 5 stays open for (5, 6, 3):
+        # the solve there is infeasible by exhaustion
+        singleton_only(monkeypatch)
         r = optimize_maximin(5, 6, 3)
         assert r.q_star == 4 and r.certificate == "exhaustion"
         assert r.trace[-1].status == INFEASIBLE and r.trace[-1].q == 5
+        assert r.trace[-1].nodes_explored == 9678
 
     def test_trace_records_all_targets(self):
         r = optimize_maximin(3, 3, 2)
@@ -282,6 +302,7 @@ class TestOptimizeMaximin:
 
         monkeypatch.setattr(maximin, "solve_feasibility", tracked_solve)
         monkeypatch.setattr(maximin, "_greedy_rows", cold_greedy)
+        singleton_only(monkeypatch)
         r = optimize_maximin(5, 6, 3)
         assert r.certificate == "exhaustion"  # the failed repair was searched
         assert warm == [False] + [True] * (len(warm) - 1)
