@@ -12,11 +12,15 @@ Cholesky factorization stable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
@@ -35,6 +39,12 @@ _MAX_ITER = 200  # cap on L-BFGS-B iterations per start
 LOG_THETA_LO = math.log(1e-3)
 LOG_THETA_HI = math.log(10.0)
 _FAILED_NLL = 1e10  # objective where the Cholesky factorisation fails
+_SOBOL_BITS = 30
+# Joe-Kuo direction numbers as scipy ships them; np.load reads the file
+# without executing scipy.stats
+_SOBOL_DIRECTIONS = os.path.join(
+    os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz"
+)
 
 
 class DegenerateResponseError(ValueError):
@@ -69,6 +79,10 @@ class FitConfig:
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError(f"n_starts={self.n_starts} must be at least 1")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed={seed!r} must be a non-negative int")
+        object.__setattr__(self, "seed", int(seed))
 
 
 @dataclass(frozen=True)
@@ -134,9 +148,12 @@ def _mismatch(X: np.ndarray) -> np.ndarray:
     return (X[:, None, :] != X[None, :, :]).reshape(-1, X.shape[1]).astype(float)
 
 
-def _nll_and_grad(log_theta: np.ndarray, E: np.ndarray, f: np.ndarray, nugget: float):
+def _nll_and_grad(
+    log_theta: np.ndarray, E: np.ndarray, f: np.ndarray, nugget: float, rhs=None
+):
     """Negative profile log-likelihood, its gradient in log-theta and the
     fitted (theta, mu, tau2); None when the Cholesky factorisation fails.
+    `rhs` is the (n, 2) right-hand side [f, 1], built here when not given.
 
     With K = Gamma + nugget*I, a = K^{-1}(f - mu*1) and tau2 = (f - mu)'a/n,
     d nll / d log theta_l = -theta_l/2 * sum_ij E_l * Gamma * (K^{-1} - aa'/tau2)
@@ -144,23 +161,26 @@ def _nll_and_grad(log_theta: np.ndarray, E: np.ndarray, f: np.ndarray, nugget: f
     profiled, so it contributes no term).
     """
     n = f.size
+    if rhs is None:
+        rhs = np.column_stack([f, np.ones(n)])
     theta = np.exp(log_theta)
     gamma = np.exp(-(E @ theta)).reshape(n, n)
     gamma.flat[:: n + 1] += nugget
     L, info = dpotrf(gamma, lower=1)  # the upper triangle of L is zeroed
     if info != 0:
         return None
-    sol, _ = dpotrs(L, np.column_stack([f, np.ones(n)]), lower=1)
-    mu = sol[:, 0].sum() / sol[:, 1].sum()
+    sol, _ = dpotrs(L, rhs, lower=1)
+    sums = sol.sum(axis=0)
+    mu = sums[0] / sums[1]
     a = sol[:, 0] - mu * sol[:, 1]
     tau2 = float((f - mu) @ a) / n
     if not tau2 > 0:
         return None
-    nll = 0.5 * n * math.log(tau2) + float(np.sum(np.log(np.diagonal(L))))
+    nll = 0.5 * n * math.log(tau2) + float(np.log(L.diagonal()).sum())
     K_inv, _ = dpotri(L, lower=1)  # lower triangle of K^{-1}, zeros above
     # the diagonal of E is zero, so twice the strict lower triangle of
     # K^{-1} gives the symmetric sum
-    W = (2.0 * K_inv - np.outer(a, a / tau2)) * gamma
+    W = (2.0 * K_inv - a[:, None] * (a / tau2)) * gamma
     grad = -0.5 * theta * (W.ravel() @ E)
     return nll, grad, (theta, mu, tau2)
 
@@ -183,16 +203,72 @@ def _check_duplicate_rows(X: np.ndarray, f: np.ndarray) -> None:
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _sobol(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of scipy's scrambled Sobol sequence in d
+    dimensions, bit for bit `qmc.Sobol(d, scramble=True, seed=seed).random(n)`:
+    Joe-Kuo direction numbers in 30 bits, a random digital shift and a
+    lower-triangular (LMS) scramble drawn in that order from
+    `default_rng(seed)`, points in Gray-code order. Read-only and cached:
+    every fit of a campaign asks for the same starts."""
+    B = _SOBOL_BITS
+    try:
+        with np.load(_SOBOL_DIRECTIONS) as z:
+            poly, vinit = z["poly"], z["vinit"]
+    except OSError as exc:
+        raise RuntimeError(
+            f"Sobol direction numbers not found at {_SOBOL_DIRECTIONS} "
+            "(scipy >= 1.7 ships them)"
+        ) from exc
+    if d > poly.size:
+        raise ValueError(f"d={d} exceeds the {poly.size} Sobol dimensions")
+    # direction numbers v[j, i] < 2^(i+1) by the Bratley-Fox recursion,
+    # then left-aligned in B bits
+    v = [[1] * B]
+    for j in range(1, d):
+        p = int(poly[j])
+        m = p.bit_length() - 1
+        row = [int(x) for x in vinit[j, :m]]
+        for i in range(m, B):
+            new = row[i - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= row[i - k - 1] << (k + 1)
+            row.append(new)
+        v.append(row)
+    v = np.array(v, dtype=np.int64).reshape(d, B) << np.arange(B - 1, -1, -1)
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(d, B), dtype=np.uint32).astype(np.int64) @ (
+        1 << np.arange(B)
+    )
+    ltm = np.tril(rng.integers(2, size=(d, B, B), dtype=np.uint32)).astype(np.int64)
+    ltm[:, np.arange(B), np.arange(B)] = 1
+    # scrambled v[j, i]: bit B-1-p is the parity of row p of ltm (most
+    # significant bit first) against the bits of v[j, i]
+    msb = 1 << np.arange(B - 1, -1, -1)
+    vbits = (v[:, :, None] & msb) != 0  # (d, B, B), most significant first
+    sv = ((vbits.astype(np.int64) @ ltm.transpose(0, 2, 1)) & 1) @ msb
+    gray = np.arange(n) ^ (np.arange(n) >> 1)
+    used = (gray[:, None] >> np.arange(B)) & 1 != 0  # (n, B)
+    q = np.bitwise_xor.reduce(np.where(used[:, None, :], sv[None], 0), axis=2)
+    out = (q ^ shift) * (1.0 / 2**B)
+    out.flags.writeable = False
+    return out
+
+
 def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
     """Fit kernel parameters by multi-start maximum likelihood.
 
     The mean and variance are profiled analytically at each candidate
-    theta. From one unit start plus a seeded low-discrepancy scatter, each
-    search runs L-BFGS-B in log-theta within the clip bounds, on the
-    analytic gradient of the profile likelihood; the mismatch matrix is
-    built once per fit. The returned likelihood dominates the likelihood
-    at every start. A theta whose Cholesky factorisation fails scores a
-    large finite value with zero gradient, so the line search backs off.
+    theta. From one unit start plus a seeded scrambled Sobol scatter
+    (`_sobol`: scipy's `qmc.Sobol` points, made without importing
+    `scipy.stats`), each search runs L-BFGS-B in log-theta within the clip
+    bounds, on the analytic gradient of the profile likelihood; the
+    mismatch matrix is built once per fit. The returned likelihood
+    dominates the likelihood at every start; starts and search results are
+    looked up among the evaluations the searches made, not evaluated again.
+    A theta whose Cholesky factorisation fails scores a large finite value
+    with zero gradient, so the line search backs off.
 
     Constant responses (zero variance) yield a flagged constant-predictor
     model rather than an error. Identical rows with different responses
@@ -200,7 +276,6 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
     """
     # imported here: the optimiser stack roughly doubles `import quip`
     from scipy.optimize import minimize
-    from scipy.stats import qmc
 
     config = config or FitConfig()
     f = np.asarray(f, dtype=float)
@@ -218,16 +293,24 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
 
     d = D.d
     E = _mismatch(X)
+    rhs = np.column_stack([f, np.ones(D.n)])
     starts = [np.zeros(d)]
     if config.n_starts > 1:
         m = config.n_starts - 1
         pow2 = 1 << (m - 1).bit_length()  # Sobol balance wants powers of two
-        sob = qmc.Sobol(d, scramble=True, seed=config.seed)
-        extra = sob.random(pow2)[:m]
+        extra = _sobol(d, pow2, config.seed)[:m]
         starts.extend(LOG_THETA_LO + (LOG_THETA_HI - LOG_THETA_LO) * extra)
 
+    memo = {}  # every evaluation of this fit, by the bytes of log-theta
+
+    def evaluate(lt):
+        key = lt.tobytes()
+        if key not in memo:
+            memo[key] = _nll_and_grad(lt, E, f, DEFAULT_NUGGET, rhs)
+        return memo[key]
+
     def objective(lt):
-        out = _nll_and_grad(lt, E, f, DEFAULT_NUGGET)
+        out = evaluate(lt)
         return (_FAILED_NLL, np.zeros(d)) if out is None else out[:2]
 
     best_nll = np.inf
@@ -242,7 +325,7 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
             options={"maxiter": _MAX_ITER},
         )
         for lt in (s, res.x):
-            out = _nll_and_grad(lt, E, f, DEFAULT_NUGGET)
+            out = evaluate(lt)
             if out is not None and out[0] < best_nll:
                 best_nll, best = out[0], out[2]
     if best is None:

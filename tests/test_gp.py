@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 import os
 import subprocess
 import sys
@@ -139,6 +141,15 @@ class TestFitMle:
         with pytest.raises(ValueError, match="n_starts"):
             FitConfig(n_starts=n_starts)
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, True, "3", None])
+    def test_seed_must_be_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            FitConfig(seed=seed)
+
+    def test_numpy_integer_seed_becomes_int(self):
+        cfg = FitConfig(seed=np.uint64(3458842753))
+        assert type(cfg.seed) is int and cfg.seed == 3458842753
+
     def test_non_finite_rejected(self):
         D = design_from_array([[1, 1], [2, 2]], 2)
         with pytest.raises(ValueError):
@@ -261,6 +272,128 @@ class TestLikelihood:
             fit_mle(D, [0.0, 1.0, 2.0], FitConfig(n_starts=2))
 
 
+_SOBOL_SEEDS = [0, 1, 17, 3458842753, 2**32 + 5]
+
+
+class TestSobol:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12, 20, 40])
+    def test_matches_scipy_scrambled_sobol(self, d):
+        from scipy.stats import qmc
+
+        for seed in _SOBOL_SEEDS:
+            for n in [1 << k for k in range(7)]:
+                want = qmc.Sobol(d, scramble=True, seed=seed).random(n)
+                assert np.array_equal(gp._sobol(d, n, seed), want), (d, n, seed)
+
+    def test_cached_and_read_only(self):
+        a = gp._sobol(4, 8, 3)
+        assert gp._sobol(4, 8, 3) is a
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.5
+
+    def test_missing_direction_numbers_raise(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(gp, "_SOBOL_DIRECTIONS", str(tmp_path / "absent.npz"))
+        with pytest.raises(RuntimeError, match="direction numbers"):
+            gp._sobol.__wrapped__(3, 4, 0)
+
+
+def _parent_nll_and_grad(log_theta, E, f, nugget):
+    """The likelihood as fit_mle evaluated it before its leaner loop."""
+    n = f.size
+    theta = np.exp(log_theta)
+    gamma = np.exp(-(E @ theta)).reshape(n, n)
+    gamma.flat[:: n + 1] += nugget
+    L, info = gp.dpotrf(gamma, lower=1)
+    if info != 0:
+        return None
+    sol, _ = gp.dpotrs(L, np.column_stack([f, np.ones(n)]), lower=1)
+    mu = sol[:, 0].sum() / sol[:, 1].sum()
+    a = sol[:, 0] - mu * sol[:, 1]
+    tau2 = float((f - mu) @ a) / n
+    if not tau2 > 0:
+        return None
+    nll = 0.5 * n * math.log(tau2) + float(np.sum(np.log(np.diagonal(L))))
+    K_inv, _ = gp.dpotri(L, lower=1)
+    W = (2.0 * K_inv - np.outer(a, a / tau2)) * gamma
+    grad = -0.5 * theta * (W.ravel() @ E)
+    return nll, grad, (theta, mu, tau2)
+
+
+def _parent_fit(D, f, cfg):
+    """(theta, mu, tau2) by the earlier fit_mle: qmc.Sobol starts, and the
+    start and result of every search evaluated again."""
+    from scipy.optimize import minimize
+    from scipy.stats import qmc
+
+    d = D.d
+    E = gp._mismatch(D.as_array())
+    starts = [np.zeros(d)]
+    if cfg.n_starts > 1:
+        m = cfg.n_starts - 1
+        pow2 = 1 << (m - 1).bit_length()
+        extra = qmc.Sobol(d, scramble=True, seed=cfg.seed).random(pow2)[:m]
+        starts.extend(gp.LOG_THETA_LO + (gp.LOG_THETA_HI - gp.LOG_THETA_LO) * extra)
+
+    def objective(lt):
+        out = _parent_nll_and_grad(lt, E, f, gp.DEFAULT_NUGGET)
+        return (gp._FAILED_NLL, np.zeros(d)) if out is None else out[:2]
+
+    best_nll, best = np.inf, None
+    for s in starts:
+        res = minimize(objective, s, jac=True, method="L-BFGS-B",
+                       bounds=[(gp.LOG_THETA_LO, gp.LOG_THETA_HI)] * d,
+                       options={"maxiter": gp._MAX_ITER})
+        for lt in (s, res.x):
+            out = _parent_nll_and_grad(lt, E, f, gp.DEFAULT_NUGGET)
+            if out is not None and out[0] < best_nll:
+                best_nll, best = out[0], out[2]
+    return best
+
+
+def _frozen_campaign_state(iteration):
+    """Design, responses and fit seed before an iteration of the snake
+    campaign frozen in perfbench/refs.json."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "refs.json")) as fh:
+        c = json.load(fh)["campaign"]
+    n = c["n_init"] + iteration - 1
+    D = design_from_array(np.asarray(c["points"][:n]), c["M"])
+    return D, np.asarray(c["responses"][:n], dtype=float), c["fit_seed"]
+
+
+class TestFitOracle:
+    """fit_mle returns the same bits as the earlier procedure, in-process."""
+
+    def _check(self, D, f, seed, n_starts):
+        cfg = FitConfig(n_starts=n_starts, seed=seed)
+        theta, mu, tau2 = _parent_fit(D, f, cfg)
+        p = fit_mle(D, f, cfg).params
+        assert np.array_equal(p.theta, theta)
+        assert p.mu == mu and p.tau2 == tau2
+
+    @pytest.mark.parametrize("n_starts", [4, 8])
+    @pytest.mark.parametrize("k", range(6))
+    def test_snake_models(self, k, n_starts):
+        D, f, cfg = _snake_model(k)
+        self._check(D, f, cfg.seed, n_starts)
+
+    @pytest.mark.parametrize("n_starts", [4, 8])
+    @pytest.mark.parametrize("iteration", [1, 16, 30])
+    def test_frozen_campaign_states(self, iteration, n_starts):
+        D, f, seed = _frozen_campaign_state(iteration)
+        self._check(D, f, seed, n_starts)
+
+    def test_leaner_likelihood_same_bits(self):
+        D, f, _ = _snake_model(3)
+        E = gp._mismatch(D.as_array())
+        rhs = np.column_stack([f, np.ones(D.n)])
+        for lt in np.random.default_rng(0).uniform(gp.LOG_THETA_LO, gp.LOG_THETA_HI, (20, 8)):
+            nll, grad, (th, mu, tau2) = gp._nll_and_grad(lt, E, f, gp.DEFAULT_NUGGET, rhs)
+            nll0, grad0, (th0, mu0, tau20) = _parent_nll_and_grad(lt, E, f, gp.DEFAULT_NUGGET)
+            assert (nll, mu, tau2) == (nll0, mu0, tau20)
+            assert np.array_equal(grad, grad0) and np.array_equal(th, th0)
+
+
 class TestDuplicateRows:
     def _data(self):
         rng = np.random.default_rng(0)
@@ -322,13 +455,19 @@ class TestSerialization:
 
 
 def test_import_leaves_optimiser_stack_unloaded():
-    # fit_mle imports scipy.optimize and scipy.stats itself, so that
-    # `import quip` does not pay for them
+    # fit_mle imports scipy.optimize itself, so that `import quip` does not
+    # pay for it; scipy.stats is never imported, as the Sobol starts are
+    # made in-house
     src = os.path.dirname(os.path.dirname(os.path.abspath(quip.__file__)))
     code = (
         "import sys, quip; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') "
-        "if m in sys.modules))"
+        "mods = lambda: sorted(m for m in ('scipy.optimize', 'scipy.stats') "
+        "if m in sys.modules); "
+        "print(mods()); "
+        "from quip.encoding import design_from_array; "
+        "D = design_from_array([[1, 1, 2], [2, 2, 1], [1, 2, 3], [3, 1, 1]], 3); "
+        "quip.gp.fit_mle(D, [0.5, 1.0, -0.3, 2.0], quip.gp.FitConfig(n_starts=4)); "
+        "print(mods())"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -338,4 +477,4 @@ def test_import_leaves_optimiser_stack_unloaded():
         check=True,
         timeout=120,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:2] == ["[]", "['scipy.optimize']"]

@@ -56,6 +56,14 @@ class TestCampaignBasics:
         assert c.history == ()
         assert c.design == D
 
+    def test_negative_seed_rejected_before_any_iteration(self):
+        D = design_from_array([[1, 1], [2, 2]], 2)
+        calls = []
+        with pytest.raises(ValueError, match="seed=-1"):
+            run_campaign(D, np.array([0.0, 1.0]), calls.append,
+                         AcquisitionSpec("alm"), 2, seed=-1)
+        assert calls == []
+
     def test_best_so_far(self):
         D = design_from_array([[1, 1], [2, 2], [1, 2]], 2)
         c = Campaign(D, np.array([1.0, 5.0, 5.0]), AcquisitionSpec("alm"), 0)
