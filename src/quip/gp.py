@@ -149,11 +149,11 @@ def _mismatch(X: np.ndarray) -> np.ndarray:
 
 
 def _nll_and_grad(
-    log_theta: np.ndarray, E: np.ndarray, f: np.ndarray, nugget: float, rhs=None
+    log_theta: np.ndarray, E: np.ndarray, f: np.ndarray, rhs: np.ndarray, nugget: float
 ):
     """Negative profile log-likelihood, its gradient in log-theta and the
     fitted (theta, mu, tau2); None when the Cholesky factorisation fails.
-    `rhs` is the (n, 2) right-hand side [f, 1], built here when not given.
+    `rhs` is the (n, 2) right-hand side [f, 1], built once per fit.
 
     With K = Gamma + nugget*I, a = K^{-1}(f - mu*1) and tau2 = (f - mu)'a/n,
     d nll / d log theta_l = -theta_l/2 * sum_ij E_l * Gamma * (K^{-1} - aa'/tau2)
@@ -161,8 +161,6 @@ def _nll_and_grad(
     profiled, so it contributes no term).
     """
     n = f.size
-    if rhs is None:
-        rhs = np.column_stack([f, np.ones(n)])
     theta = np.exp(log_theta)
     gamma = np.exp(-(E @ theta)).reshape(n, n)
     gamma.flat[:: n + 1] += nugget
@@ -264,10 +262,9 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
     (`_sobol`: scipy's `qmc.Sobol` points, made without importing
     `scipy.stats`), each search runs L-BFGS-B in log-theta within the clip
     bounds, on the analytic gradient of the profile likelihood; the
-    mismatch matrix is built once per fit. The returned likelihood
-    dominates the likelihood at every start; starts and search results are
-    looked up among the evaluations the searches made, not evaluated again.
-    A theta whose Cholesky factorisation fails scores a large finite value
+    mismatch matrix and the right-hand side [f, 1] are built once per fit.
+    The returned likelihood dominates the likelihood at every start. A
+    theta whose Cholesky factorisation fails scores a large finite value
     with zero gradient, so the line search backs off.
 
     Constant responses (zero variance) yield a flagged constant-predictor
@@ -301,16 +298,8 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
         extra = _sobol(d, pow2, config.seed)[:m]
         starts.extend(LOG_THETA_LO + (LOG_THETA_HI - LOG_THETA_LO) * extra)
 
-    memo = {}  # every evaluation of this fit, by the bytes of log-theta
-
-    def evaluate(lt):
-        key = lt.tobytes()
-        if key not in memo:
-            memo[key] = _nll_and_grad(lt, E, f, DEFAULT_NUGGET, rhs)
-        return memo[key]
-
     def objective(lt):
-        out = evaluate(lt)
+        out = _nll_and_grad(lt, E, f, rhs, DEFAULT_NUGGET)
         return (_FAILED_NLL, np.zeros(d)) if out is None else out[:2]
 
     best_nll = np.inf
@@ -325,7 +314,7 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
             options={"maxiter": _MAX_ITER},
         )
         for lt in (s, res.x):
-            out = evaluate(lt)
+            out = _nll_and_grad(lt, E, f, rhs, DEFAULT_NUGGET)
             if out is not None and out[0] < best_nll:
                 best_nll, best = out[0], out[2]
     if best is None:

@@ -37,6 +37,11 @@ def _random_distinct_design(rng, n, d, M):
     return design_from_array(np.array(rows), M)
 
 
+def _rhs(f):
+    """The likelihood's right-hand side [f, 1], as fit_mle builds it."""
+    return np.column_stack([f, np.ones(f.size)])
+
+
 class TestKernel:
     def test_identity(self):
         X = np.array([[1, 2, 3]])
@@ -106,8 +111,8 @@ class TestFitMle:
         model = fit_mle(D, f, cfg)
         E = gp._mismatch(D.as_array())
         theta = model.params.theta
-        best_nll = gp._nll_and_grad(np.log(theta), E, f, gp.DEFAULT_NUGGET)[0]
-        nll0 = gp._nll_and_grad(np.zeros(5), E, f, gp.DEFAULT_NUGGET)[0]
+        best_nll = gp._nll_and_grad(np.log(theta), E, f, _rhs(f), gp.DEFAULT_NUGGET)[0]
+        nll0 = gp._nll_and_grad(np.zeros(5), E, f, _rhs(f), gp.DEFAULT_NUGGET)[0]
         assert best_nll <= nll0 + 1e-9
 
     def test_recovers_signal_direction(self):
@@ -193,11 +198,11 @@ class TestLikelihood:
         f = rng.normal(size=D.n)
         E = gp._mismatch(D.as_array())
         lt = rng.uniform(np.log(0.05), np.log(3.0), d)  # interior theta
-        _, grad, _ = gp._nll_and_grad(lt, E, f, gp.DEFAULT_NUGGET)
+        _, grad, _ = gp._nll_and_grad(lt, E, f, _rhs(f), gp.DEFAULT_NUGGET)
         h = 1e-5
         num = np.array([
-            (gp._nll_and_grad(lt + h * e, E, f, gp.DEFAULT_NUGGET)[0]
-             - gp._nll_and_grad(lt - h * e, E, f, gp.DEFAULT_NUGGET)[0]) / (2 * h)
+            (gp._nll_and_grad(lt + h * e, E, f, _rhs(f), gp.DEFAULT_NUGGET)[0]
+             - gp._nll_and_grad(lt - h * e, E, f, _rhs(f), gp.DEFAULT_NUGGET)[0]) / (2 * h)
             for e in np.eye(d)
         ])
         assert np.max(np.abs(grad - num)) <= 1e-5 * np.max(np.abs(grad))
@@ -216,7 +221,7 @@ class TestLikelihood:
         tau2 = (f - mu) @ Ki @ (f - mu) / 10
         want = 5 * np.log(tau2) + 0.5 * np.linalg.slogdet(K)[1]
         nll, _, (th, mu1, tau21) = gp._nll_and_grad(
-            np.log(theta), gp._mismatch(D.as_array()), f, gp.DEFAULT_NUGGET
+            np.log(theta), gp._mismatch(D.as_array()), f, _rhs(f), gp.DEFAULT_NUGGET
         )
         assert nll == pytest.approx(want, rel=1e-10)
         assert mu1 == pytest.approx(mu, rel=1e-8) and tau21 == pytest.approx(tau2, rel=1e-8)
@@ -228,7 +233,7 @@ class TestLikelihood:
             D, f, cfg = _snake_model(k)
             model = fit_mle(D, f, cfg)
             nll.append(gp._nll_and_grad(
-                np.log(model.params.theta), gp._mismatch(D.as_array()), f,
+                np.log(model.params.theta), gp._mismatch(D.as_array()), f, _rhs(f),
                 gp.DEFAULT_NUGGET)[0])
         # on model 2 the simplex crossed into a basin (102.901) that no
         # L-BFGS-B search from the same four starts reaches (best 103.042)
@@ -256,12 +261,12 @@ class TestLikelihood:
         monkeypatch.setattr(gp, "dpotrf", dpotrf)
         X = D.as_array()
         E = gp._mismatch(X)
-        assert gp._nll_and_grad(np.zeros(4), E, f, gp.DEFAULT_NUGGET) is None
+        assert gp._nll_and_grad(np.zeros(4), E, f, _rhs(f), gp.DEFAULT_NUGGET) is None
         cfg = FitConfig(n_starts=4, seed=0)
         model = fit_mle(D, f, cfg)
         assert len(failures) > 1
         theta = model.params.theta
-        nll = gp._nll_and_grad(np.log(theta), E, f, gp.DEFAULT_NUGGET)[0]
+        nll = gp._nll_and_grad(np.log(theta), E, f, _rhs(f), gp.DEFAULT_NUGGET)[0]
         assert np.isfinite(nll)
         assert cross_correlation(X, X, model.params.theta).min() >= np.exp(-2.5)
 
@@ -320,8 +325,8 @@ def _parent_nll_and_grad(log_theta, E, f, nugget):
 
 
 def _parent_fit(D, f, cfg):
-    """(theta, mu, tau2) by the earlier fit_mle: qmc.Sobol starts, and the
-    start and result of every search evaluated again."""
+    """(theta, mu, tau2) by the earlier fit_mle: qmc.Sobol starts and the
+    earlier likelihood."""
     from scipy.optimize import minimize
     from scipy.stats import qmc
 
@@ -388,7 +393,7 @@ class TestFitOracle:
         E = gp._mismatch(D.as_array())
         rhs = np.column_stack([f, np.ones(D.n)])
         for lt in np.random.default_rng(0).uniform(gp.LOG_THETA_LO, gp.LOG_THETA_HI, (20, 8)):
-            nll, grad, (th, mu, tau2) = gp._nll_and_grad(lt, E, f, gp.DEFAULT_NUGGET, rhs)
+            nll, grad, (th, mu, tau2) = gp._nll_and_grad(lt, E, f, rhs, gp.DEFAULT_NUGGET)
             nll0, grad0, (th0, mu0, tau20) = _parent_nll_and_grad(lt, E, f, gp.DEFAULT_NUGGET)
             assert (nll, mu, tau2) == (nll0, mu0, tau20)
             assert np.array_equal(grad, grad0) and np.array_equal(th, th0)
