@@ -9,7 +9,7 @@ from .acquisition import (
     optimize_acquisition,
     random_point,
 )
-from .bounds import code_size_bound, gilbert_q, hamming_ball, q0
+from .bounds import code_size_bound, gilbert_q, hamming_ball, q0, q_upper
 from .encoding import (
     Design,
     Point,
@@ -93,6 +93,7 @@ __all__ = [
     "optimize_maximin",
     "predict_batch",
     "q0",
+    "q_upper",
     "random_point",
     "rover_cost",
     "rrmse",

@@ -3,7 +3,8 @@
 Lower bounds (:func:`gilbert_q`, :func:`q0`) give a distance that an
 n-point design always attains; the upper bound :func:`code_size_bound`
 caps how many rows a design at a given distance can have, which rules a
-distance target out without a search.
+distance target out without a search, and :func:`q_upper` is the largest
+distance it leaves open.
 
 The upper bound's Plotkin term counts pairs exactly (Plotkin 1960, "Binary
 codes with specified minimum distance", IRE Trans. IT-6): the pairwise
@@ -125,3 +126,14 @@ def code_size_bound(d: int, q: int, M: int) -> int:
     if M == 2 and q % 2 == 1:
         best = min(best, code_size_bound(d + 1, q + 1, 2))
     return best
+
+
+def q_upper(n: int, d: int, M: int) -> int:
+    """Largest q in {1..d} with code_size_bound(d, q, M) >= n, else 0.
+
+    No n-point design in {1..M}^d has minimum distance above q_upper, so
+    the maximin optimum q* lies in [q0, q_upper], and a witness at q_upper
+    is optimal with no further solve.
+    """
+    _validate(n, d, M)
+    return max((q for q in range(1, d + 1) if code_size_bound(d, q, M) >= n), default=0)

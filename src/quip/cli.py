@@ -39,9 +39,7 @@ def _cmd_bound(args) -> int:
             "q0": bounds.q0(n, d, M),
             "gilbert_q": bounds.gilbert_q(n, d, M),
             # the maximin ascent's ceiling: q* lies in [q0, q_upper]
-            "q_upper": max(
-                (q for q in range(1, d + 1) if bounds.code_size_bound(d, q, M) >= n), default=0
-            ),
+            "q_upper": bounds.q_upper(n, d, M),
         }
     )
     return EXIT_OK

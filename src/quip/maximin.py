@@ -10,12 +10,20 @@ pairwise Hamming distance >= q exist?" is answered by a two-phase solver:
    certifies infeasibility by exhaustion.
 
 The maximin driver raises q while a witness exists. Its optimum q* is
-certified either by a bound (:func:`quip.bounds.code_size_bound` admits
-fewer than n rows at distance q*+1, so no solve is needed) or by
-exhaustion (the solve at q*+1 is infeasible). The bound counts the pairs
-one column can make differ exactly and applies the binary parity
-extension, so exhaustion is rare: it decides only where the bound is
-loose, and no instance of the benchmark suite needs it.
+certified either by a bound (q* reaches :func:`quip.bounds.q_upper`, so
+:func:`quip.bounds.code_size_bound` admits fewer than n rows at distance
+q*+1 and no solve is needed) or by exhaustion (the solve at q*+1 is
+infeasible). The bound counts the pairs one column can make differ
+exactly and applies the binary parity extension, so exhaustion is rare:
+it decides only where the bound is loose, and no instance of the
+benchmark suite needs it.
+
+Before the ascent, a code phase tries a witness from a structured linear
+code over GF(M) (prime M, or M = 4, 8, 9): simplex and repeated PG(1, M)
+codes, first-order Reed-Muller and Reed-Solomon codes, and the parity
+code. It needs no search and no random draw. When the best code reaches
+q_upper it settles the instance; when it only beats q0, the ascent starts
+above it, warm-started from its codewords.
 
 The complete search assigns one cell at a time (row-major) and breaks the
 problem's symmetries -- row permutations and independent per-column level
@@ -36,13 +44,16 @@ columns. The search runs about 1.4M nodes/s on a 2-core machine (about
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
-from .bounds import code_size_bound, q0
-from .encoding import Design, design_from_array, lattice_distances
+from .bounds import q0, q_upper
+from .encoding import Design, design_from_array, lattice_distances, min_pairwise_distance
 from .encoding import TooLargeError, check_time_limit  # TooLargeError: re-exported
 
 FEASIBLE = "feasible"
@@ -85,7 +96,8 @@ class SolveReport:
     q: int
     nodes_explored: int
     elapsed: float
-    # which phase decided it: "shortcut", "repair", "greedy" or "search"
+    # which phase decided it: "shortcut", "repair", "greedy", "search", or
+    # "code" for optimize_maximin's linear-code witness
     phase: str = "search"
 
 
@@ -357,6 +369,94 @@ def solve_feasibility(inst: FeasibilityInstance) -> SolveReport:
     return SolveReport(INFEASIBLE, None, q, search.nodes, elapsed)
 
 
+# GF(p**e) for the prime powers below 10: p and the lower coefficients
+# c_0..c_{e-1} of a monic primitive modulus, so x**e = -(c_0 + ... +
+# c_{e-1} x**(e-1)): x^2+x+1, x^3+x+1 and x^2+x+2
+_MODULI = {4: (2, (1, 1)), 8: (2, (1, 1, 0)), 9: (3, (2, 1))}
+
+
+@functools.cache
+def _field(M: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Read-only M x M addition and multiplication tables of GF(M) on the
+    elements 0..M-1, or None when the code phase has no field of order M.
+
+    A prime M is arithmetic mod M. An element of GF(p**e) is the integer
+    whose base-p digits are its coefficients in powers of x; the product
+    a*b sums b's digit i times a*x**i, where multiplying by x shifts the
+    digits up and reduces x**e by the modulus."""
+    if M in _MODULI:
+        p, low = _MODULI[M]
+    elif all(M % f for f in range(2, isqrt(M) + 1)):
+        p, low = M, (0,)
+    else:
+        return None
+    e = len(low)
+    weights = p ** np.arange(e)
+    digits = np.arange(M)[:, None] // weights % p  # M x e
+    powers = [digits]  # powers[i][a] holds the digits of a*x**i
+    for _ in range(e - 1):
+        c = powers[-1]
+        up = np.concatenate([np.zeros_like(c[:, :1]), c[:, :-1]], axis=1)
+        powers.append((up - c[:, -1:] * np.array(low)) % p)
+    add = (digits[:, None, :] + digits[None, :, :]) % p @ weights
+    mul = np.einsum("bi,iak->abk", digits, np.array(powers)) % p @ weights
+    add.flags.writeable = mul.flags.writeable = False
+    return add, mul
+
+
+def _code_witness(n: int, d: int, M: int) -> np.ndarray | None:
+    """Levels of n codewords of a linear [d, k] code over GF(M), with k the
+    least such that M**k >= n, or None without a field or when k > d.
+
+    Three generator matrices are tried, each a list of columns cycled over
+    the d factors (MacWilliams & Sloane 1977, ch. 1):
+
+    - the points of PG(k-1, M) (first nonzero coordinate 1), unit vectors
+      first, then by decreasing weight: the simplex code, and for k = 2
+      the balanced repetition of PG(1, M), whose nonzero codewords each
+      vanish on one point;
+    - the affine points, last coordinate 1: first-order Reed-Muller and,
+      for k = 2, Reed-Solomon codes;
+    - the unit vectors and the all-ones column: the parity code.
+
+    The code with the largest minimum nonzero weight is kept, and the
+    codewords of its first n messages in lexicographic order, plus 1, are
+    returned. Their pairwise distances are weights of nonzero codewords."""
+    tables = _field(M)
+    k = next(k for k in itertools.count(1) if M**k >= n)
+    if tables is None or k > d:
+        return None
+    add, mul = tables
+    msgs = np.array(list(itertools.product(range(M), repeat=k)))
+    nonzero = msgs[1:]
+    leading = nonzero[np.arange(len(nonzero)), (nonzero != 0).argmax(axis=1)]
+    points = nonzero[leading == 1]
+    weight = np.count_nonzero(points, axis=1)
+    points = points[np.lexsort((-weight, weight != 1))]
+    parity = np.vstack([np.eye(k, dtype=np.int64), np.ones((1, k), dtype=np.int64)])
+    best, best_weight = None, -1
+    for columns in (points, msgs[msgs[:, -1] == 1], parity):
+        G = columns[np.arange(d) % len(columns)].T
+        words = np.zeros((len(msgs), d), dtype=np.int64)
+        for i in range(k):
+            words = add[words, mul[msgs[:, i, None], G[i]]]
+        w = int(np.count_nonzero(words[1:], axis=1).min())
+        if w > best_weight:
+            best, best_weight = words[:n] + 1, w
+    return best
+
+
+def _code_report(n: int, d: int, M: int) -> SolveReport | None:
+    """The code witness of :func:`_code_witness` as a feasible report at
+    its measured minimum distance, or None when there is no code."""
+    t0 = time.perf_counter()
+    arr = _code_witness(n, d, M)
+    if arr is None:
+        return None
+    D = design_from_array(arr, M)
+    return SolveReport(FEASIBLE, D, min_pairwise_distance(D), 0, time.perf_counter() - t0, "code")
+
+
 def optimize_maximin(
     n: int,
     d: int,
@@ -364,17 +464,25 @@ def optimize_maximin(
     time_limit: float | None = None,
     seed: int = 0,
 ) -> MaximinResult:
-    """Maximin design driver: start from the guaranteed-feasible distance
-    q0(n, d, M), then raise the target by one (warm-starting from the last
-    witness) while code_size_bound admits n rows at the target.
+    """Maximin design driver: find a witness at the guaranteed-feasible
+    distance q0(n, d, M) or above, then raise the target by one
+    (warm-starting from the last witness) up to q_upper(n, d, M), the
+    largest distance code_size_bound leaves open.
 
-    The ascent ends with a certificate: "bound" when code_size_bound rules
-    q_star+1 out (this covers q_star = d, and the pigeonhole cap q_star <=
-    d-1 for n > M, which is Singleton's bound at q = d), "exhaustion" when
-    the bound is loose there and the feasibility solve at q_star+1 is
-    infeasible. When a feasibility solve times out, the incumbent design is
-    returned with certificate None (certified False): q_star is then only a
-    lower bound.
+    When q_upper > q0 and M is the order of a supported field (a prime, 4,
+    8 or 9), a code phase runs first: a deterministic linear-code witness
+    (:func:`_code_witness`), checked by min_pairwise_distance. At q_upper
+    it settles the instance with no solve; above q0 its report replaces
+    the q0 solve and the ascent starts one above it; otherwise it is
+    dropped and the q0 solve runs as without it.
+
+    The ascent ends with a certificate: "bound" when the witness reaches
+    q_upper, so code_size_bound rules q_star+1 out (this covers q_star = d,
+    and the pigeonhole cap q_star <= d-1 for n > M, which is Singleton's
+    bound at q = d), "exhaustion" when the bound is loose there and the
+    feasibility solve at q_star+1 is infeasible. When a feasibility solve
+    times out, the incumbent design is returned with certificate None
+    (certified False): q_star is then only a lower bound.
     """
     if n < 2:
         raise ValueError("optimize_maximin needs n >= 2")
@@ -386,29 +494,28 @@ def optimize_maximin(
             return None
         return max(0.05, deadline - time.perf_counter())
 
-    qt = q0(n, d, M)
-    trace: list[SolveReport] = []
-    rep = solve_feasibility(
-        FeasibilityInstance(n, d, M, qt, time_limit=remaining(), seed=seed)
-    )
-    trace.append(rep)
-    if rep.status == TIME_LIMIT:
-        raise TimeoutError(
-            f"feasibility solve at the guaranteed distance q0={qt} timed out"
+    qt, top = q0(n, d, M), q_upper(n, d, M)
+    rep = _code_report(n, d, M) if top > qt else None
+    if rep is None or rep.q <= qt:
+        rep = solve_feasibility(
+            FeasibilityInstance(n, d, M, qt, time_limit=remaining(), seed=seed)
         )
-    if rep.status == INFEASIBLE:
-        # q0 is feasible by construction: d when n <= M and 0 when
-        # n > M**d (shortcuts answer both), else the sphere-covering bound,
-        # so this verdict would mean the complete search is unsound
-        raise RuntimeError(
-            f"feasibility solve reported the guaranteed distance q0={qt} infeasible"
-        )
-
+        if rep.status == TIME_LIMIT:
+            raise TimeoutError(
+                f"feasibility solve at the guaranteed distance q0={qt} timed out"
+            )
+        if rep.status == INFEASIBLE:
+            # q0 is feasible by construction: d when n <= M and 0 when
+            # n > M**d (shortcuts answer both), else the sphere-covering
+            # bound, so this verdict would mean the complete search is unsound
+            raise RuntimeError(
+                f"feasibility solve reported the guaranteed distance q0={qt} infeasible"
+            )
+    trace = [rep]
     best = rep.design
-    q_star = qt
+    q_star = rep.q
     certificate = BOUND
-    qt += 1
-    while code_size_bound(d, qt, M) >= n:
+    for qt in range(q_star + 1, top + 1):
         rep = solve_feasibility(
             FeasibilityInstance(
                 n, d, M, qt, time_limit=remaining(), warm_start=best, seed=seed
@@ -418,7 +525,6 @@ def optimize_maximin(
         if rep.status == FEASIBLE:
             best = rep.design
             q_star = qt
-            qt += 1
         elif rep.status == INFEASIBLE:
             certificate = EXHAUSTION
             break

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from quip.bounds import code_size_bound, gilbert_q, hamming_ball, q0
+from quip.bounds import code_size_bound, gilbert_q, hamming_ball, q0, q_upper
 from quip.maximin import brute_force_maximin
 
 
@@ -135,3 +135,15 @@ class TestCodeSizeBound:
             code_size_bound(0, 1, 2)
         with pytest.raises(ValueError):
             code_size_bound(3, 1, 1)
+
+
+class TestQUpper:
+    def test_matches_the_largest_open_distance(self):
+        # the expression `quip bound` computed inline before q_upper existed
+        for n, d, M in itertools.product(range(1, 41), range(1, 11), range(2, 10)):
+            old = max((q for q in range(1, d + 1) if code_size_bound(d, q, M) >= n), default=0)
+            assert q_upper(n, d, M) == old, (n, d, M)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            q_upper(0, 3, 2)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from quip import maximin
+from quip import bounds
 from quip.cli import build_parser, main
 
 
@@ -52,15 +52,15 @@ class TestDesign:
 
     def test_certificate_by_exhaustion(self, capsys, monkeypatch):
         # under the Singleton bound alone, q = 5 is decided by exhaustion
-        monkeypatch.setattr(maximin, "code_size_bound", lambda d, q, M: M ** (d - q + 1))
+        monkeypatch.setattr(bounds, "code_size_bound", lambda d, q, M: M ** (d - q + 1))
         code, out, _ = run_cli(capsys, "design", "--n", "5", "--d", "6", "--M", "3")
         obj = json.loads(out)
         assert code == 0 and obj["q_star"] == 4
         assert obj["certificate"] == "exhaustion"
-        # [q, status, phase, nodes] per feasibility solve
+        # [q, status, phase, nodes] per solve; a [6,2,4]_3 code (PG(1, 3)
+        # repeated) replaces the q0 = 3 solve and the q = 4 one
         assert obj["solves"] == [
-            [3, "feasible", "greedy", 0],
-            [4, "feasible", "repair", 0],
+            [4, "feasible", "code", 0],
             [5, "infeasible", "search", 9678],
         ]
         assert obj["nodes"] == 9678

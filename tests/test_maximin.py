@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quip import maximin
-from quip.bounds import q0
+from quip import bounds, maximin
+from quip.bounds import q0, q_upper
 from quip.encoding import design_from_array, min_pairwise_distance
 from quip.maximin import (
     FEASIBLE,
@@ -26,7 +26,7 @@ from quip.maximin import (
 def singleton_only(monkeypatch):
     """Stop the maximin ascent at the Singleton bound alone, so that (5, 6, 3)
     still reaches the q = 5 solve, which only exhaustion decides."""
-    monkeypatch.setattr(maximin, "code_size_bound", lambda d, q, M: M ** (d - q + 1))
+    monkeypatch.setattr(bounds, "code_size_bound", lambda d, q, M: M ** (d - q + 1))
 
 
 class TestFeasibilityInstance:
@@ -252,10 +252,16 @@ class TestOptimizeMaximin:
         assert r.trace[-1].nodes_explored == 9678
 
     def test_trace_records_all_targets(self):
-        r = optimize_maximin(3, 3, 2)
-        qs = [rep.q for rep in r.trace]
-        assert qs[0] == q0(3, 3, 2)
-        assert qs == sorted(qs)
+        # the first target is q0, or the code report's distance above q0;
+        # the ascent then tries every target after it, one by one
+        for n, d, M in [(3, 3, 2), (13, 6, 3), (8, 4, 6)]:
+            r = optimize_maximin(n, d, M)
+            qs = [rep.q for rep in r.trace]
+            if r.trace[0].phase == "code":
+                assert qs[0] > q0(n, d, M)
+            else:
+                assert qs[0] == q0(n, d, M)
+            assert qs == list(range(qs[0], qs[0] + len(qs))), (n, d, M)
 
     def test_determinism(self):
         a = optimize_maximin(5, 4, 3, seed=7)
@@ -272,9 +278,10 @@ class TestOptimizeMaximin:
         def infeasible(inst):
             return SolveReport(INFEASIBLE, None, inst.q, 0, 0.0)
 
+        # no field has 6 elements, so no code witness replaces the q0 solve
         monkeypatch.setattr(maximin, "solve_feasibility", infeasible)
-        with pytest.raises(RuntimeError, match=f"q0={q0(4, 3, 2)} infeasible"):
-            optimize_maximin(4, 3, 2)
+        with pytest.raises(RuntimeError, match=f"q0={q0(8, 4, 6)} infeasible"):
+            optimize_maximin(8, 4, 6)
 
     def test_time_limit_covers_the_whole_solve(self):
         # the q = 7 solve's repair gives up within its move budget (about
@@ -287,8 +294,9 @@ class TestOptimizeMaximin:
         assert min_pairwise_distance(r.design) >= r.q_star
 
     def test_greedy_only_without_warm_start(self, monkeypatch):
-        # every solve past q0 is warm-started: a failed repair goes straight
-        # to the hinted complete search, with no greedy construction
+        # every solve past the first witness (the q0 solve's or the code
+        # report's) is warm-started: a failed repair goes straight to the
+        # hinted complete search, with no greedy construction
         warm = []
         solve, greedy = maximin.solve_feasibility, maximin._greedy_rows
 
@@ -305,7 +313,10 @@ class TestOptimizeMaximin:
         singleton_only(monkeypatch)
         r = optimize_maximin(5, 6, 3)
         assert r.certificate == "exhaustion"  # the failed repair was searched
-        assert warm == [False] + [True] * (len(warm) - 1)
+        assert r.trace[0].phase == "code" and warm == [True] * len(warm)
+        warm.clear()
+        r = optimize_maximin(8, 4, 6)  # no field of order 6: q0 is solved cold
+        assert len(warm) > 1 and warm == [False] + [True] * (len(warm) - 1)
 
     @pytest.mark.parametrize("limit", [0, -1.0, float("inf"), float("nan")])
     def test_time_limit_must_be_finite_positive(self, limit):
@@ -313,6 +324,72 @@ class TestOptimizeMaximin:
             optimize_maximin(3, 3, 2, time_limit=limit)
         with pytest.raises(ValueError):
             FeasibilityInstance(3, 3, 2, 1, time_limit=limit)
+
+
+class TestCodePhase:
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 7, 8, 9, 11])
+    def test_field_axioms(self, M):
+        add, mul = maximin._field(M)
+        E = np.arange(M)
+        assert (add == add.T).all() and (mul == mul.T).all()
+        assert (add[:, 0] == E).all() and (mul[:, 1] == E).all() and (mul[:, 0] == 0).all()
+        # every row of add, and every nonzero row of mul on the nonzero
+        # elements, is a permutation: inverses exist
+        assert (np.sort(add, axis=1) == E).all()
+        assert (np.sort(mul[1:, 1:], axis=1) == E[1:]).all()
+        a, b, c = np.meshgrid(E, E, E, indexing="ij")
+        assert (add[add[a, b], c] == add[a, add[b, c]]).all()
+        assert (mul[mul[a, b], c] == mul[a, mul[b, c]]).all()
+        assert (mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]).all()
+        if M in maximin._MODULI:  # the modulus is primitive: x (the integer p) has order M-1
+            p = maximin._MODULI[M][0]
+            powers = itertools.accumulate(range(M - 2), lambda y, _: int(mul[y, p]), initial=p)
+            assert sorted(powers) == list(range(1, M))
+
+    @pytest.mark.parametrize("n, d, M", [(8, 4, 6), (20, 5, 10)])
+    def test_no_field_no_code_phase(self, n, d, M):
+        assert maximin._field(M) is None
+        assert q_upper(n, d, M) > q0(n, d, M)  # the phase would run otherwise
+        r = optimize_maximin(n, d, M)
+        assert r.certified and all(rep.phase != "code" for rep in r.trace)
+
+    @pytest.mark.parametrize("n, d, M, q_star", [
+        (8, 7, 2, 4), (12, 5, 2, 2), (9, 7, 2, 3), (300, 10, 2, 2), (20, 12, 5, 10),
+        (20, 8, 5, 6), (30, 8, 9, 7)])
+    def test_code_reaching_q_upper_settles_the_instance(self, n, d, M, q_star):
+        # simplex [7,3,4]_2, parity [5,4,2]_2 and [10,9,2]_2, punctured
+        # Reed-Muller [7,4,3]_2, and PG(1, M) codes [12,2,10]_5, [8,2,6]_5
+        # and [8,2,7]_9 reach q_upper: one report, no solve
+        r = optimize_maximin(n, d, M)
+        assert r.q_star == q_star == q_upper(n, d, M) and r.certificate == "bound"
+        assert [(rep.status, rep.phase, rep.q, rep.nodes_explored) for rep in r.trace] == [
+            (FEASIBLE, "code", q_star, 0)]
+        assert min_pairwise_distance(r.design) == q_star
+
+    @pytest.mark.parametrize("n, nodes", [(13, 712), (12, 16470)])
+    def test_code_warm_starts_the_ternary_stalls(self, n, nodes):
+        # a [6,3,3]_3 code beats q0 = 2; from its codewords the q = 4
+        # witness is found by the same hinted search at every seed
+        for seed in range(10):
+            r = optimize_maximin(n, 6, 3, time_limit=30, seed=seed)
+            assert r.q_star == 4 and r.certificate == "bound"
+            assert [(rep.q, rep.phase, rep.nodes_explored) for rep in r.trace] == [
+                (3, "code", 0), (4, "search", nodes)]
+
+    def test_witness_is_checked(self, monkeypatch):
+        # the report carries the witness's measured distance, not the
+        # code's: a faulty table cannot certify a wrong q*
+        monkeypatch.setattr(maximin, "_code_witness", lambda n, d, M: np.ones((n, d), int))
+        r = optimize_maximin(8, 7, 2)
+        assert r.trace[0].phase != "code" and r.q_star == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), d=st.integers(1, 4), M=st.integers(2, 4))
+    def test_matches_brute_force(self, n, d, M):
+        q_star, _ = brute_force_maximin(n, d, M, guard=10**12)
+        r = optimize_maximin(n, d, M)
+        assert r.q_star == q_star and r.certified
+        assert min_pairwise_distance(r.design) >= q_star
 
 
 class TestBruteForce:
