@@ -24,7 +24,6 @@ from .gp import (
     GpModel,
     KernelParams,
     build_model,
-    d_optimality_ratio,
     fit_mle,
     load_model,
     predict_batch,
@@ -77,7 +76,6 @@ __all__ = [
     "build_model",
     "candidate_set_acquisition",
     "code_size_bound",
-    "d_optimality_ratio",
     "design_from_array",
     "enumerate_acquisition",
     "fit_mle",

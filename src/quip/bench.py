@@ -1,5 +1,5 @@
 """Benchmark harness: seeded replicated comparisons of sequential-design
-methods on the shipped simulators, plus bound-vs-oracle scatter data.
+methods on the shipped simulators.
 
 Output is data, not plots: a per-iteration row table (CSV) and an
 aggregated summary (JSON) with the median and the empirical 2.5/97.5
@@ -15,19 +15,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .acquisition import (
-    AcquisitionSpec,
-    candidate_set_acquisition,
-    enumerate_acquisition,
-    optimize_acquisition,
-    random_point,
-)
+from .acquisition import AcquisitionSpec, candidate_set_acquisition, random_point
 from .bounds import q0
 from .encoding import Design, Point, design_from_array, read_json, write_json
 from .gp import FitConfig, fit_mle, predict_batch
 from .maximin import FeasibilityInstance, solve_feasibility
 from .sequential import rrmse, run_campaign
-from .simulators import PROBLEMS, default_snake, snake_reward
+from .simulators import PROBLEMS
 
 METHODS = ("quip", "random", "candidate")
 
@@ -55,6 +49,12 @@ class BenchPlan:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.d is not None and self.d < 1:
+            raise ValueError("d must be >= 1")
+        if self.n_seq < 0:
+            raise ValueError("n_seq must be >= 0")
+        if self.candidate_c < 1:
+            raise ValueError("candidate_c must be >= 1")
         if not self.methods:
             raise ValueError("methods must be non-empty")
         for m in self.methods:
@@ -83,7 +83,8 @@ def problem_objective(problem: str, d: int | None = None):
         raise ValueError(f"unknown problem {problem!r}")
     p = PROBLEMS[problem]
     config = p.default_config()
-    return d or p.d, p.M, lambda x: p.sign * p.simulate(config, x).value
+    d = p.d if d is None else d
+    return d, p.M, lambda x: p.sign * p.simulate(config, x).value
 
 
 def _rep_seed(master: int, rep: int) -> int:
@@ -212,65 +213,6 @@ def run_bench(plan: BenchPlan) -> BenchReport:
             rows.extend(_run_arm(method, plan, rep, d, M, objective, init, f0, test))
     rows.sort(key=lambda r: (r["method"], r["seed"], r["iteration"]))
     return BenchReport(plan, tuple(rows), tuple(aggregate(rows)))
-
-
-def bound_oracle_scatter(
-    replications: int = 100,
-    seed: int = 0,
-    d: int = 8,
-    M: int = 3,
-    n: int = 20,
-    acq: str = "ucb",
-    lam: float = 2.96,
-    gap_tolerance: float = 0.10,
-) -> list[dict]:
-    """Certified-bound vs enumeration-oracle pairs on fitted snake models.
-
-    Each replication fits a GP to the snake reward at a random distinct
-    design in {1..M}^d, solves the acquisition with the gap stopping rule,
-    and records the certified bound alongside the true enumerated optimum.
-    Levels are interpreted as the first M of the 5 grid actions.
-    """
-    if not 2 <= M <= 5:
-        raise ValueError(f"M={M} must lie in 2..5: levels are snake actions")
-    if n > M**d:
-        raise ValueError(f"n={n} distinct rows do not fit in {M}**{d} points")
-    world = default_snake()
-    spec = AcquisitionSpec(acq, lam, gap_tolerance)
-    spec0 = AcquisitionSpec(acq, lam, 0.0)
-
-    def objective(levels):
-        return snake_reward(world, Point(tuple(levels), 5)).value
-
-    rows = []
-    for rep in range(replications):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, rep, 0x5CA7]))
-        seen = set()
-        X = []
-        while len(X) < n:
-            cand = tuple(int(v) for v in rng.integers(1, M + 1, size=d))
-            if cand not in seen:
-                seen.add(cand)
-                X.append(cand)
-        D = design_from_array(X, M)
-        f = np.array([objective(levels) for levels in X])
-        model = fit_mle(D, f, FitConfig(n_starts=4, seed=rep))
-        rep_solve = optimize_acquisition(model, spec)
-        _, true_opt = enumerate_acquisition(model, spec0)
-        bound = rep_solve.certified_bound
-        rows.append(
-            {
-                "replication": rep,
-                "certified_bound": float(bound),
-                "incumbent": float(rep_solve.best_value),
-                "true_optimum": float(true_opt),
-                "conservative": bool(bound >= true_opt - 1e-9),
-                "relative_slack": float(
-                    (bound - true_opt) / max(abs(true_opt), 1e-12)
-                ),
-            }
-        )
-    return rows
 
 
 def write_rows_csv(rows, path) -> None:

@@ -230,11 +230,14 @@ def load_design(path, M: int | None = None) -> Design:
         if M is not None and D.M != M:
             raise ValueError(f"design {path} has M={D.M}, expected M={M}")
         return D
-    rows = [
-        [int(v) for v in row if v.strip() != ""]
-        for row in csv.reader(text.splitlines())
-        if row
-    ]
+    rows = []
+    for i, row in enumerate(r for r in csv.reader(text.splitlines()) if r):
+        fields = [v.strip() for v in row]
+        while fields and not fields[-1]:
+            fields.pop()  # trailing commas end a row
+        if "" in fields:
+            raise ValueError(f"point {i} has an empty field before a level: {row}")
+        rows.append([int(v) for v in fields])
     if not rows:
         raise ValueError(f"no points found in {path}")
     for i, row in enumerate(rows):

@@ -13,7 +13,6 @@ Cholesky factorization stable.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import os
@@ -26,10 +25,8 @@ from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .encoding import (
     Design,
-    TooLargeError,
     design_from_dict,
     design_to_dict,
-    lattice_distances,
     read_json,
     write_json,
 )
@@ -77,12 +74,11 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValueError(f"n_starts={self.n_starts} must be at least 1")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"seed={seed!r} must be a non-negative int")
-        object.__setattr__(self, "seed", int(seed))
+        for name, low in (("n_starts", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise ValueError(f"{name}={v!r} must be an int >= {low}")
+            object.__setattr__(self, name, int(v))
 
 
 @dataclass(frozen=True)
@@ -321,42 +317,6 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
         raise DegenerateResponseError("likelihood evaluation failed at every start")
     theta, mu, tau2 = best
     return build_model(D, f, KernelParams(theta, mu, tau2))
-
-
-def d_optimality_ratio(
-    n: int, d: int, M: int, theta: float, k: float, guard: int = 200_000
-) -> float:
-    """Ratio (1 + det at the determinant-optimal design) over (1 + det at
-    the maximin design), both under the isotropic kernel scaled by k.
-
-    Both optima are found by exhaustive enumeration over point multisets;
-    among maximin-optimal designs the determinant-largest one is used
-    (maximin optima are determined only up to symmetry, which does not fix
-    the determinant in general).
-    """
-    lattice = M**d
-    n_designs = math.comb(lattice + n - 1, n)
-    if n_designs > guard:
-        raise TooLargeError(f"{n_designs} designs exceeds enumeration guard")
-    pts, dist = lattice_distances(d, M)
-    corr = cross_correlation(pts, pts, np.full(d, theta * k))
-
-    best_det = -np.inf
-    best_q = -1
-    best_det_at_q = -np.inf
-    for combo in itertools.combinations_with_replacement(range(lattice), n):
-        idx = list(combo)
-        sub = dist[np.ix_(idx, idx)]
-        det = float(np.linalg.det(corr[np.ix_(idx, idx)]))
-        if det > best_det:
-            best_det = det
-        qmin = int(sub[np.triu_indices(n, 1)].min()) if n > 1 else d
-        if qmin > best_q or (qmin == best_q and det > best_det_at_q):
-            if qmin > best_q:
-                best_det_at_q = -np.inf
-            best_q = qmin
-            best_det_at_q = max(best_det_at_q, det)
-    return (1.0 + best_det) / (1.0 + best_det_at_q)
 
 
 def model_to_dict(model: GpModel) -> dict:

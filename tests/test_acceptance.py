@@ -17,14 +17,14 @@ from quip.acquisition import (
     enumerate_acquisition,
     optimize_acquisition,
 )
-from quip.bench import BenchPlan, bound_oracle_scatter, run_bench, write_report
+from quip.bench import BenchPlan, run_bench, write_report
 from quip.bounds import q0
-from quip.encoding import Point, design_from_array
+from quip.encoding import Point, design_from_array, lattice_distances
 from quip.gp import (
     FitConfig,
     KernelParams,
     build_model,
-    d_optimality_ratio,
+    cross_correlation,
     fit_mle,
     predict_batch,
 )
@@ -36,7 +36,13 @@ from quip.maximin import (
     solve_feasibility,
 )
 from quip.sequential import rrmse
-from quip.simulators import GridWorld, ObstacleCourse, rover_cost, snake_reward
+from quip.simulators import (
+    GridWorld,
+    ObstacleCourse,
+    default_snake,
+    rover_cost,
+    snake_reward,
+)
 
 
 @pytest.fixture
@@ -146,11 +152,29 @@ def test_criterion_05_acquisition_oracle_equivalence(report):
     report(5, "branch-and-bound matches lattice enumeration on 50 models", ok)
 
 
+def _d_optimality_gap(theta):
+    """|ratio - 1|, where ratio is (1 + det at the determinant-optimal
+    design) over (1 + det at the maximin design), among 3-point designs
+    in {1,2}^3 under the isotropic kernel `theta`.
+
+    Both optima come from enumerating every point multiset. Among the
+    maximin-optimal designs the determinant-largest one is used, since
+    symmetry does not fix the determinant.
+    """
+    pts, dist = lattice_distances(3, 2)
+    corr = cross_correlation(pts, pts, np.full(3, theta))
+    best_det, best_maximin = -np.inf, (-1, -np.inf)
+    for combo in itertools.combinations_with_replacement(range(len(pts)), 3):
+        idx = np.ix_(combo, combo)
+        det = float(np.linalg.det(corr[idx]))
+        q = int(dist[idx][np.triu_indices(3, 1)].min())
+        best_det = max(best_det, det)
+        best_maximin = max(best_maximin, (q, det))
+    return abs((1.0 + best_det) / (1.0 + best_maximin[1]) - 1.0)
+
+
 def test_criterion_06_d_optimality_trend(report):
-    gaps = [
-        abs(d_optimality_ratio(3, 3, 2, 1.0, float(k)) - 1.0)
-        for k in (1, 2, 4, 8, 16)
-    ]
+    gaps = [_d_optimality_gap(float(k)) for k in (1, 2, 4, 8, 16)]
     monotone = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     ok = monotone and gaps[-1] <= 0.05
     report(6, "D-optimality ratio approaches 1 as the kernel scale grows", ok)
@@ -186,12 +210,29 @@ def test_criterion_08_rover_exactness(report):
     report(8, "rover cost matches closed form and refinement oracle", ok)
 
 
+def _gap_stop_against_enumeration(seed, reps):
+    """Over `reps` snake models, each fitted at 20 random distinct points of
+    {1,2,3}^8 (levels read as the first 3 snake actions): how many 10%-gap
+    UCB solves certify a bound >= the enumerated optimum, and the median
+    relative slack of that bound."""
+    world = default_snake()
+    spec = AcquisitionSpec("ucb", 2.96, 0.10)
+    exact = AcquisitionSpec("ucb", 2.96, 0.0)
+    conservative, slacks = 0, []
+    for rep in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, rep, 0x5CA7]))
+        D = _random_distinct_design(rng, 20, 8, 3)
+        f = np.array([snake_reward(world, Point(r, 5)).value for r in D.as_array()])
+        model = fit_mle(D, f, FitConfig(n_starts=4, seed=rep))
+        bound = optimize_acquisition(model, spec).certified_bound
+        _, true_opt = enumerate_acquisition(model, exact)
+        conservative += bound >= true_opt - 1e-9
+        slacks.append((bound - true_opt) / max(abs(true_opt), 1e-12))
+    return conservative, float(np.median(slacks))
+
+
 def test_criterion_09_bound_conservativeness(report, emit):
-    rows = bound_oracle_scatter(
-        replications=100, seed=909, d=8, M=3, n=20, gap_tolerance=0.10
-    )
-    conservative = sum(r["conservative"] for r in rows)
-    slack = float(np.median([r["relative_slack"] for r in rows]))
+    conservative, slack = _gap_stop_against_enumeration(909, 100)
     emit(
         f"  criterion 9 detail: {conservative}/100 conservative, "
         f"median relative slack {slack:.4f} (target <= 0.25, reported only)"

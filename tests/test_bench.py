@@ -9,7 +9,6 @@ from quip.bench import (
     BenchPlan,
     BenchReport,
     aggregate,
-    bound_oracle_scatter,
     initial_design,
     load_plan,
     plan_from_dict,
@@ -30,6 +29,12 @@ class TestBenchPlan:
             BenchPlan("snake", methods=("gurobi",))
         with pytest.raises(ValueError):
             BenchPlan("snake", mode="plot")
+        # previously d=0 ran the native d=12, n_seq=-2 ran no iterations and
+        # candidate_c=0 failed only inside the candidate arm
+        for bad in (dict(d=0), dict(d=-1), dict(n_seq=-2), dict(candidate_c=0)):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                BenchPlan("snake", methods=("random",), **bad)
+        assert BenchPlan("snake", n_seq=0).n_seq == 0
 
     def test_unknown_problem_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown problem 'chess'"):
@@ -196,29 +201,3 @@ class TestActiveMode:
         final = [r for r in rep.rows if r["iteration"] == 1]
         assert final and final[0]["rrmse"] is not None
         assert final[0]["rrmse"] >= 0.0
-
-
-class TestBoundOracleScatter:
-    def test_conservative_and_shapes(self):
-        rows = bound_oracle_scatter(replications=5, seed=1, d=6, M=2, n=8)
-        assert len(rows) == 5
-        for r in rows:
-            assert r["certified_bound"] >= r["true_optimum"] - 1e-9
-            assert r["conservative"]
-
-    def test_zero_gap_exact(self):
-        rows = bound_oracle_scatter(
-            replications=3, seed=2, d=6, M=2, n=8, gap_tolerance=0.0
-        )
-        for r in rows:
-            assert r["certified_bound"] == pytest.approx(
-                r["true_optimum"], abs=1e-9
-            )
-            assert r["incumbent"] == pytest.approx(r["true_optimum"], abs=1e-9)
-
-    @pytest.mark.parametrize("kwargs", [dict(d=2, M=2, n=5), dict(d=2, M=6, n=4),
-                                        dict(d=2, M=1, n=1)])
-    def test_impossible_plans_rejected(self, kwargs):
-        # n > M**d used to loop forever drawing distinct rows
-        with pytest.raises(ValueError):
-            bound_oracle_scatter(replications=1, **kwargs)

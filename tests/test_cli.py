@@ -279,6 +279,12 @@ class TestSequentialCmd:
         code, _, err = run_cli(capsys, *argv, "--d", "6", "--init-design", str(m3))
         assert code == 1 and "has M=3, expected M=5" in err
 
+    def test_zero_d_is_an_error(self, capsys):
+        # --d 0 used to run the snake's native d=12
+        code, _, err = run_cli(capsys, "sequential", "--simulator", "snake",
+                               "--acq", "ucb", "--n-seq", "1", "--d", "0")
+        assert code == 1 and "d >= 1" in err
+
 
 class TestBenchCmd:
     def test_tiny_plan(self, capsys, tmp_path):

@@ -226,6 +226,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="point 1 has 2 levels, expected 3"):
             load_design(path)
 
+    def test_csv_interior_blank_field(self, tmp_path):
+        # "1,,2" used to load as the 2-factor point [1, 2]
+        path = tmp_path / "d.csv"
+        for text in ("1,3,2\n1,,2\n", "1,3,2\n,1,2\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="point 1 has an empty field"):
+                load_design(path)
+        path.write_text("1,3,\n2,1, \n")
+        assert load_design(path).as_array().tolist() == [[1, 3], [2, 1]]
+
     def test_missing_field(self):
         with pytest.raises(ValueError, match="points"):
             design_from_dict({"n": 1, "d": 1, "M": 2})

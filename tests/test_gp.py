@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import os
@@ -17,7 +16,6 @@ from quip.gp import (
     KernelParams,
     build_model,
     cross_correlation,
-    d_optimality_ratio,
     fit_mle,
     load_model,
     model_from_dict,
@@ -141,10 +139,18 @@ class TestFitMle:
         with pytest.raises(ValueError, match="does not match n=5"):
             fit_mle(D, f)
 
-    @pytest.mark.parametrize("n_starts", [0, -3])
+    @pytest.mark.parametrize("n_starts", [0, -3, True, 2.5])
     def test_n_starts_must_be_positive(self, n_starts):
         with pytest.raises(ValueError, match="n_starts"):
             FitConfig(n_starts=n_starts)
+
+    def test_numpy_integer_n_starts_fits(self):
+        cfg = FitConfig(n_starts=np.int64(3))
+        assert type(cfg.n_starts) is int and cfg.n_starts == 3
+        D = design_from_array([[1, 1], [2, 2], [1, 2], [2, 1]], 2)
+        got = fit_mle(D, [0.5, 1.0, -0.3, 2.0], cfg).params
+        want = fit_mle(D, [0.5, 1.0, -0.3, 2.0], FitConfig(n_starts=3)).params
+        assert np.array_equal(got.theta, want.theta) and got.mu == want.mu
 
     @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, True, "3", None])
     def test_seed_must_be_non_negative_int(self, seed):
@@ -419,20 +425,6 @@ class TestDuplicateRows:
         model = fit_mle(D, np.append(f, f[:2]), FitConfig(n_starts=4, seed=0))
         mean, _ = predict_batch(model, X)
         assert np.max(np.abs(mean - f)) <= 1e-5 * (f.max() - f.min())
-
-
-class TestDOptimalityRatio:
-    def test_trend_to_one(self):
-        ratios = [d_optimality_ratio(3, 3, 2, 1.0, k) for k in (1.0, 4.0, 16.0)]
-        gaps = [abs(r - 1.0) for r in ratios]
-        assert gaps == sorted(gaps, reverse=True) or gaps[-1] <= 1e-9
-        assert gaps[-1] <= 0.05
-
-    def test_guard(self):
-        from quip.maximin import TooLargeError
-
-        with pytest.raises(TooLargeError):
-            d_optimality_ratio(10, 6, 3, 1.0, 2.0)
 
 
 class TestSerialization:
