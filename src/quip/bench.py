@@ -49,6 +49,8 @@ class BenchPlan:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.n_init < 1:
+            raise ValueError("n_init must be >= 1")
         if self.d is not None and self.d < 1:
             raise ValueError("d must be >= 1")
         if self.n_seq < 0:
@@ -60,6 +62,8 @@ class BenchPlan:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if self.n_init < 2 and {"quip", "candidate"} & set(self.methods):
+            raise ValueError("n_init must be >= 2 for the arms that fit a model")
         if self.mode not in ("opt", "active"):
             raise ValueError("mode must be 'opt' or 'active'")
         self.spec()  # reject a bad acquisition now, not inside the first arm

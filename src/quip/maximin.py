@@ -4,8 +4,7 @@ The feasibility question "does an n-point design in {1..M}^d with minimum
 pairwise Hamming distance >= q exist?" is answered by a two-phase solver:
 
 1. one cheap seeded heuristic that can only prove feasibility: repair of
-   the warm start when there is one, else randomized greedy row
-   construction, and
+   the warm start, or of a seeded random start when there is none, and
 2. a complete depth-first backtracking search over canonical designs that
    certifies infeasibility by exhaustion.
 
@@ -96,7 +95,7 @@ class SolveReport:
     q: int
     nodes_explored: int
     elapsed: float
-    # which phase decided it: "shortcut", "repair", "greedy", "search", or
+    # which phase decided it: "shortcut" (n <= M), "repair", "search", or
     # "code" for optimize_maximin's linear-code witness
     phase: str = "search"
 
@@ -177,35 +176,6 @@ def _repair(
     return False
 
 
-def _greedy_rows(
-    n: int, d: int, M: int, q: int, rng: np.random.Generator, deadline: float | None
-) -> np.ndarray | None:
-    """Randomized greedy construction: add rows one at a time, each sampled
-    until it sits at distance >= q from all previous rows. Up to 60
-    attempts; the first always runs, later ones only before the deadline."""
-    tries_per_row = 120
-    for attempt in range(60):
-        if attempt and _expired(deadline):
-            return None
-        rows = [np.ones(d, dtype=np.int64)]
-        ok = True
-        while len(rows) < n:
-            placed = False
-            prev = np.array(rows)
-            for _ in range(tries_per_row):
-                cand = rng.integers(1, M + 1, size=d)
-                if np.count_nonzero(prev != cand, axis=1).min() >= q:
-                    rows.append(cand)
-                    placed = True
-                    break
-            if not placed:
-                ok = False
-                break
-        if ok:
-            return np.array(rows)
-    return None
-
-
 def _canonicalize(arr: np.ndarray) -> np.ndarray:
     """Map a design to its symmetry-canonical form: relabel each column by
     first occurrence, then sort rows lexicographically (iterated to a
@@ -227,8 +197,13 @@ def _canonicalize(arr: np.ndarray) -> np.ndarray:
     return cur
 
 
-class _CompleteSearch:
-    """Depth-first complete search over canonical designs.
+def _complete_search(
+    inst: FeasibilityInstance, hint: np.ndarray | None, deadline: float | None
+) -> tuple[np.ndarray | None, int, bool]:
+    """Depth-first complete search over canonical designs that tries each
+    cell's hinted level first. Returns the witness (None when there is none
+    or the deadline stopped the search), the nodes visited, and whether the
+    deadline stopped it.
 
     Rows are Python lists and sets of rows are Python-int bitmasks over row
     indices. `eq[j][v]` is the set of completed rows with level v in column
@@ -242,81 +217,66 @@ class _CompleteSearch:
     explicit stack: a design of n rows is (n-1)*d cells deep, past Python's
     recursion limit for a few hundred rows.
     """
+    n, d, M, q = inst.n, inst.d, inst.M, inst.q
+    hint = None if hint is None else hint.tolist()
+    # row 0 is all-ones by value precedence; distance constraints
+    # involve no pair yet.
+    grid = [[1] * d] + [[0] * d for _ in range(n - 1)]
+    maxused = [1] * d  # max level used so far per column (value precedence)
+    eq = [[0, 1] + [0] * (M - 1) for _ in range(d)]
+    top = d - q  # the slack of every pair at the start of a row
 
-    def __init__(
-        self, inst: FeasibilityInstance, hint: np.ndarray | None, deadline: float | None
-    ):
-        self.n, self.d, self.M, self.q = inst.n, inst.d, inst.M, inst.q
-        self.hint = None if hint is None else hint.tolist()
-        self.nodes = 0
-        self.deadline = deadline
-        self.timed_out = False
-        self.solution: np.ndarray | None = None
+    def frame(i: int, j: int, S: tuple, tight: bool) -> tuple:
+        """Search state for cell (i, j). `tight` means the row-i prefix
+        equals the row-(i-1) prefix so far. The frame keeps the iterator
+        over the levels still to try and column j's max level on entry,
+        restored before each level is tried."""
+        lo = grid[i - 1][j] if tight else 1
+        hi = min(M, maxused[j] + 1)
+        values = range(lo, hi + 1)
+        if hint is not None:
+            h = hint[i][j]
+            if lo <= h <= hi:
+                values = [h] + [v for v in values if v != h]
+        return i, j, S, tight, lo, iter(values), maxused[j]
 
-    def run(self) -> None:
-        n, d, M, q = self.n, self.d, self.M, self.q
-        hint, deadline = self.hint, self.deadline
-        # row 0 is all-ones by value precedence; distance constraints
-        # involve no pair yet.
-        grid = [[1] * d] + [[0] * d for _ in range(n - 1)]
-        maxused = [1] * d  # max level used so far per column (value precedence)
-        eq = [[0, 1] + [0] * (M - 1) for _ in range(d)]
-        top = d - q  # the slack of every pair at the start of a row
-
-        def frame(i: int, j: int, S: tuple, tight: bool) -> tuple:
-            """Search state for cell (i, j). `tight` means the row-i prefix
-            equals the row-(i-1) prefix so far. The frame keeps the iterator
-            over the levels still to try and column j's max level on entry,
-            restored before each level is tried."""
-            lo = grid[i - 1][j] if tight else 1
-            hi = min(M, maxused[j] + 1)
-            values = range(lo, hi + 1)
-            if hint is not None:
-                h = hint[i][j]
-                if lo <= h <= hi:
-                    values = [h] + [v for v in values if v != h]
-            return i, j, S, tight, lo, iter(values), maxused[j]
-
-        nodes = 0
-        stack = [frame(1, 0, (0,) * top + (1,), True)]
-        while stack:
-            i, j, S, tight, lo, values, old_max = stack[-1]
-            maxused[j] = old_max
-            row, eqj, S0 = grid[i], eq[j], S[0]
-            for v in values:
-                nodes += 1
-                if nodes % 2048 == 0 and _expired(deadline):
-                    self.nodes, self.timed_out = nodes, True
-                    return
-                E = eqj[v]
-                if S0 & E:
-                    continue
-                row[j] = v
-                if v > old_max:
-                    maxused[j] = v
-                if j + 1 < d:
-                    if E:  # the rows sharing level v lose one column of slack
-                        keep = ~E
-                        S = tuple([(a & keep) | (b & E) for a, b in zip(S, S[1:])]
-                                  + [S[-1] & keep])
-                    stack.append(frame(i, j + 1, S, tight and v == lo))
-                elif i + 1 < n:
-                    bit = 1 << i
-                    for jj, u in enumerate(row):
-                        eq[jj][u] |= bit
-                    stack.append(frame(i + 1, 0, (0,) * top + ((bit << 1) - 1,), True))
-                else:
-                    self.nodes = nodes
-                    self.solution = np.array(grid, dtype=np.int64)
-                    return
-                break
+    nodes = 0
+    stack = [frame(1, 0, (0,) * top + (1,), True)]
+    while stack:
+        i, j, S, tight, lo, values, old_max = stack[-1]
+        maxused[j] = old_max
+        row, eqj, S0 = grid[i], eq[j], S[0]
+        for v in values:
+            nodes += 1
+            if nodes % 2048 == 0 and _expired(deadline):
+                return None, nodes, True
+            E = eqj[v]
+            if S0 & E:
+                continue
+            row[j] = v
+            if v > old_max:
+                maxused[j] = v
+            if j + 1 < d:
+                if E:  # the rows sharing level v lose one column of slack
+                    keep = ~E
+                    S = tuple([(a & keep) | (b & E) for a, b in zip(S, S[1:])]
+                              + [S[-1] & keep])
+                stack.append(frame(i, j + 1, S, tight and v == lo))
+            elif i + 1 < n:
+                bit = 1 << i
+                for jj, u in enumerate(row):
+                    eq[jj][u] |= bit
+                stack.append(frame(i + 1, 0, (0,) * top + ((bit << 1) - 1,), True))
             else:
-                stack.pop()
-                if j == 0:  # row i-1 is no longer complete
-                    drop = ~(1 << (i - 1))
-                    for jj, u in enumerate(grid[i - 1]):
-                        eq[jj][u] &= drop
-        self.nodes = nodes
+                return np.array(grid, dtype=np.int64), nodes, False
+            break
+        else:
+            stack.pop()
+            if j == 0:  # row i-1 is no longer complete
+                drop = ~(1 << (i - 1))
+                for jj, u in enumerate(grid[i - 1]):
+                    eq[jj][u] &= drop
+    return None, nodes, False
 
 
 def solve_feasibility(inst: FeasibilityInstance) -> SolveReport:
@@ -324,9 +284,9 @@ def solve_feasibility(inst: FeasibilityInstance) -> SolveReport:
 
     FEASIBLE reports carry a witness design; INFEASIBLE is certified by
     exhaustion of the complete search and is never emitted after a
-    time-limit abort. The time limit covers the whole solve: repair stops
-    at the deadline, greedy construction starts no attempt after its first
-    once the deadline has passed, and the complete search stops there.
+    time-limit abort. The time limit covers the whole solve: repair of the
+    warm start, or of a seeded random start when there is none, stops at
+    the deadline, and so does the complete search.
     """
     t0 = time.perf_counter()
     deadline = t0 + inst.time_limit if inst.time_limit is not None else None
@@ -336,37 +296,24 @@ def solve_feasibility(inst: FeasibilityInstance) -> SolveReport:
         # the constant rows (i, i, ..., i) are at mutual distance d >= q
         arr = np.repeat(np.arange(1, n + 1, dtype=np.int64), d).reshape(n, d)
         return _report(arr, M, q, 0, t0, "shortcut")
-    if q == 0:
-        arr = np.ones((n, d), dtype=np.int64)
-        if inst.warm_start is not None:
-            arr = inst.warm_start.as_array()
-        return _report(arr, M, q, 0, t0, "shortcut")
 
     rng = np.random.default_rng(
         np.random.SeedSequence([inst.seed, n, d, M, q, 0x51D]).generate_state(4)
     )
 
-    # Phase 1: repair of the warm start, else randomized greedy construction.
-    hint = None
-    if inst.warm_start is not None:
-        arr = inst.warm_start.as_array().copy()
-        if _repair(arr, M, q, rng, deadline):
-            return _report(arr, M, q, 0, t0, "repair")
-        hint = _canonicalize(inst.warm_start.as_array())
-    else:
-        greedy = _greedy_rows(n, d, M, q, rng, deadline)
-        if greedy is not None:
-            return _report(greedy, M, q, 0, t0, "greedy")
+    # Phase 1: repair of the warm start, else of a random start.
+    warm = inst.warm_start
+    arr = rng.integers(1, M + 1, size=(n, d)) if warm is None else warm.as_array().copy()
+    if _repair(arr, M, q, rng, deadline):
+        return _report(arr, M, q, 0, t0, "repair")
 
-    # Phase 2: complete search with symmetry breaking.
-    search = _CompleteSearch(inst, hint, deadline)
-    search.run()
-    elapsed = time.perf_counter() - t0
-    if search.solution is not None:
-        return _report(search.solution, M, q, search.nodes, t0, "search")
-    if search.timed_out:
-        return SolveReport(TIME_LIMIT, None, q, search.nodes, elapsed)
-    return SolveReport(INFEASIBLE, None, q, search.nodes, elapsed)
+    # Phase 2: complete search with symmetry breaking, hinted by the warm start.
+    hint = None if warm is None else _canonicalize(warm.as_array())
+    witness, nodes, timed_out = _complete_search(inst, hint, deadline)
+    if witness is not None:
+        return _report(witness, M, q, nodes, t0, "search")
+    status = TIME_LIMIT if timed_out else INFEASIBLE
+    return SolveReport(status, None, q, nodes, time.perf_counter() - t0)
 
 
 # GF(p**e) for the prime powers below 10: p and the lower coefficients
@@ -505,9 +452,10 @@ def optimize_maximin(
                 f"feasibility solve at the guaranteed distance q0={qt} timed out"
             )
         if rep.status == INFEASIBLE:
-            # q0 is feasible by construction: d when n <= M and 0 when
-            # n > M**d (shortcuts answer both), else the sphere-covering
-            # bound, so this verdict would mean the complete search is unsound
+            # q0 is feasible by construction: d when n <= M (the shortcut
+            # answers it), 0 when n > M**d (repair makes no move), else the
+            # sphere-covering bound, so this verdict would mean the complete
+            # search is unsound
             raise RuntimeError(
                 f"feasibility solve reported the guaranteed distance q0={qt} infeasible"
             )

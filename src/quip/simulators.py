@@ -155,6 +155,15 @@ class ObstacleCourse:
     boxes: tuple = field(default=())  # axis-aligned (x0, y0, x1, y1)
     substeps: int = 20
 
+    def __post_init__(self):
+        # substeps 0 divides by zero and a negative count drops the path
+        # integral; an inverted box contains no point, so it is no obstacle
+        if self.substeps < 1:
+            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
+        for x0, y0, x1, y1 in self.boxes:
+            if x0 > x1 or y0 > y1:
+                raise ValueError(f"obstacle box {(x0, y0, x1, y1)} has x0 > x1 or y0 > y1")
+
 
 def _occupancy(course: ObstacleCourse, p: np.ndarray) -> float:
     for x0, y0, x1, y1 in course.boxes:

@@ -31,10 +31,16 @@ class TestBenchPlan:
             BenchPlan("snake", mode="plot")
         # previously d=0 ran the native d=12, n_seq=-2 ran no iterations and
         # candidate_c=0 failed only inside the candidate arm
-        for bad in (dict(d=0), dict(d=-1), dict(n_seq=-2), dict(candidate_c=0)):
+        for bad in (dict(d=0), dict(d=-1), dict(n_seq=-2), dict(candidate_c=0),
+                    dict(n_init=0)):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 BenchPlan("snake", methods=("random",), **bad)
         assert BenchPlan("snake", n_seq=0).n_seq == 0
+        # n_init=1 failed only inside the first arm that fits a model
+        for methods in (("random", "quip"), ("candidate",)):
+            with pytest.raises(ValueError, match="n_init"):
+                BenchPlan("snake", methods=methods, n_init=1)
+        assert BenchPlan("snake", methods=("random",), n_init=1).n_init == 1
 
     def test_unknown_problem_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown problem 'chess'"):

@@ -55,9 +55,10 @@ class TestSolveFeasibility:
         assert rep.design is None
         assert rep.nodes_explored > 0
 
-    def test_q_zero_shortcut(self):
+    def test_q_zero_needs_no_search(self):
+        # n > M**d: repair of the random start makes no move at q = 0
         rep = solve_feasibility(FeasibilityInstance(10, 2, 2, 0))
-        assert rep.status == FEASIBLE and rep.design.n == 10
+        assert rep.status == FEASIBLE and rep.design.n == 10 and rep.nodes_explored == 0
 
     def test_n_one(self):
         rep = solve_feasibility(FeasibilityInstance(1, 3, 2, 3))
@@ -80,7 +81,7 @@ class TestSolveFeasibility:
         five_by_four = design_from_array([[1, 2, 1, 2]] * 5, 2)
         for n, d, M, q, ws in [
             (3, 3, 2, 2, design_from_array([[1, 1]], 2)),
-            # the q = 0 and n = 1 shortcuts must not return the warm start
+            # neither a q = 0 solve nor the n <= M shortcut may return it
             (3, 2, 2, 0, five_by_four),
             (1, 2, 2, 1, five_by_four),
             (3, 2, 2, 1, design_from_array([[1, 3], [2, 1], [3, 3]], 3)),
@@ -89,8 +90,8 @@ class TestSolveFeasibility:
                 solve_feasibility(FeasibilityInstance(n, d, M, q, warm_start=ws))
 
     def test_deep_search_does_not_recurse(self):
-        # greedy construction fails here and the complete search goes
-        # (n-1)*d = 2990 cells deep, past Python's recursion limit
+        # repair of the random start fails here and the complete search
+        # goes (n-1)*d = 2990 cells deep, past Python's recursion limit
         rep = solve_feasibility(FeasibilityInstance(300, 10, 2, 2))
         assert rep.status == FEASIBLE and rep.nodes_explored > 0
         assert min_pairwise_distance(rep.design) >= 2
@@ -99,11 +100,11 @@ class TestSolveFeasibility:
         ws = design_from_array([[1, 1, 1, 1], [1, 1, 1, 2], [2, 2, 2, 2]], 2)
         for inst, phase in [
             (FeasibilityInstance(8, 10, 10, 10), "shortcut"),  # n <= M
-            (FeasibilityInstance(10, 2, 2, 0), "shortcut"),  # q = 0
+            (FeasibilityInstance(10, 2, 2, 0), "repair"),  # q = 0: no move
             (FeasibilityInstance(3, 4, 2, 2, warm_start=ws), "repair"),
-            (FeasibilityInstance(4, 4, 3, 3), "greedy"),
+            (FeasibilityInstance(4, 4, 3, 3), "repair"),  # of a random start
             (FeasibilityInstance(5, 3, 2, 2), "search"),  # infeasible
-            (FeasibilityInstance(300, 10, 2, 2), "search"),  # greedy fails
+            (FeasibilityInstance(300, 10, 2, 2), "search"),  # repair fails
         ]:
             rep = solve_feasibility(inst)
             assert rep.phase == phase, inst
@@ -113,6 +114,13 @@ class TestSolveFeasibility:
         a = solve_feasibility(FeasibilityInstance(6, 5, 3, 3, seed=42))
         b = solve_feasibility(FeasibilityInstance(6, 5, 3, 3, seed=42))
         assert a.design == b.design
+
+    def test_q0_needs_no_search(self):
+        # over criterion 2's grid, repair of the seeded random start finds
+        # every witness at the guaranteed distance
+        for n, d, M in itertools.product(range(2, 21), range(2, 11), range(2, 9)):
+            rep = solve_feasibility(FeasibilityInstance(n, d, M, q0(n, d, M)))
+            assert rep.status == FEASIBLE and rep.nodes_explored == 0, (n, d, M)
 
 
 # (n, d, M, q, seed, success, repaired rows): outputs of the original
@@ -192,10 +200,10 @@ def test_search_pinned_outputs(n, d, M, q, hint, status, nodes, witness):
         hint = np.array([[int(c) for c in r] for r in hint.split()])
     # a changed visit order can turn a pin into a long search: stop it
     deadline = time.perf_counter() + 60.0
-    search = maximin._CompleteSearch(FeasibilityInstance(n, d, M, q), hint, deadline)
-    search.run()
-    assert not search.timed_out and search.nodes == nodes
-    found = None if search.solution is None else _witness(search.solution)
+    solution, visited, timed_out = maximin._complete_search(
+        FeasibilityInstance(n, d, M, q), hint, deadline)
+    assert not timed_out and visited == nodes
+    found = None if solution is None else _witness(solution)
     assert (found is not None) == (status == FEASIBLE) and found == witness
 
 
@@ -293,30 +301,32 @@ class TestOptimizeMaximin:
         assert not r.certified and r.certificate is None
         assert min_pairwise_distance(r.design) >= r.q_star
 
-    def test_greedy_only_without_warm_start(self, monkeypatch):
-        # every solve past the first witness (the q0 solve's or the code
-        # report's) is warm-started: a failed repair goes straight to the
-        # hinted complete search, with no greedy construction
+    def test_search_hinted_only_by_a_warm_start(self, monkeypatch):
+        # repair is made to fail, so every solve reaches the complete
+        # search: a cold one unhinted, a warm-started one (every solve past
+        # the first witness) hinted by its canonical warm start
         warm = []
-        solve, greedy = maximin.solve_feasibility, maximin._greedy_rows
+        search = maximin._complete_search
 
-        def tracked_solve(inst):
-            warm.append(inst.warm_start is not None)
-            return solve(inst)
+        def checked_search(inst, hint, deadline):
+            ws = inst.warm_start
+            warm.append(ws is not None)
+            if ws is None:
+                assert hint is None, "hinted cold search"
+            else:
+                assert np.array_equal(hint, maximin._canonicalize(ws.as_array()))
+            return search(inst, hint, deadline)
 
-        def cold_greedy(*args):
-            assert not warm[-1], "greedy construction in a warm-started solve"
-            return greedy(*args)
-
-        monkeypatch.setattr(maximin, "solve_feasibility", tracked_solve)
-        monkeypatch.setattr(maximin, "_greedy_rows", cold_greedy)
+        monkeypatch.setattr(maximin, "_complete_search", checked_search)
+        monkeypatch.setattr(maximin, "_repair", lambda *args: False)
         singleton_only(monkeypatch)
         r = optimize_maximin(5, 6, 3)
-        assert r.certificate == "exhaustion"  # the failed repair was searched
-        assert r.trace[0].phase == "code" and warm == [True] * len(warm)
+        assert r.certificate == "exhaustion" and r.trace[0].phase == "code"
+        assert warm == [True]
         warm.clear()
         r = optimize_maximin(8, 4, 6)  # no field of order 6: q0 is solved cold
-        assert len(warm) > 1 and warm == [False] + [True] * (len(warm) - 1)
+        assert r.certified and len(warm) > 1
+        assert warm == [False] + [True] * (len(warm) - 1)
 
     @pytest.mark.parametrize("limit", [0, -1.0, float("inf"), float("nan")])
     def test_time_limit_must_be_finite_positive(self, limit):

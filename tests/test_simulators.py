@@ -233,6 +233,15 @@ class TestRover:
         assert c.speed_low == 0.1 and c.speed_high == 0.2
         assert course_from_dict({}) == ObstacleCourse()
 
+    @pytest.mark.parametrize("bad, match", [
+        ({"substeps": 0}, "substeps"), ({"substeps": -1}, "substeps"),
+        ({"boxes": [[0.5, 0.2, 0.3, 0.4]]}, "box"), ({"boxes": [[0.2, 0.5, 0.3, 0.4]]}, "box")])
+    def test_course_config_rejected(self, bad, match):
+        # substeps 0 divided by zero in rover_cost, -1 dropped the path
+        # integral, and an inverted box silently removed its obstacle
+        with pytest.raises(ValueError, match=match):
+            course_from_dict(bad)
+
 
 class TestDeterminism:
     def test_identical_inputs_identical_results(self):
