@@ -9,12 +9,11 @@ from .acquisition import (
     optimize_acquisition,
     random_point,
 )
-from .bounds import code_size_bound, gilbert_q, hamming_ball, q0, q_upper
+from .bounds import code_size_bound, hamming_ball, q0, q_upper
 from .encoding import (
     Design,
     Point,
     design_from_array,
-    hamming,
     load_design,
     min_pairwise_distance,
     save_design,
@@ -79,8 +78,6 @@ __all__ = [
     "design_from_array",
     "enumerate_acquisition",
     "fit_mle",
-    "gilbert_q",
-    "hamming",
     "hamming_ball",
     "load_campaign",
     "load_design",

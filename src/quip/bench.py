@@ -66,6 +66,8 @@ class BenchPlan:
             raise ValueError("n_init must be >= 2 for the arms that fit a model")
         if self.mode not in ("opt", "active"):
             raise ValueError("mode must be 'opt' or 'active'")
+        if self.mode == "active" and self.n_init + self.n_seq < 2:
+            raise ValueError("mode 'active' needs n_init + n_seq >= 2 for its final fit")
         self.spec()  # reject a bad acquisition now, not inside the first arm
 
     def spec(self) -> AcquisitionSpec:

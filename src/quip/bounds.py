@@ -1,10 +1,10 @@
 """Combinatorial bounds for the maximin distance target.
 
-Lower bounds (:func:`gilbert_q`, :func:`q0`) give a distance that an
-n-point design always attains; the upper bound :func:`code_size_bound`
-caps how many rows a design at a given distance can have, which rules a
-distance target out without a search, and :func:`q_upper` is the largest
-distance it leaves open.
+The lower bound :func:`q0` is a distance that an n-point design always
+attains; the upper bound :func:`code_size_bound` caps how many rows a
+design at a given distance can have, which rules a distance target out
+without a search, and :func:`q_upper` is the largest distance it leaves
+open. The maximin optimum lies in [q0, q_upper].
 
 The upper bound's Plotkin term counts pairs exactly (Plotkin 1960, "Binary
 codes with specified minimum distance", IRE Trans. IT-6): the pairwise
@@ -36,40 +36,24 @@ def _validate(n: int, d: int, M: int) -> None:
         raise ValueError(f"need n >= 1, d >= 1, M >= 2, got ({n},{d},{M})")
 
 
-def gilbert_q(n: int, d: int, M: int) -> int:
-    """Largest k in {1..d} with M**d >= n * hamming_ball(d, k-1, M), else 0.
-
-    Sphere-covering argument: while fewer than M**d / ball(k-1) points are
-    placed, some lattice point lies at distance >= k from all of them, so
-    any partial design extends greedily to n points at minimum distance k.
-    The k=1 condition is exactly n <= M**d (enough distinct points); when
-    even that fails, only distance 0 is guaranteed.
-    """
-    _validate(n, d, M)
-    best = 0
-    for k in range(1, d + 1):
-        if M**d >= n * hamming_ball(d, k - 1, M):
-            best = k
-        else:
-            break
-    return best
-
-
 def q0(n: int, d: int, M: int) -> int:
     """Distance value guaranteed feasible for an n-point design in {1..M}^d.
 
     Returns d when n <= M (witness: the constant rows (i, i, ..., i) are at
-    mutual distance d), else the sphere-covering bound of :func:`gilbert_q`.
-    When n > M the result is always <= d-1, matching the pigeonhole
-    observation that two runs must then share a level in every factor.
-
-    When n > M**d, no n distinct points exist and the function returns 0:
-    only the duplicate-containing design is guaranteed.
+    mutual distance d). Otherwise returns the sphere-covering bound: the
+    largest k in {1..d} with M**d >= n * hamming_ball(d, k-1, M), else 0.
+    While fewer than M**d / ball(k-1) points are placed, some lattice point
+    lies at distance >= k from all of them, so any partial design extends
+    greedily to n points at minimum distance k. When n > M the result is
+    always <= d-1, matching the pigeonhole observation that two runs must
+    then share a level in every factor. The k=1 condition is exactly n <=
+    M**d (enough distinct points); past it only the duplicate-containing
+    design, at distance 0, is guaranteed.
     """
     _validate(n, d, M)
     if n <= M:
         return d
-    return gilbert_q(n, d, M)
+    return max((k for k in range(1, d + 1) if M**d >= n * hamming_ball(d, k - 1, M)), default=0)
 
 
 def _column_pairs(n: int, M: int) -> int:
@@ -91,9 +75,8 @@ def code_size_bound(d: int, q: int, M: int) -> int:
     """Upper bound on A_M(d, q): rows of a design in {1..M}^d whose pairwise
     Hamming distances are all >= q, for q >= 1.
 
-    The minimum of three classical bounds:
+    The minimum of two classical bounds:
 
-    - Singleton: M**(d-q+1) (delete q-1 columns; the rows stay distinct);
     - sphere packing: balls of radius (q-1)//2 around the rows are disjoint;
     - Plotkin on a shortened code: for every m <= d with M*q > (M-1)*m,
       M**(d-m) * A, where A bounds the rows at length m. Keeping the rows
@@ -105,6 +88,12 @@ def code_size_bound(d: int, q: int, M: int) -> int:
       largest n passing this test. Since P(n, M) <= n**2*(M-1)/(2*M), no n
       above M*q // (M*q - (M-1)*m) passes (the real-valued Plotkin bound),
       so the scan stops there and A never exceeds it.
+
+    The shortened Plotkin term at m = q-1 is Singleton's bound M**(d-q+1)
+    (delete q-1 columns; the rows stay distinct), so it needs no term of
+    its own: for q >= 2, M*q > (M-1)*(q-1) always holds and two rows
+    cannot differ in q of q-1 columns, so A = 1; for q = 1, m = 1 gives
+    M**(d-1) * M.
 
     For M = 2 and odd q, the binary parity extension also applies: a parity
     column turns every distance of exactly q into q+1, so A_2(d, q) =
@@ -119,7 +108,7 @@ def code_size_bound(d: int, q: int, M: int) -> int:
         raise ValueError(f"no bound on the rows at distance q={q} < 1: rows may repeat")
     if q > d:
         return 1
-    best = min(M ** (d - q + 1), M**d // hamming_ball(d, (q - 1) // 2, M))
+    best = M**d // hamming_ball(d, (q - 1) // 2, M)
     for m in range(1, d + 1):
         if M * q > (M - 1) * m:
             best = min(best, M ** (d - m) * _plotkin(m, q, M))

@@ -37,7 +37,6 @@ def _cmd_bound(args) -> int:
             "d": d,
             "M": M,
             "q0": bounds.q0(n, d, M),
-            "gilbert_q": bounds.gilbert_q(n, d, M),
             # the maximin ascent's ceiling: q* lies in [q0, q_upper]
             "q_upper": bounds.q_upper(n, d, M),
         }

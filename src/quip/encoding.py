@@ -132,15 +132,6 @@ def design_from_array(levels, M: int) -> Design:
     return D
 
 
-def hamming(x: Point, y: Point) -> int:
-    """Number of dissimilar entries between two points."""
-    if x.d != y.d or x.M != y.M:
-        raise DimensionMismatchError(
-            f"cannot compare ({x.d},{x.M}) against ({y.d},{y.M})"
-        )
-    return sum(a != b for a, b in zip(x.levels, y.levels))
-
-
 def min_pairwise_distance(D: Design) -> int:
     """Minimum Hamming distance over all point pairs of the design."""
     if D.n < 2:

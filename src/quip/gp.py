@@ -289,9 +289,7 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
     rhs = np.column_stack([f, np.ones(D.n)])
     starts = [np.zeros(d)]
     if config.n_starts > 1:
-        m = config.n_starts - 1
-        pow2 = 1 << (m - 1).bit_length()  # Sobol balance wants powers of two
-        extra = _sobol(d, pow2, config.seed)[:m]
+        extra = _sobol(d, config.n_starts - 1, config.seed)
         starts.extend(LOG_THETA_LO + (LOG_THETA_HI - LOG_THETA_LO) * extra)
 
     def objective(lt):

@@ -393,17 +393,6 @@ def _code_witness(n: int, d: int, M: int) -> np.ndarray | None:
     return best
 
 
-def _code_report(n: int, d: int, M: int) -> SolveReport | None:
-    """The code witness of :func:`_code_witness` as a feasible report at
-    its measured minimum distance, or None when there is no code."""
-    t0 = time.perf_counter()
-    arr = _code_witness(n, d, M)
-    if arr is None:
-        return None
-    D = design_from_array(arr, M)
-    return SolveReport(FEASIBLE, D, min_pairwise_distance(D), 0, time.perf_counter() - t0, "code")
-
-
 def optimize_maximin(
     n: int,
     d: int,
@@ -421,15 +410,16 @@ def optimize_maximin(
     (:func:`_code_witness`), checked by min_pairwise_distance. At q_upper
     it settles the instance with no solve; above q0 its report replaces
     the q0 solve and the ascent starts one above it; otherwise it is
-    dropped and the q0 solve runs as without it.
+    dropped and the ascent starts at q0 with a cold solve.
 
     The ascent ends with a certificate: "bound" when the witness reaches
     q_upper, so code_size_bound rules q_star+1 out (this covers q_star = d,
-    and the pigeonhole cap q_star <= d-1 for n > M, which is Singleton's
-    bound at q = d), "exhaustion" when the bound is loose there and the
-    feasibility solve at q_star+1 is infeasible. When a feasibility solve
-    times out, the incumbent design is returned with certificate None
-    (certified False): q_star is then only a lower bound.
+    and the pigeonhole cap q_star <= d-1 for n > M, which is the shortened
+    Plotkin bound at m = q-1 (Singleton) with q = d), "exhaustion" when the
+    bound is loose there and the feasibility solve at q_star+1 is
+    infeasible. When a feasibility solve times out, the incumbent design
+    is returned with certificate None (certified False): q_star is then
+    only a lower bound.
     """
     if n < 2:
         raise ValueError("optimize_maximin needs n >= 2")
@@ -441,17 +431,30 @@ def optimize_maximin(
             return None
         return max(0.05, deadline - time.perf_counter())
 
-    qt, top = q0(n, d, M), q_upper(n, d, M)
-    rep = _code_report(n, d, M) if top > qt else None
-    if rep is None or rep.q <= qt:
+    low, top = q0(n, d, M), q_upper(n, d, M)
+    trace, best, q_star, certificate = [], None, low - 1, BOUND
+    t0 = time.perf_counter()
+    arr = _code_witness(n, d, M) if top > low else None
+    if arr is not None:
+        D = design_from_array(arr, M)
+        q = min_pairwise_distance(D)
+        if q > low:
+            trace.append(SolveReport(FEASIBLE, D, q, 0, time.perf_counter() - t0, "code"))
+            best, q_star = D, q
+    # q0 <= q_upper (a bound admits the rows q0 guarantees), so without a
+    # code witness the first pass is the cold q0 solve
+    for qt in range(q_star + 1, top + 1):
         rep = solve_feasibility(
-            FeasibilityInstance(n, d, M, qt, time_limit=remaining(), seed=seed)
+            FeasibilityInstance(n, d, M, qt, time_limit=remaining(), warm_start=best, seed=seed)
         )
-        if rep.status == TIME_LIMIT:
+        trace.append(rep)
+        if rep.status == FEASIBLE:
+            best, q_star = rep.design, qt
+        elif best is None and rep.status == TIME_LIMIT:
             raise TimeoutError(
                 f"feasibility solve at the guaranteed distance q0={qt} timed out"
             )
-        if rep.status == INFEASIBLE:
+        elif best is None:
             # q0 is feasible by construction: d when n <= M (the shortcut
             # answers it), 0 when n > M**d (repair makes no move), else the
             # sphere-covering bound, so this verdict would mean the complete
@@ -459,20 +462,6 @@ def optimize_maximin(
             raise RuntimeError(
                 f"feasibility solve reported the guaranteed distance q0={qt} infeasible"
             )
-    trace = [rep]
-    best = rep.design
-    q_star = rep.q
-    certificate = BOUND
-    for qt in range(q_star + 1, top + 1):
-        rep = solve_feasibility(
-            FeasibilityInstance(
-                n, d, M, qt, time_limit=remaining(), warm_start=best, seed=seed
-            )
-        )
-        trace.append(rep)
-        if rep.status == FEASIBLE:
-            best = rep.design
-            q_star = qt
         elif rep.status == INFEASIBLE:
             certificate = EXHAUSTION
             break

@@ -41,6 +41,11 @@ class TestBenchPlan:
             with pytest.raises(ValueError, match="n_init"):
                 BenchPlan("snake", methods=methods, n_init=1)
         assert BenchPlan("snake", methods=("random",), n_init=1).n_init == 1
+        # an active-mode arm ending with one point failed only in its final
+        # RRMSE fit
+        with pytest.raises(ValueError, match="active"):
+            BenchPlan("snake", methods=("random",), n_init=1, n_seq=0, mode="active")
+        assert BenchPlan("snake", methods=("random",), n_init=1, n_seq=1, mode="active").n_seq == 1
 
     def test_unknown_problem_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown problem 'chess'"):

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from quip.bounds import code_size_bound, gilbert_q, hamming_ball, q0, q_upper
+from quip.bounds import code_size_bound, hamming_ball, q0, q_upper
 from quip.maximin import brute_force_maximin
 
 
@@ -15,20 +15,21 @@ class TestSphereSums:
         assert hamming_ball(5, 1, 2) == 6
 
 
-class TestGilbertQ:
+class TestSphereCovering:
     def test_small(self):
-        assert gilbert_q(2, 3, 2) == 2  # 8 >= 2*1 (k=1), 8 >= 2*4? no -> 2? check
-        assert gilbert_q(11, 10, 10) == 8
+        # 10**10 >= 11 * ball(10, 7, 10) but not 11 * ball(10, 8, 10)
+        assert q0(11, 10, 10) == 8
 
     def test_greedy_witness(self):
-        # sphere-covering guarantee: greedy construction at q=gilbert_q
-        # never dead-ends (exhaustive over a small grid)
+        # q0's guarantee: greedy construction at q = q0 never dead-ends
+        # (exhaustive over a small grid); for n <= M, q0 = d, and a greedy
+        # draw at distance d never dead-ends either
         import itertools
 
         import numpy as np
 
         for n, d, M in itertools.product(range(2, 6), range(2, 5), (2, 3)):
-            q = gilbert_q(n, d, M)
+            q = q0(n, d, M)
             if q == 0:
                 continue  # overfull lattice: nothing to extend
             pts = np.array(
@@ -69,9 +70,11 @@ class TestCodeSizeBound:
         # 55*7 = 385 > 8*48; for 10 rows 45*7 = 315 <= 8*40. The
         # real-valued Plotkin bound gives 35 // 3 = 11.
         (8, 7, 5, 10),
-        (8, 8, 9, 9),  # Singleton = Plotkin
-        (4, 3, 3, 9),  # Singleton, sphere packing and Plotkin agree
-        (4, 2, 2, 8),  # Singleton
+        (8, 8, 9, 9),  # shortened Plotkin at m = q-1 (Singleton) = Plotkin
+        # shortened Plotkin at m = q-1 (Singleton), sphere packing and
+        # Plotkin agree
+        (4, 3, 3, 9),
+        (4, 2, 2, 8),  # shortened Plotkin at m = q-1 (Singleton)
         # counting pairs on 4 columns: 3*3 = 9 > 4*2 rules out 3 rows, so
         # A_2(5, 3) <= 2 * 2 = 4 (the parity extension A_2(6, 4) <= 4
         # agrees: 6*4 <= 6*4, and 5 rows exceed the cap 8 // 2); sphere

@@ -23,7 +23,7 @@ class TestBound:
         assert obj["q0"] == 1
         # A_2(3, 3) <= 2 < 4 rows, but (111, 122, 212, 221) is at distance 2
         assert obj["q_upper"] == 2
-        assert set(obj) == {"schema_version", "n", "d", "M", "q0", "gilbert_q", "q_upper"}
+        assert set(obj) == {"schema_version", "n", "d", "M", "q0", "q_upper"}
 
     def test_upper_zero_past_the_lattice(self, capsys):
         # more rows than {1, 2}^2 holds: no distance q >= 1 admits them

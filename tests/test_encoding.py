@@ -14,7 +14,6 @@ from quip.encoding import (
     design_from_array,
     design_from_dict,
     design_to_dict,
-    hamming,
     lattice_array,
     lattice_distances,
     load_design,
@@ -22,6 +21,13 @@ from quip.encoding import (
     read_json,
     save_design,
 )
+
+
+def _hamming(x: Point, y: Point) -> int:
+    """Number of dissimilar entries between two points: the reference
+    distance for the library's array-based ones."""
+    return sum(a != b for a, b in zip(x.levels, y.levels))
+
 
 points = st.integers(2, 5).flatmap(
     lambda M: st.lists(st.integers(1, M), min_size=1, max_size=8).map(
@@ -133,16 +139,12 @@ class TestEncode:
         eye = np.eye(3, dtype=int)
         for a, b in itertools.product(lattice_array(3, 3), repeat=2):
             inner = int(np.sum(eye[a - 1] * eye[b - 1]))
-            assert hamming(Point(a, 3), Point(b, 3)) == 3 - inner
+            assert _hamming(Point(a, 3), Point(b, 3)) == 3 - inner
 
 
 class TestHamming:
     def test_known(self):
-        assert hamming(Point((1, 2, 3), 3), Point((1, 3, 3), 3)) == 1
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            hamming(Point((1,), 2), Point((1, 1), 2))
+        assert _hamming(Point((1, 2, 3), 3), Point((1, 3, 3), 3)) == 1
 
     @given(points, st.randoms())
     @settings(max_examples=50)
@@ -150,14 +152,14 @@ class TestHamming:
         lv = list(p.levels)
         rnd.shuffle(lv)
         q = Point(tuple(lv), p.M)
-        assert hamming(p, p) == 0
-        assert hamming(p, q) == hamming(q, p)
-        assert 0 <= hamming(p, q) <= p.d
+        assert _hamming(p, p) == 0
+        assert _hamming(p, q) == _hamming(q, p)
+        assert 0 <= _hamming(p, q) <= p.d
 
     def test_triangle_inequality_exhaustive(self):
         pts = [Point(row, 2) for row in lattice_array(3, 2)]
         for a, b, c in itertools.product(pts, repeat=3):
-            assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
+            assert _hamming(a, c) <= _hamming(a, b) + _hamming(b, c)
 
 
 class TestMinPairwiseDistance:
@@ -174,7 +176,7 @@ class TestMinPairwiseDistance:
         for _ in range(50):
             D = design_from_array(rng.integers(1, 4, size=(6, 4)), 3)
             pts = D.points
-            want = min(hamming(p, q) for p, q in itertools.combinations(pts, 2))
+            want = min(_hamming(p, q) for p, q in itertools.combinations(pts, 2))
             assert min_pairwise_distance(D) == want
 
 
@@ -191,7 +193,7 @@ class TestAllPoints:
         pts, dist = lattice_distances(3, 2)
         assert pts.tolist() == lattice_array(3, 2).tolist()
         P = [Point(tuple(int(v) for v in row), 2) for row in pts]
-        assert dist.tolist() == [[hamming(x, y) for y in P] for x in P]
+        assert dist.tolist() == [[_hamming(x, y) for y in P] for x in P]
 
 
 class TestSerialization:

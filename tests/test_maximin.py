@@ -291,6 +291,15 @@ class TestOptimizeMaximin:
         with pytest.raises(RuntimeError, match=f"q0={q0(8, 4, 6)} infeasible"):
             optimize_maximin(8, 4, 6)
 
+    def test_timeout_at_q0_is_an_error(self, monkeypatch):
+        # with no incumbent yet, a time limit leaves no design to return
+        def timed_out(inst):
+            return SolveReport(maximin.TIME_LIMIT, None, inst.q, 0, 0.0)
+
+        monkeypatch.setattr(maximin, "solve_feasibility", timed_out)
+        with pytest.raises(TimeoutError, match=f"q0={q0(8, 4, 6)} timed out"):
+            optimize_maximin(8, 4, 6)
+
     def test_time_limit_covers_the_whole_solve(self):
         # the q = 7 solve's repair gives up within its move budget (about
         # a tenth of the limit); its hinted complete search spends the rest
