@@ -88,7 +88,7 @@ def problem_objective(problem: str, d: int | None = None):
     if problem not in PROBLEMS:
         raise ValueError(f"unknown problem {problem!r}")
     p = PROBLEMS[problem]
-    config = p.default_config()
+    config = p.config()
     d = p.d if d is None else d
     return d, p.M, lambda x: p.sign * p.simulate(config, x).value
 

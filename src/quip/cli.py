@@ -9,7 +9,6 @@ time-limit incumbent, 1 error (including usage errors).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -69,15 +68,12 @@ def _cmd_design(args) -> int:
     return EXIT_OK if result.certified else EXIT_TIME_LIMIT
 
 
-def _read_responses(path) -> np.ndarray:
-    with open(path) as fh:
-        vals = [float(v) for row in csv.reader(fh) for v in row if v.strip()]
-    return np.asarray(vals)
-
-
 def _cmd_fit(args) -> int:
     D = encoding.load_design(args.design, M=args.M)
-    f = _read_responses(args.responses)
+    with open(args.responses) as fh:  # one number per row, in the design's row order
+        rows = encoding.read_csv(
+            fh, lambda i, line: f"row {line} of responses {args.responses}", width=1)
+    f = np.array([float(fields[0]) for _, fields in rows])
     model = gp.fit_mle(D, f, gp.FitConfig(seed=args.seed))
     if args.out:
         gp.save_model(model, args.out)
@@ -120,30 +116,22 @@ def _csv_table_simulator(path, M):
     to the table's largest level (at least 2). Rows of unequal length and
     repeated points with different responses are rejected here; looking up
     a point the table lacks raises ValueError."""
+    with open(path) as fh:
+        rows = encoding.read_csv(fh, lambda i, line: f"row {line} of lookup table {path}")
+    if not rows or len(rows[0][1]) < 2:
+        raise ValueError(f"lookup table {path} needs rows of levels followed by a response")
     table: dict[tuple[int, ...], float] = {}
     first_line: dict[tuple[int, ...], int] = {}
-    width = None
-    with open(path) as fh:
-        for line, row in enumerate(csv.reader(fh), 1):
-            if not row:
-                continue
-            width = width or len(row)
-            if len(row) != width:
-                raise ValueError(
-                    f"row {line} of lookup table {path} has {len(row)} "
-                    f"fields, expected {width}"
-                )
-            levels, value = tuple(int(v) for v in row[:-1]), float(row[-1])
-            if levels in table and table[levels] != value:
-                raise ValueError(
-                    f"rows {first_line[levels]} and {line} of lookup table "
-                    f"{path} give point {list(levels)} different responses"
-                )
-            table[levels] = value
-            first_line.setdefault(levels, line)
-    if not table:
-        raise ValueError(f"no rows in lookup table {path}")
-    d = width - 1
+    for line, fields in rows:
+        levels, value = tuple(int(v) for v in fields[:-1]), float(fields[-1])
+        if levels in table and table[levels] != value:
+            raise ValueError(
+                f"rows {first_line[levels]} and {line} of lookup table "
+                f"{path} give point {list(levels)} different responses"
+            )
+        table[levels] = value
+        first_line.setdefault(levels, line)
+    d = len(rows[0][1]) - 1
     level_max = max(max(levels) for levels in table)
     if M is None:
         M = max(level_max, 2)
@@ -198,14 +186,12 @@ def _cmd_sequential(args) -> int:
     return EXIT_OK
 
 
-def _parse_path(text: str) -> list[int]:
-    return [int(v) for v in text.replace(" ", "").split(",") if v]
-
-
 def _cmd_simulate(args) -> int:
     p = simulators.PROBLEMS[args.problem]
-    config = p.load_config(args.config) if args.config else p.default_config()
-    res = p.simulate(config, encoding.Point(tuple(_parse_path(args.path)), p.M))
+    # one row of levels: csv.reader rejects a line break in the argument
+    rows = encoding.read_csv([args.path], lambda i, line: "--path")
+    levels = tuple(int(v) for _, fields in rows for v in fields)
+    res = p.simulate(p.config(args.config), encoding.Point(levels, p.M))
     encoding.write_json(
         {
             "problem": args.problem,

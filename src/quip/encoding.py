@@ -1,10 +1,13 @@
-"""Categorical points, designs, Hamming geometry and JSON files.
+"""Categorical points, designs, Hamming geometry and the input file formats.
 
 Levels are 1-indexed everywhere: a point with d factors and M levels per
 factor lives in {1..M}^d. A design stores its n points as one validated,
 read-only n x d int64 array of levels; `Point` is the one-point type used
 at the API and CLI edges. Every point and design carries its (d, M) so
 dimension mismatches surface as errors instead of silent corruption.
+
+Every JSON file the library reads goes through `read_json`, and every
+comma-separated input (design, responses, lookup table, path) through `read_csv`.
 """
 
 from __future__ import annotations
@@ -185,6 +188,34 @@ def read_json(path) -> dict:
     return obj
 
 
+def read_csv(lines, where, width=None) -> list[tuple[int, list[str]]]:
+    """The rows of comma-separated `lines` as (line number, fields) pairs,
+    line numbers 1-based. Each field is stripped and trailing empty fields
+    are dropped, so a trailing comma ends a row and a blank line is
+    skipped. A row with an empty field before a value, or with other than
+    `width` fields (by default the first row's), is rejected, named as
+    `where(i, line)` for the i-th row kept (0-based)."""
+    rows = []
+    for line, row in enumerate(csv.reader(lines), 1):
+        fields = [v.strip() for v in row]
+        while fields and not fields[-1]:
+            fields.pop()
+        if not fields:
+            continue
+        if "" in fields:
+            raise ValueError(
+                f"{where(len(rows), line)} has an empty field at position "
+                f"{fields.index('') + 1} of {len(fields)}: {','.join(row)!r}"
+            )
+        width = width or len(fields)
+        if len(fields) != width:
+            raise ValueError(
+                f"{where(len(rows), line)} has {len(fields)} fields, expected {width}"
+            )
+        rows.append((line, fields))
+    return rows
+
+
 def design_to_dict(D: Design) -> dict:
     return {"n": D.n, "d": D.d, "M": D.M, "points": D.as_array().tolist()}
 
@@ -221,18 +252,9 @@ def load_design(path, M: int | None = None) -> Design:
         if M is not None and D.M != M:
             raise ValueError(f"design {path} has M={D.M}, expected M={M}")
         return D
-    rows = []
-    for i, row in enumerate(r for r in csv.reader(text.splitlines()) if r):
-        fields = [v.strip() for v in row]
-        while fields and not fields[-1]:
-            fields.pop()  # trailing commas end a row
-        if "" in fields:
-            raise ValueError(f"point {i} has an empty field before a level: {row}")
-        rows.append([int(v) for v in fields])
+    rows = [[int(v) for v in fields]
+            for _, fields in read_csv(text.splitlines(), lambda i, line: f"point {i}")]
     if not rows:
         raise ValueError(f"no points found in {path}")
-    for i, row in enumerate(rows):
-        if len(row) != len(rows[0]):
-            raise ValueError(f"point {i} has {len(row)} levels, expected {len(rows[0])}")
     level_max = max(max(r) for r in rows)
     return design_from_array(rows, M if M is not None else max(level_max, 2))

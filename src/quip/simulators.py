@@ -18,7 +18,6 @@ and simulator; the benchmark harness and the CLI dispatch through it.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
@@ -26,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .encoding import Point
+from .encoding import Point, read_json
 
 # action codes for maze/snake: up, down, left, right, stay
 MOVES5 = {1: (0, 1), 2: (0, -1), 3: (-1, 0), 4: (1, 0), 5: (0, 0)}
@@ -220,6 +219,9 @@ def rover_cost(course: ObstacleCourse, path: Point) -> SimResult:
 
 
 def gridworld_from_dict(obj: dict) -> GridWorld:
+    for key in ("width", "height", "start"):
+        if key not in obj:
+            raise ValueError(f"grid world config missing field '{key}'")
     # stepping off the grid scores a penalty and keeps the last square
     # ("clamp"), the only out-of-bounds rule the simulators implement
     if obj.get("oob_rule", "clamp") != "clamp":
@@ -250,31 +252,16 @@ def course_from_dict(obj: dict) -> ObstacleCourse:
     )
 
 
-def _load_data(name: str) -> dict:
-    with resources.files("quip.data").joinpath(name).open() as fh:
-        return json.load(fh)
-
-
 def default_maze() -> GridWorld:
-    return gridworld_from_dict(_load_data("maze6.json"))
+    return PROBLEMS["maze"].config()
 
 
 def default_snake() -> GridWorld:
-    return gridworld_from_dict(_load_data("snake8.json"))
+    return PROBLEMS["snake"].config()
 
 
 def default_rover() -> ObstacleCourse:
-    return course_from_dict(_load_data("rover.json"))
-
-
-def load_world(path) -> GridWorld:
-    with open(path) as fh:
-        return gridworld_from_dict(json.load(fh))
-
-
-def load_course(path) -> ObstacleCourse:
-    with open(path) as fh:
-        return course_from_dict(json.load(fh))
+    return PROBLEMS["rover"].config()
 
 
 class Problem(NamedTuple):
@@ -282,19 +269,23 @@ class Problem(NamedTuple):
 
     M: int  # actions per step
     d: int  # default path length
-    default_config: Callable[[], object]
-    load_config: Callable[[str], object]
+    data: str  # the default config, a JSON file under quip/data
+    from_dict: Callable[[dict], object]
     simulate: Callable[[object, Point], SimResult]
     sign: float
+
+    def config(self, path=None):
+        """The config read from the JSON file at `path`, or the default one."""
+        return self.from_dict(read_json(path or resources.files("quip.data") / self.data))
 
 
 # simulators are looked up by name at call time, so a wrapper installed on
 # the module attribute (a profiler, a test double) applies here too
 PROBLEMS = {
-    "maze": Problem(5, 12, default_maze, load_world,
+    "maze": Problem(5, 12, "maze6.json", gridworld_from_dict,
                     lambda world, x: maze_cost(world, x), -1.0),
-    "snake": Problem(5, 12, default_snake, load_world,
+    "snake": Problem(5, 12, "snake8.json", gridworld_from_dict,
                      lambda world, x: snake_reward(world, x), 1.0),
-    "rover": Problem(9, 8, default_rover, load_course,
+    "rover": Problem(9, 8, "rover.json", course_from_dict,
                      lambda course, x: rover_cost(course, x), -1.0),
 }

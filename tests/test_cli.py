@@ -156,6 +156,21 @@ class TestFitSuggest:
                                "--acq", "alm")
         assert code == 1 and "error" in err
 
+    def test_malformed_responses_rejected(self, capsys, tmp_path):
+        # "1,,2" used to fit as three responses against three design rows
+        design = tmp_path / "d.json"
+        run_cli(capsys, "design", "--n", "3", "--d", "3", "--M", "2",
+                "--out", str(design))
+        resp = tmp_path / "f.csv"
+        for text, message in (
+            ("1,,2\n3\n", "row 1 of responses {} has an empty field at position 2 of 3"),
+            ("0.5\n1,2\n3\n", "row 2 of responses {} has 2 fields, expected 1"),
+        ):
+            resp.write_text(text)
+            code, _, err = run_cli(capsys, "fit", "--design", str(design),
+                                   "--responses", str(resp))
+            assert code == 1 and message.format(resp) in err
+
 
 class TestSimulate:
     def test_snake(self, capsys):
@@ -182,6 +197,35 @@ class TestSimulate:
             capsys, "simulate", "--problem", "snake", "--path", "1,9,1",
         )
         assert code == 1
+
+    def test_path_follows_the_csv_rule(self, capsys):
+        # "1,,2" used to evaluate the 2-step path [1, 2]
+        code, _, err = run_cli(capsys, "simulate", "--problem", "snake",
+                               "--path", "1,,2")
+        assert code == 1 and "--path has an empty field at position 2 of 3" in err
+        outs = [run_cli(capsys, "simulate", "--problem", "rover", "--path", path)
+                for path in ("9,9,9", "9, 9,9,")]
+        assert outs[0][0] == outs[1][0] == 0 and outs[0][1] == outs[1][1]
+        assert [t["action"] for t in json.loads(outs[1][1])["trace"]] == [9, 9, 9, None]
+
+    def test_config_file(self, capsys, tmp_path):
+        # a bad config used to be accepted (schema_version 99) or to fail
+        # with a bare "'width'" or "'list' object has no attribute 'get'"
+        world = {"width": 4, "height": 4, "start": [1, 1], "goal": [4, 1]}
+        path = tmp_path / "w.json"
+        argv = ["simulate", "--problem", "maze", "--config", str(path), "--path", "4,4,4"]
+        path.write_text(json.dumps(world))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["value"] == 0.0
+        for config, message in (
+            (dict(world, schema_version=99), "schema_version 99 is not supported"),
+            ([4, 4], "expected a JSON object"),
+            ({k: v for k, v in world.items() if k != "width"},
+             "grid world config missing field 'width'"),
+        ):
+            path.write_text(json.dumps(config))
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 1 and message in err
 
 
 class TestSequentialCmd:
@@ -260,6 +304,29 @@ class TestSequentialCmd:
         assert code == 1
         assert (f"rows 1 and 5 of lookup table {table} give point [1, 1] "
                 "different responses") in err
+
+    def test_csv_trailing_comma(self, capsys, tmp_path):
+        # "1,1,5.0," used to fail on int("5.0"); a design CSV accepts it
+        table = tmp_path / "table.csv"
+        table.write_text("1,1,5.0,\n1,2,1.0\n2,1,2.0\n2,2,3.0\n")
+        code, out, _ = run_cli(
+            capsys, "sequential", "--simulator", "csv", "--table", str(table),
+            "--acq", "ucb", "--n-init", "4", "--n-seq", "1",
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["best_point"] == [1, 1] and obj["best_value"] == 5.0
+
+    def test_csv_table_needs_a_level_column(self, capsys, tmp_path):
+        # one field per row used to give a d = 0 lattice
+        table = tmp_path / "table.csv"
+        table.write_text("5.0\n6.0\n")
+        code, _, err = run_cli(
+            capsys, "sequential", "--simulator", "csv", "--table", str(table),
+            "--acq", "ucb", "--n-init", "2", "--n-seq", "1",
+        )
+        assert code == 1
+        assert f"lookup table {table} needs rows of levels followed by a response" in err
 
     def test_init_design_lattice_must_match(self, capsys, tmp_path):
         # a d=4 design for the snake at --d 6 (and its native d=12), and an

@@ -225,7 +225,7 @@ class TestSerialization:
     def test_csv_ragged_rows(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2,3\n1,2\n")
-        with pytest.raises(ValueError, match="point 1 has 2 levels, expected 3"):
+        with pytest.raises(ValueError, match="point 1 has 2 fields, expected 3"):
             load_design(path)
 
     def test_csv_interior_blank_field(self, tmp_path):

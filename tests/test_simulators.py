@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from quip.encoding import Point
 from quip.simulators import (
+    PROBLEMS,
     GridWorld,
     ObstacleCourse,
     course_from_dict,
@@ -48,6 +50,26 @@ class TestGridWorld:
         assert gridworld_from_dict(dict(obj, start_is_prize=False)).width == 4
         with pytest.raises(ValueError, match="start_is_prize"):
             gridworld_from_dict(dict(obj, start_is_prize=True))
+
+    @pytest.mark.parametrize("key", ["width", "height", "start"])
+    def test_missing_field_named(self, key):
+        obj = {"width": 4, "height": 4, "start": [1, 1]}
+        del obj[key]
+        with pytest.raises(ValueError, match=f"missing field '{key}'"):
+            gridworld_from_dict(obj)
+
+    def test_config_file_read_as_json_object(self, tmp_path):
+        # configs skipped read_json's schema_version and top-level checks
+        path = tmp_path / "w.json"
+        obj = {"width": 4, "height": 4, "start": [1, 1], "goal": [4, 4]}
+        path.write_text(json.dumps(obj))
+        assert PROBLEMS["maze"].config(path) == gridworld_from_dict(obj)
+        path.write_text(json.dumps(dict(obj, schema_version=99)))
+        with pytest.raises(ValueError, match="schema_version 99"):
+            PROBLEMS["snake"].config(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            PROBLEMS["rover"].config(path)
 
 
 class TestMaze:
