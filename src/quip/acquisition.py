@@ -59,10 +59,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .encoding import Point, TooLargeError, check_time_limit, lattice_array
-from .gp import GpModel, _posterior, cross_correlation
+from .gp import GpModel, _posterior, _scipy, cross_correlation
 
 DEFAULT_LAMBDA = 2.96
 DEFAULT_GAP = 0.10
@@ -135,7 +134,7 @@ class _BnB:
         self.M = model.design.M
         theta = model.params.theta
         self.order = np.argsort(-theta, kind="stable")  # most influential first
-        self.W = cho_solve((model.chol, True), np.eye(self.n))
+        self.W = _scipy.cho_solve((model.chol, True), np.eye(self.n))
         # row sums of |W|: a^2 U|W|1 bounds the rounding scale of c'Wc
         self.w_abs = np.abs(self.W).sum(axis=1)
         self.alpha = model.alpha

@@ -72,8 +72,14 @@ def _cmd_fit(args) -> int:
     D = encoding.load_design(args.design, M=args.M)
     with open(args.responses) as fh:  # one number per row, in the design's row order
         rows = encoding.read_csv(
-            fh, lambda i, line: f"row {line} of responses {args.responses}", width=1)
-    f = np.array([float(fields[0]) for _, fields in rows])
+            fh, lambda i, line: f"row {line} of responses {args.responses}", float,
+            width=1)
+    f = np.array([values[0] for _, values in rows])
+    if f.size != D.n:
+        raise ValueError(
+            f"responses {args.responses} has {f.size} rows, but design "
+            f"{args.design} has {D.n} points"
+        )
     model = gp.fit_mle(D, f, gp.FitConfig(seed=args.seed))
     if args.out:
         gp.save_model(model, args.out)
@@ -117,13 +123,14 @@ def _csv_table_simulator(path, M):
     repeated points with different responses are rejected here; looking up
     a point the table lacks raises ValueError."""
     with open(path) as fh:
-        rows = encoding.read_csv(fh, lambda i, line: f"row {line} of lookup table {path}")
+        rows = encoding.read_csv(
+            fh, lambda i, line: f"row {line} of lookup table {path}", int, last=float)
     if not rows or len(rows[0][1]) < 2:
         raise ValueError(f"lookup table {path} needs rows of levels followed by a response")
     table: dict[tuple[int, ...], float] = {}
     first_line: dict[tuple[int, ...], int] = {}
-    for line, fields in rows:
-        levels, value = tuple(int(v) for v in fields[:-1]), float(fields[-1])
+    for line, values in rows:
+        levels, value = tuple(values[:-1]), values[-1]
         if levels in table and table[levels] != value:
             raise ValueError(
                 f"rows {first_line[levels]} and {line} of lookup table "
@@ -188,9 +195,9 @@ def _cmd_sequential(args) -> int:
 
 def _cmd_simulate(args) -> int:
     p = simulators.PROBLEMS[args.problem]
-    # one row of levels: csv.reader rejects a line break in the argument
-    rows = encoding.read_csv([args.path], lambda i, line: "--path")
-    levels = tuple(int(v) for _, fields in rows for v in fields)
+    # one row of levels: read_csv rejects a line break in the argument
+    rows = encoding.read_csv([args.path], lambda i, line: "--path", int)
+    levels = tuple(v for _, values in rows for v in values)
     res = p.simulate(p.config(args.config), encoding.Point(levels, p.M))
     encoding.write_json(
         {

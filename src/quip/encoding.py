@@ -188,31 +188,54 @@ def read_json(path) -> dict:
     return obj
 
 
-def read_csv(lines, where, width=None) -> list[tuple[int, list[str]]]:
-    """The rows of comma-separated `lines` as (line number, fields) pairs,
+_KIND = {int: "an integer", float: "a number"}
+
+
+def read_csv(lines, where, cast, last=None, width=None) -> list[tuple[int, list]]:
+    """The rows of comma-separated `lines` as (line number, values) pairs,
     line numbers 1-based. Each field is stripped and trailing empty fields
     are dropped, so a trailing comma ends a row and a blank line is
-    skipped. A row with an empty field before a value, or with other than
-    `width` fields (by default the first row's), is rejected, named as
-    `where(i, line)` for the i-th row kept (0-based)."""
+    skipped; the fields are converted by `cast` (int or float), the last
+    one by `last` when given. A row with an empty field before a value, a
+    field that does not convert, or other than `width` fields (by default
+    the first row's) is rejected, and so is text the csv module cannot
+    split; each is named as `where(i, line)` for the i-th row kept
+    (0-based)."""
     rows = []
-    for line, row in enumerate(csv.reader(lines), 1):
-        fields = [v.strip() for v in row]
-        while fields and not fields[-1]:
-            fields.pop()
-        if not fields:
-            continue
-        if "" in fields:
-            raise ValueError(
-                f"{where(len(rows), line)} has an empty field at position "
-                f"{fields.index('') + 1} of {len(fields)}: {','.join(row)!r}"
-            )
-        width = width or len(fields)
-        if len(fields) != width:
-            raise ValueError(
-                f"{where(len(rows), line)} has {len(fields)} fields, expected {width}"
-            )
-        rows.append((line, fields))
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            line = reader.line_num
+            fields = [v.strip() for v in row]
+            while fields and not fields[-1]:
+                fields.pop()
+            if not fields:
+                continue
+            if "" in fields:
+                raise ValueError(
+                    f"{where(len(rows), line)} has an empty field at position "
+                    f"{fields.index('') + 1} of {len(fields)}: {','.join(row)!r}"
+                )
+            width = width or len(fields)
+            if len(fields) != width:
+                raise ValueError(
+                    f"{where(len(rows), line)} has {len(fields)} fields, expected {width}"
+                )
+            casts = [cast] * (width - 1) + [last or cast]
+            values = []
+            for k, (to, v) in enumerate(zip(casts, fields)):
+                try:
+                    values.append(to(v))
+                except ValueError:
+                    raise ValueError(
+                        f"{where(len(rows), line)} has a field that is not "
+                        f"{_KIND[to]} at position {k + 1} of {width}: {v!r}"
+                    ) from None
+            rows.append((line, values))
+    except csv.Error as exc:
+        raise ValueError(
+            f"{where(len(rows), reader.line_num)} is not comma-separated text: {exc}"
+        ) from None
     return rows
 
 
@@ -252,8 +275,8 @@ def load_design(path, M: int | None = None) -> Design:
         if M is not None and D.M != M:
             raise ValueError(f"design {path} has M={D.M}, expected M={M}")
         return D
-    rows = [[int(v) for v in fields]
-            for _, fields in read_csv(text.splitlines(), lambda i, line: f"point {i}")]
+    rows = [levels for _, levels in read_csv(
+        text.splitlines(), lambda i, line: f"design {path}: point {i}", int)]
     if not rows:
         raise ValueError(f"no points found in {path}")
     level_max = max(max(r) for r in rows)

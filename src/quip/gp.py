@@ -13,6 +13,7 @@ Cholesky factorization stable.
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 import numbers
 import os
@@ -20,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .encoding import (
     Design,
@@ -42,6 +41,33 @@ _SOBOL_BITS = 30
 _SOBOL_DIRECTIONS = os.path.join(
     os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz"
 )
+
+
+class _Scipy:
+    """The scipy routines the GP calls, each imported on first access and
+    then held as an attribute. A process that never builds, fits or
+    predicts with a GP does not load scipy.linalg (about 27 MB and 0.18 s)
+    or scipy.optimize; `import scipy` itself loads neither."""
+
+    _MODULES = {
+        "cholesky": "scipy.linalg",
+        "cho_solve": "scipy.linalg",
+        "solve_triangular": "scipy.linalg",
+        "dpotrf": "scipy.linalg.lapack",
+        "dpotrs": "scipy.linalg.lapack",
+        "dpotri": "scipy.linalg.lapack",
+        "minimize": "scipy.optimize",
+    }
+
+    def __getattr__(self, name):
+        if name not in self._MODULES:
+            raise AttributeError(name)
+        value = getattr(importlib.import_module(self._MODULES[name]), name)
+        setattr(self, name, value)
+        return value
+
+
+_scipy = _Scipy()
 
 
 class DegenerateResponseError(ValueError):
@@ -110,8 +136,8 @@ def build_model(
         raise ValueError(f"responses shape {f.shape} does not match n={D.n}")
     X = D.as_array()
     gamma = cross_correlation(X, X, params.theta)
-    L = cholesky(gamma + nugget * np.eye(D.n), lower=True)
-    alpha = cho_solve((L, True), f - params.mu)
+    L = _scipy.cholesky(gamma + nugget * np.eye(D.n), lower=True)
+    alpha = _scipy.cho_solve((L, True), f - params.mu)
     return GpModel(D, f, params, L, alpha, nugget)
 
 
@@ -127,7 +153,7 @@ def _posterior(model: GpModel, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if model.is_constant:
         m = G.shape[0]
         return np.full(m, model.responses[0]), np.zeros(m)
-    V = solve_triangular(model.chol, G.T, lower=True, check_finite=False)
+    V = _scipy.solve_triangular(model.chol, G.T, lower=True, check_finite=False)
     var = model.params.tau2 * np.maximum(0.0, 1.0 - np.sum(V * V, axis=0))
     return model.params.mu + G @ model.alpha, var
 
@@ -160,10 +186,10 @@ def _nll_and_grad(
     theta = np.exp(log_theta)
     gamma = np.exp(-(E @ theta)).reshape(n, n)
     gamma.flat[:: n + 1] += nugget
-    L, info = dpotrf(gamma, lower=1)  # the upper triangle of L is zeroed
+    L, info = _scipy.dpotrf(gamma, lower=1)  # the upper triangle of L is zeroed
     if info != 0:
         return None
-    sol, _ = dpotrs(L, rhs, lower=1)
+    sol, _ = _scipy.dpotrs(L, rhs, lower=1)
     sums = sol.sum(axis=0)
     mu = sums[0] / sums[1]
     a = sol[:, 0] - mu * sol[:, 1]
@@ -171,7 +197,7 @@ def _nll_and_grad(
     if not tau2 > 0:
         return None
     nll = 0.5 * n * math.log(tau2) + float(np.log(L.diagonal()).sum())
-    K_inv, _ = dpotri(L, lower=1)  # lower triangle of K^{-1}, zeros above
+    K_inv, _ = _scipy.dpotri(L, lower=1)  # lower triangle of K^{-1}, zeros above
     # the diagonal of E is zero, so twice the strict lower triangle of
     # K^{-1} gives the symmetric sum
     W = (2.0 * K_inv - a[:, None] * (a / tau2)) * gamma
@@ -267,9 +293,6 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
     model rather than an error. Identical rows with different responses
     raise ValueError.
     """
-    # imported here: the optimiser stack roughly doubles `import quip`
-    from scipy.optimize import minimize
-
     config = config or FitConfig()
     f = np.asarray(f, dtype=float)
     if D.n < 2:
@@ -298,8 +321,9 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
 
     best_nll = np.inf
     best = None
+    # scipy.optimize loads on the first fit, through _scipy
     for s in starts:
-        res = minimize(
+        res = _scipy.minimize(
             objective,
             s,
             jac=True,

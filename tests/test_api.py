@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import quip
 
 
@@ -11,3 +16,42 @@ def test_all_names_resolve_once_and_star_import():
     assert set(names) <= set(namespace)
     for name in names:
         assert namespace[name] is getattr(quip, name)
+
+
+def test_scipy_linalg_loads_only_with_the_gp():
+    # the maximin design, the bounds, the simulators and the bound, design
+    # and simulate commands run on numpy alone; the first fit loads
+    # scipy.linalg and scipy.optimize, and scipy.stats never loads, as the
+    # Sobol starts are made in-house
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quip.__file__)))
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import quip
+        from quip import bounds, cli, simulators
+
+        def loaded():
+            return sorted(m for m in ("scipy.linalg", "scipy.optimize", "scipy.stats")
+                          if m in sys.modules)
+
+        quip.optimize_maximin(20, 8, 5)
+        bounds.q_upper(20, 8, 5)
+        simulators.snake_reward(simulators.default_snake(), quip.Point((1, 2) * 6, 5))
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["bound", "--n", "8", "--d", "10", "--M", "10"],
+                         ["design", "--n", "6", "--d", "4", "--M", "3"],
+                         ["simulate", "--problem", "snake", "--path", "1,2,3,4,5,1"]):
+                assert cli.main(argv) == 0, argv
+        print(loaded())
+        D = quip.design_from_array([[1, 1, 2], [2, 2, 1], [1, 2, 3], [3, 1, 1]], 3)
+        quip.gp.fit_mle(D, [0.5, 1.0, -0.3, 2.0], quip.gp.FitConfig(n_starts=4))
+        print(loaded())
+    """)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.split("\n")[:2] == ["[]", "['scipy.linalg', 'scipy.optimize']"]

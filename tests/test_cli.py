@@ -171,6 +171,32 @@ class TestFitSuggest:
                                    "--responses", str(resp))
             assert code == 1 and message.format(resp) in err
 
+    def test_non_numeric_field_named(self, capsys, tmp_path):
+        # used to say only "invalid literal for int() with base 10: 'x'" or
+        # "could not convert string to float: 'abc'"
+        design, resp = tmp_path / "d.csv", tmp_path / "f.csv"
+        for design_text, resp_text, message in (
+            ("1,1\n1,x\n", "0.5\n1.5\n", f"design {design}: point 1 has a field "
+             "that is not an integer at position 2 of 2: 'x'"),
+            ("1,1\n2,2\n", "0.5\nabc\n", f"row 2 of responses {resp} has a field "
+             "that is not a number at position 1 of 1: 'abc'"),
+        ):
+            design.write_text(design_text)
+            resp.write_text(resp_text)
+            code, _, err = run_cli(capsys, "fit", "--design", str(design),
+                                   "--responses", str(resp))
+            assert code == 1 and message in err
+
+    def test_responses_of_the_wrong_length_named(self, capsys, tmp_path):
+        # used to say only "responses shape (5,) does not match n=4"
+        design, resp = tmp_path / "d.csv", tmp_path / "f.csv"
+        design.write_text("1,1\n1,2\n2,1\n2,2\n")
+        resp.write_text("0.5\n1.5\n-0.25\n2.0\n3.0\n")
+        code, _, err = run_cli(capsys, "fit", "--design", str(design),
+                               "--responses", str(resp))
+        assert code == 1
+        assert f"responses {resp} has 5 rows, but design {design} has 4 points" in err
+
 
 class TestSimulate:
     def test_snake(self, capsys):
@@ -207,6 +233,17 @@ class TestSimulate:
                 for path in ("9,9,9", "9, 9,9,")]
         assert outs[0][0] == outs[1][0] == 0 and outs[0][1] == outs[1][1]
         assert [t["action"] for t in json.loads(outs[1][1])["trace"]] == [9, 9, 9, None]
+
+    def test_path_line_break_named(self, capsys):
+        # used to give the csv module's bare "new-line character seen in
+        # unquoted field - ..."
+        code, _, err = run_cli(capsys, "simulate", "--problem", "snake",
+                               "--path", "1,2\n3")
+        assert code == 1 and "error: --path is not comma-separated text" in err
+        code, _, err = run_cli(capsys, "simulate", "--problem", "snake",
+                               "--path", "1,x")
+        assert code == 1
+        assert "--path has a field that is not an integer at position 2 of 2: 'x'" in err
 
     def test_config_file(self, capsys, tmp_path):
         # a bad config used to be accepted (schema_version 99) or to fail
@@ -304,6 +341,23 @@ class TestSequentialCmd:
         assert code == 1
         assert (f"rows 1 and 5 of lookup table {table} give point [1, 1] "
                 "different responses") in err
+
+    def test_csv_non_numeric_field_named(self, capsys, tmp_path):
+        # used to say only "could not convert string to float: 'abc'" or
+        # "invalid literal for int() with base 10: 'y'"
+        table = tmp_path / "table.csv"
+        for text, message in (
+            ("1,1,0.5\n1,2,abc\n", "row 2 of lookup table {} has a field that is "
+             "not a number at position 3 of 3: 'abc'"),
+            ("1,1,0.5\n\ny,2,1.0\n", "row 3 of lookup table {} has a field that is "
+             "not an integer at position 1 of 3: 'y'"),
+        ):
+            table.write_text(text)
+            code, _, err = run_cli(
+                capsys, "sequential", "--simulator", "csv", "--table", str(table),
+                "--acq", "ucb", "--n-init", "2", "--n-seq", "1",
+            )
+            assert code == 1 and message.format(table) in err
 
     def test_csv_trailing_comma(self, capsys, tmp_path):
         # "1,1,5.0," used to fail on int("5.0"); a design CSV accepts it

@@ -228,6 +228,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="point 1 has 2 fields, expected 3"):
             load_design(path)
 
+    def test_csv_non_integer_level_named(self, tmp_path):
+        # "1,x" used to give only "invalid literal for int() with base 10: 'x'"
+        path = tmp_path / "d.csv"
+        for text, field in (("1,2\n1,x\n", "'x'"), ("1,2\n1,2.0\n", "'2.0'")):
+            path.write_text(text)
+            with pytest.raises(ValueError) as exc:
+                load_design(path)
+            assert str(exc.value) == (f"design {path}: point 1 has a field that is not "
+                                      f"an integer at position 2 of 2: {field}")
+
     def test_csv_interior_blank_field(self, tmp_path):
         # "1,,2" used to load as the 2-factor point [1, 2]
         path = tmp_path / "d.csv"

@@ -1,13 +1,10 @@
 import json
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import quip
 from quip import gp
 from quip.encoding import design_from_array
 from quip.gp import (
@@ -255,7 +252,7 @@ class TestLikelihood:
         rng = np.random.default_rng(12)
         D = _random_distinct_design(rng, 14, 4, 3)
         f = rng.normal(size=14)
-        real = gp.dpotrf
+        real = gp._scipy.dpotrf
         failures = []
 
         def dpotrf(a, lower=0):
@@ -264,7 +261,7 @@ class TestLikelihood:
                 return a, 1
             return real(a, lower=lower)
 
-        monkeypatch.setattr(gp, "dpotrf", dpotrf)
+        monkeypatch.setattr(gp._scipy, "dpotrf", dpotrf)
         X = D.as_array()
         E = gp._mismatch(X)
         assert gp._nll_and_grad(np.zeros(4), E, f, _rhs(f), gp.DEFAULT_NUGGET) is None
@@ -277,7 +274,7 @@ class TestLikelihood:
         assert cross_correlation(X, X, model.params.theta).min() >= np.exp(-2.5)
 
     def test_failed_cholesky_everywhere_raises(self, monkeypatch):
-        monkeypatch.setattr(gp, "dpotrf", lambda a, lower=0: (a, 1))
+        monkeypatch.setattr(gp._scipy, "dpotrf", lambda a, lower=0: (a, 1))
         D = design_from_array([[1, 1], [2, 2], [1, 2]], 2)
         with pytest.raises(DegenerateResponseError):
             fit_mle(D, [0.0, 1.0, 2.0], FitConfig(n_starts=2))
@@ -314,17 +311,17 @@ def _parent_nll_and_grad(log_theta, E, f, nugget):
     theta = np.exp(log_theta)
     gamma = np.exp(-(E @ theta)).reshape(n, n)
     gamma.flat[:: n + 1] += nugget
-    L, info = gp.dpotrf(gamma, lower=1)
+    L, info = gp._scipy.dpotrf(gamma, lower=1)
     if info != 0:
         return None
-    sol, _ = gp.dpotrs(L, np.column_stack([f, np.ones(n)]), lower=1)
+    sol, _ = gp._scipy.dpotrs(L, np.column_stack([f, np.ones(n)]), lower=1)
     mu = sol[:, 0].sum() / sol[:, 1].sum()
     a = sol[:, 0] - mu * sol[:, 1]
     tau2 = float((f - mu) @ a) / n
     if not tau2 > 0:
         return None
     nll = 0.5 * n * math.log(tau2) + float(np.sum(np.log(np.diagonal(L))))
-    K_inv, _ = gp.dpotri(L, lower=1)
+    K_inv, _ = gp._scipy.dpotri(L, lower=1)
     W = (2.0 * K_inv - np.outer(a, a / tau2)) * gamma
     grad = -0.5 * theta * (W.ravel() @ E)
     return nll, grad, (theta, mu, tau2)
@@ -450,28 +447,3 @@ class TestSerialization:
         mean, var = predict_batch(again, np.array([[1, 2]]))
         assert (mean[0], var[0]) == (5.0, 0.0)
 
-
-def test_import_leaves_optimiser_stack_unloaded():
-    # fit_mle imports scipy.optimize itself, so that `import quip` does not
-    # pay for it; scipy.stats is never imported, as the Sobol starts are
-    # made in-house
-    src = os.path.dirname(os.path.dirname(os.path.abspath(quip.__file__)))
-    code = (
-        "import sys, quip; "
-        "mods = lambda: sorted(m for m in ('scipy.optimize', 'scipy.stats') "
-        "if m in sys.modules); "
-        "print(mods()); "
-        "from quip.encoding import design_from_array; "
-        "D = design_from_array([[1, 1, 2], [2, 2, 1], [1, 2, 3], [3, 1, 1]], 3); "
-        "quip.gp.fit_mle(D, [0.5, 1.0, -0.3, 2.0], quip.gp.FitConfig(n_starts=4)); "
-        "print(mods())"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-    )
-    assert out.stdout.split("\n")[:2] == ["[]", "['scipy.optimize']"]
