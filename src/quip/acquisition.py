@@ -18,15 +18,18 @@ w_r exp(-t_r), w = l o U, to the line w_r - beta_r t_r above it (the
 chord of the convex exp(-t) over [0, T] where w_r >= 0, the tangent at 0
 where w_r < 0), whose maximum over the free levels is exact and separable
 per factor, and keeps the smaller of that and the box bound
-sum_r max(w_r, exp(-T) w_r). It is used three times, with c = a U and
-a = (1 + exp(-T))/2:
+sum_r max(w_r, exp(-T) w_r). It is used three times:
 
 * the mean g'alpha, with l = alpha;
-* Q = g'Wg >= -c'Wc + 2(Wc)'g, the tangent plane of the convex Q at c
+* Q = g'Wg >= -c'Wc + 2(Wc)'g, the tangent plane of the convex Q at any c
   (W is positive definite), which keeps the cancellation between entries
-  of W of opposite sign, large when theta sits at its lower clip;
-* for UCB, where c'Wc < 1, the tangent plane of the concave UCB at c,
-  which reduces to mu + lambda tau2 / sigma(c) + linmax(grad o U) with
+  of W of opposite sign, large when theta sits at its lower clip. It is
+  taken at the subtree's lower corner c = exp(-T) U: the variance is
+  largest far from the design, where the correlations are small, and a
+  tangent plane is tightest near its point of contact;
+* for UCB, where c'Wc < 1 at the midpoint c = a U, a = (1 + exp(-T))/2,
+  the tangent plane of the concave UCB there, which reduces to
+  mu + lambda tau2 / sigma(c) + linmax(grad o U) with
   grad = alpha - lambda tau2 Wc / sigma(c). Each true correlation row has
   g'Wg <= 1, where UCB is concave. Both terms grow like 1/sigma(c), so it
   is applied only where 1 - c'Wc is well above its rounding, and the
@@ -181,30 +184,34 @@ class _BnB:
         its subtree and, for UCB, upper bounds on the mean and the UCB
         tangent plane (inf where it is not applied; None for ALM).
 
-        With c = a U, a = (1 + fm)/2, the convex Q has Q(g) >= -c'Wc +
-        2(Wc)'g, so Q >= -c'Wc - linmax(-2(Wc) o U). Where c'Wc < 1 the
-        concave UCB is at most UCB(c) + grad'(g - c), grad = alpha -
-        lam tau2 Wc / sigma(c); alpha'c cancels, leaving mu + lam tau2 /
-        sigma(c) + linmax(grad o U). It is applied only where 1 - c'Wc
-        exceeds its rounding scale by _TANGENT_GUARD, since both terms grow
-        like 1/sigma(c) and cancel."""
+        The convex Q has Q(g) >= -c'Wc + 2(Wc)'g for any c, so with c at
+        the lower corner fm U, Q >= -fm^2 U'WU - linmax(-2 fm (WU) o U).
+        The plane is exact at c, and the smallest Q, where the variance
+        peaks, lies at small correlations, near that corner; a plane at
+        the midpoint is loosest there. With c = a U, a = (1 + fm)/2, and
+        where c'Wc < 1, the concave UCB is at most UCB(c) + grad'(g - c),
+        grad = alpha - lam tau2 Wc / sigma(c); alpha'c cancels, leaving
+        mu + lam tau2 / sigma(c) + linmax(grad o U). It is applied only
+        where 1 - c'Wc exceeds its rounding scale by _TANGENT_GUARD, since
+        both terms grow like 1/sigma(c) and cancel."""
         fm = self.free_min[depth]
-        a = 0.5 * (1.0 + fm)
-        PU = (U @ self.W) * U  # (Wc) o U / a
-        qc = a * a * PU.sum(axis=1)
+        PU = (U @ self.W) * U  # (WU) o U
+        u_wu = PU.sum(axis=1)
+        q_low = -fm * fm * u_wu
         if self.spec.kind == "alm":
-            return -qc - self._linmax(-2.0 * a * PU, depth), None, None
-        s2 = 1.0 - qc
+            return q_low - self._linmax(-2.0 * fm * PU, depth), None, None
+        a = 0.5 * (1.0 + fm)
+        s2 = 1.0 - a * a * u_wu
         eps = np.finfo(float).eps
         ok = s2 > _TANGENT_GUARD * self.n * eps * a * a * (U @ self.w_abs)
         # sigma(c), or any finite stand-in where the tangent is not applied
         sigma = np.sqrt(self.tau2 * np.where(ok, s2, 1.0))
         slope = self.spec.lam * self.tau2 / sigma
         wa = self.alpha * U
-        w = np.concatenate([wa, -2.0 * a * PU, wa - (a * slope)[:, None] * PU])
+        w = np.concatenate([wa, -2.0 * fm * PU, wa - (a * slope)[:, None] * PU])
         mean, lin, tan = self._linmax(w, depth).reshape(3, len(U))
         tangent = np.where(ok, self.mu + slope + tan, np.inf)
-        return -qc - lin, self.mu + mean, tangent
+        return q_low - lin, self.mu + mean, tangent
 
     def _bounds(self, U: np.ndarray, depth: int) -> np.ndarray:
         """Admissible upper bounds on the objective over the subtree of each
@@ -220,6 +227,18 @@ class _BnB:
         out = np.zeros(self.d, dtype=np.int64)
         out[self.order] = levels
         return out
+
+    def _greedy_leaf(self) -> tuple[float, np.ndarray]:
+        """Value and levels of the best leaf under a descent from the root
+        that takes the child with the largest bound at each depth (d - 1
+        bound calls), in factor order."""
+        levels: tuple[int, ...] = ()
+        for depth in range(1, self.d):
+            Uc = self.F[depth - 1] * self._upper(levels)
+            levels += (int(np.argmax(self._bounds(Uc, depth))) + 1,)
+        vals = _objective(self.model, self.F[self.d - 1] * self._upper(levels), self.spec)
+        i = int(np.argmax(vals))
+        return float(vals[i]), self._to_factor_order(levels + (i + 1,))
 
     def solve(self) -> AcqSolveReport:
         t0 = time.perf_counter()
@@ -239,6 +258,7 @@ class _BnB:
         incumbent_levels = self.X[k].copy()
 
         nodes = 0
+        scored = False  # whether a leaf has been scored
         status = STATUS_OPTIMAL
         open_bound: float | None = None  # bound of the abandoned subtree, if any
 
@@ -257,12 +277,19 @@ class _BnB:
             if deadline is not None and time.perf_counter() > deadline:
                 status = STATUS_TIME_LIMIT
                 open_bound = bound
+                if not scored:
+                    # the incumbent is still a training point, where ALM's
+                    # variance vanishes: try the leaf of a greedy descent
+                    value, leaf = self._greedy_leaf()
+                    if value > incumbent:
+                        incumbent, incumbent_levels = value, leaf
                 break
             depth = len(levels)
             Uc = self.F[depth] * self._upper(levels)
             if depth + 1 == self.d:
                 # free_min[d] == 1: the children are exact correlation rows
                 vals = _objective(self.model, Uc, self.spec)
+                scored = True
                 i = int(np.argmax(vals))  # first argmax, as a strict > scan
                 if vals[i] > incumbent:
                     incumbent = float(vals[i])

@@ -233,8 +233,11 @@ def read_csv(lines, where, cast, last=None, width=None) -> list[tuple[int, list]
                     ) from None
             rows.append((line, values))
     except csv.Error as exc:
+        # the csv module's advice on a line break, to open the file in
+        # universal-newline mode, does not apply to lines already split
+        reason = "it has a line break inside a row" if "new-line" in str(exc) else exc
         raise ValueError(
-            f"{where(len(rows), reader.line_num)} is not comma-separated text: {exc}"
+            f"{where(len(rows), reader.line_num)} is not comma-separated text: {reason}"
         ) from None
     return rows
 

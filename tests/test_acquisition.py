@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
@@ -325,6 +327,23 @@ class TestOptimize:
         assert rep.certified_bound >= opt - 1e-9
         assert rep.relative_gap > 0.0
 
+    def test_time_limit_before_any_leaf_reports_an_off_design_point(self):
+        # used to return a training point, variance 1e-8, against a bound
+        # of 0.99996: the limit fired before a leaf was scored
+        rng = np.random.default_rng(0)
+        full = lattice_array(8, 5)
+        rows = full[rng.choice(len(full), 25, replace=False)]
+        theta = np.array([THETA_CLIP] * 4 + [0.5, 1.0, 2.0, 3.0])
+        model = build_model(design_from_array(rows, 5), rng.normal(size=25),
+                            KernelParams(theta, 0.0, 1.0))
+        spec = AcquisitionSpec("alm", gap_tolerance=0.0, time_limit=1e-9)
+        rep = optimize_acquisition(model, spec)
+        _, opt = enumerate_acquisition(model, AcquisitionSpec("alm", gap_tolerance=0.0))
+        assert rep.status == "time_limit"
+        assert rep.best_point.levels not in {tuple(r) for r in rows.tolist()}
+        assert rep.best_value > 0.5 * opt
+        assert rep.certified_bound >= opt
+
     def test_m2_d1(self):
         D = design_from_array([[1]], 2)
         model = build_model(D, [1.0], KernelParams(np.array([1.0]), 0.0, 1.0))
@@ -413,6 +432,54 @@ class TestClipPinned:
                 assert rep.status == "optimal", (i, kind)
                 assert abs(rep.best_value - opt) <= tol, (i, kind)
                 assert rep.certified_bound >= opt - tol, (i, kind)
+
+
+# node counts of the certified gap-0 solves on the frozen d=12 models of
+# perfbench/refs.json: a looser bound shows here as more nodes
+D12_PINS = [
+    ("q0-n30-s1", "alm", 87),
+    ("q0-n30-s2", "ucb", 23),
+    ("q0-n40-s0", "ucb", 85),
+    ("q0-n40-s0", "alm", 35),
+    ("q0-n40-s1", "alm", 35),
+    ("q0-n50-s1", "ucb", 23),
+    ("q0-n50-s1", "alm", 30),
+    ("q0-n60-s0", "ucb", 21),
+    ("q0-n60-s2", "ucb", 36),
+    ("q0-n60-s2", "alm", 29),
+    ("q0-n90-s0", "alm", 26),
+    ("q0-n90-s1", "ucb", 21),
+    ("q0-n100-s3", "ucb", 39),
+    ("q0-n100-s3", "alm", 24),
+]
+
+
+def _frozen_d12_solves():
+    """(model, solve) per certified solve frozen in perfbench/refs.json,
+    keyed by model name and kind."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "refs.json")) as fh:
+        acq = json.load(fh)["acq"]
+    out = {}
+    for m in acq["models"]:
+        D = design_from_array(np.asarray(m["points"]), acq["M"])
+        params = KernelParams(np.asarray(m["theta"]), m["mu"], m["tau2"])
+        model = build_model(D, np.asarray(m["responses"], dtype=float), params, m["nugget"])
+        for s in m["solves"]:
+            if s["class"] == "certified":
+                out[m["name"], s["kind"]] = (model, s)
+    return out
+
+
+def test_frozen_d12_solves_pinned():
+    solves = _frozen_d12_solves()
+    assert sorted(solves) == sorted((name, kind) for name, kind, _ in D12_PINS)
+    for name, kind, nodes in D12_PINS:
+        model, ref = solves[name, kind]
+        rep = optimize_acquisition(model, AcquisitionSpec(kind, gap_tolerance=0.0))
+        assert rep.status == "optimal", (name, kind)
+        assert rep.best_value == pytest.approx(ref["ref_value"], rel=1e-9), (name, kind)
+        assert rep.nodes == nodes, (name, kind)
 
 
 class TestEnumerate:

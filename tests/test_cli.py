@@ -239,7 +239,9 @@ class TestSimulate:
         # unquoted field - ..."
         code, _, err = run_cli(capsys, "simulate", "--problem", "snake",
                                "--path", "1,2\n3")
-        assert code == 1 and "error: --path is not comma-separated text" in err
+        assert code == 1
+        assert "error: --path is not comma-separated text: it has a line break" in err
+        assert "universal-newline" not in err and "unquoted" not in err
         code, _, err = run_cli(capsys, "simulate", "--problem", "snake",
                                "--path", "1,x")
         assert code == 1
