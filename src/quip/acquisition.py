@@ -39,9 +39,14 @@ A popped node expands all M children at once: their U rows come from
 per-factor multiplier tables, and their bounds from one matrix product U W
 and one product of the stacked w rows with a mismatch table built once per
 solve. At the last factor the children are exact correlation rows, so
-leaves are scored exactly in one batch, with no design rebuild. The search
-stops once the best open bound no longer exceeds the incumbent, which
-certifies the incumbent as the global optimum.
+leaves are scored exactly in one batch, with no design rebuild. Every
+solve opens with a dive: a descent from the root that takes the child with
+the largest bound at each depth, pushes every sibling it passes onto the
+heap and scores the M leaves under its last node, whose best value is the
+first incumbent. Its d expansions count as nodes and, being a fixed few,
+run without a deadline check. The search stops once the best open bound
+no longer exceeds the incumbent, which certifies the incumbent as the
+global optimum.
 
 Everything is evaluated in floating point, so a certificate holds up to
 rounding: the certified bound is at least the true optimum less
@@ -126,14 +131,16 @@ class _BnB:
     The heap holds level prefixes only; a popped node's U is rebuilt from
     the per-factor multiplier tables, and all M children are bounded (from
     one product U W and one `_linmax` call over their stacked rows) or, at
-    the last factor, scored exactly, in one batched step.
+    the last factor, scored exactly, in one batched step. The incumbent
+    comes from leaves alone, the first from `_dive`, whose d expansions
+    `nodes` counts with the heap's pops.
     """
 
     def __init__(self, model: GpModel, spec: AcquisitionSpec):
         self.model = model
         self.spec = spec
-        self.X = model.design.as_array()
-        self.n, self.d = self.X.shape
+        X = model.design.as_array()
+        self.n, self.d = X.shape
         self.M = model.design.M
         theta = model.params.theta
         self.order = np.argsort(-theta, kind="stable")  # most influential first
@@ -150,7 +157,7 @@ class _BnB:
         # Z[depth*M + v-1, r]: theta_j * 1{X_rj != v} for the factor j
         # branched at this depth, and F = exp(-Z) its correlation multiplier
         levels = np.arange(1, self.M + 1)[:, None]
-        Z = t[:, None, None] * (self.X.T[self.order][:, None, :] != levels)
+        Z = t[:, None, None] * (X.T[self.order][:, None, :] != levels)
         self.Z = Z.reshape(self.d * self.M, self.n)
         self.F = np.exp(-Z)
 
@@ -223,22 +230,28 @@ class _BnB:
             return var_high
         return np.minimum(mean_high + self.spec.lam * np.sqrt(var_high), tangent)
 
-    def _to_factor_order(self, levels: tuple[int, ...]) -> np.ndarray:
-        out = np.zeros(self.d, dtype=np.int64)
-        out[self.order] = levels
-        return out
+    def _expand(self, levels: tuple[int, ...]) -> np.ndarray:
+        """Bounds of the M children of a node or, at the last factor,
+        their exact values (free_min[d] == 1: exact correlation rows)."""
+        depth = len(levels)
+        Uc = self.F[depth] * self._upper(levels)
+        if depth + 1 == self.d:
+            return _objective(self.model, Uc, self.spec)
+        return self._bounds(Uc, depth + 1)
 
-    def _greedy_leaf(self) -> tuple[float, np.ndarray]:
-        """Value and levels of the best leaf under a descent from the root
-        that takes the child with the largest bound at each depth (d - 1
-        bound calls), in factor order."""
+    def _dive(self, heap: list, counter) -> tuple[tuple[int, ...], np.ndarray]:
+        """Descend from the root to a last-factor node, taking the child
+        with the largest bound at each depth and pushing every sibling it
+        passes onto the heap; return that node and its M leaves' values."""
         levels: tuple[int, ...] = ()
-        for depth in range(1, self.d):
-            Uc = self.F[depth - 1] * self._upper(levels)
-            levels += (int(np.argmax(self._bounds(Uc, depth))) + 1,)
-        vals = _objective(self.model, self.F[self.d - 1] * self._upper(levels), self.spec)
-        i = int(np.argmax(vals))
-        return float(vals[i]), self._to_factor_order(levels + (i + 1,))
+        for _ in range(self.d - 1):
+            bounds = self._expand(levels)
+            best = int(np.argmax(bounds)) + 1
+            for v, b in enumerate(bounds.tolist(), start=1):
+                if v != best:
+                    heapq.heappush(heap, (-b, next(counter), levels + (v,)))
+            levels += (best,)
+        return levels, self._expand(levels)
 
     def solve(self) -> AcqSolveReport:
         t0 = time.perf_counter()
@@ -247,22 +260,25 @@ class _BnB:
         tol = self.spec.gap_tolerance
 
         counter = itertools.count()
-        U0 = np.ones((1, self.n))
-        root = float(self._bounds(U0, 0)[0])
-        heap: list[tuple[float, int, tuple[int, ...]]] = [(-root, next(counter), ())]
-
-        # seed incumbent with training points (always feasible re-selections)
-        train_vals = _objective_batch(self.model, self.X, self.spec)
-        k = int(np.argmax(train_vals))
-        incumbent = float(train_vals[k])
-        incumbent_levels = self.X[k].copy()
-
-        nodes = 0
-        scored = False  # whether a leaf has been scored
+        heap: list[tuple[float, int, tuple[int, ...]]] = []
+        levels, vals = self._dive(heap, counter)
+        nodes = self.d  # the dive's expansions, its leaves included
+        incumbent, incumbent_levels = -np.inf, ()  # the dive's leaves set it
         status = STATUS_OPTIMAL
-        open_bound: float | None = None  # bound of the abandoned subtree, if any
+        open_bound = -np.inf  # bound of the abandoned subtree, if any
 
-        while heap:
+        while True:
+            # vals: the children of the node at levels, first the dive's last
+            if len(levels) + 1 == self.d:
+                i = int(np.argmax(vals))  # first argmax, as a strict > scan
+                if vals[i] > incumbent:
+                    incumbent, incumbent_levels = float(vals[i]), levels + (i + 1,)
+            else:
+                for v, b in enumerate(vals.tolist(), start=1):
+                    if b > incumbent + 1e-15:
+                        heapq.heappush(heap, (-b, next(counter), levels + (v,)))
+            if not heap:
+                break
             neg_bound, _, levels = heapq.heappop(heap)
             bound = -neg_bound
             nodes += 1
@@ -277,37 +293,15 @@ class _BnB:
             if deadline is not None and time.perf_counter() > deadline:
                 status = STATUS_TIME_LIMIT
                 open_bound = bound
-                if not scored:
-                    # the incumbent is still a training point, where ALM's
-                    # variance vanishes: try the leaf of a greedy descent
-                    value, leaf = self._greedy_leaf()
-                    if value > incumbent:
-                        incumbent, incumbent_levels = value, leaf
                 break
-            depth = len(levels)
-            Uc = self.F[depth] * self._upper(levels)
-            if depth + 1 == self.d:
-                # free_min[d] == 1: the children are exact correlation rows
-                vals = _objective(self.model, Uc, self.spec)
-                scored = True
-                i = int(np.argmax(vals))  # first argmax, as a strict > scan
-                if vals[i] > incumbent:
-                    incumbent = float(vals[i])
-                    incumbent_levels = self._to_factor_order(levels + (i + 1,))
-                continue
-            child_bounds = self._bounds(Uc, depth + 1)
-            for v, b in enumerate(child_bounds.tolist(), start=1):
-                if b > incumbent + 1e-15:
-                    heapq.heappush(heap, (-b, next(counter), levels + (v,)))
+            vals = self._expand(levels)
 
-        if status == STATUS_OPTIMAL:
-            certified = incumbent
-            rel_gap = 0.0
-        else:
-            # best-first: the popped (abandoned) bound dominates the heap
-            certified = max(incumbent, open_bound if open_bound is not None else -np.inf)
-            rel_gap = (certified - incumbent) / max(abs(certified), 1e-12)
-        point = Point(tuple(int(v) for v in incumbent_levels), self.M)
+        # best-first: the popped (abandoned) bound dominates the heap
+        certified = max(incumbent, open_bound)
+        rel_gap = (certified - incumbent) / max(abs(certified), 1e-12)
+        x = np.empty(self.d, dtype=np.int64)
+        x[self.order] = incumbent_levels  # branching order to factor order
+        point = Point(x, self.M)
         return AcqSolveReport(
             point, incumbent, certified, rel_gap, nodes, status,
             time.perf_counter() - t0,
@@ -352,12 +346,12 @@ def enumerate_acquisition(
             best_val = float(vals[k])
             best_levels = block[k]
     assert best_levels is not None
-    return Point(tuple(int(v) for v in best_levels), M), best_val
+    return Point(best_levels, M), best_val
 
 
 def random_point(d: int, M: int, rng: np.random.Generator) -> Point:
     """Uniform draw from the lattice."""
-    return Point(tuple(int(v) for v in rng.integers(1, M + 1, size=d)), M)
+    return Point(rng.integers(1, M + 1, size=d), M)
 
 
 def candidate_set_acquisition(
@@ -375,4 +369,4 @@ def candidate_set_acquisition(
     cands = rng.integers(1, M + 1, size=(C, d))
     vals = _objective_batch(model, cands, spec)
     k = int(np.argmax(vals))
-    return Point(tuple(int(v) for v in cands[k]), M), float(vals[k])
+    return Point(cands[k], M), float(vals[k])

@@ -108,7 +108,7 @@ def initial_design(n: int, d: int, M: int, seed: int) -> Design:
 def _test_set(d: int, M: int, size: int, seed: int, objective):
     rng = np.random.default_rng(seed)
     X = rng.integers(1, M + 1, size=(size, d))
-    y = np.array([objective(Point(tuple(int(v) for v in r), M)) for r in X])
+    y = np.array([objective(Point(r, M)) for r in X])
     return X, y
 
 

@@ -57,7 +57,7 @@ class CampaignError(RuntimeError):
 def best_so_far(c: Campaign) -> tuple[Point, float]:
     """Best evaluated point (running max of responses, first-index ties)."""
     k = int(np.argmax(c.responses))
-    return c.design.points[k], float(c.responses[k])
+    return Point(c.design.as_array()[k], c.design.M), float(c.responses[k])
 
 
 def rrmse(truth, predictions) -> float:
