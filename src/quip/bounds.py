@@ -10,10 +10,18 @@ The upper bound's Plotkin term counts pairs exactly (Plotkin 1960, "Binary
 codes with specified minimum distance", IRE Trans. IT-6): the pairwise
 distances of n rows sum to at least C(n, 2)*q, and one column makes at
 most C(n, 2) minus the agreeing pairs of balanced level counts differ. The
-largest n passing that test is found by a scan that ends at the
+largest n passing that test is found by a scan that starts at the
 real-valued Plotkin bound, which caps it. For binary designs at odd q the
 parity extension A_2(d, q) = A_2(d+1, q+1) (MacWilliams & Sloane 1977,
 "The Theory of Error-Correcting Codes", ch. 2) tightens it further.
+
+Every "largest value passing a test" here (:func:`q0`, :func:`q_upper`,
+:func:`_plotkin`) is a scan downward from the top of its range that
+returns the first value passing: the same value a `max` over the whole
+filtered range gives, found without testing the values below it. The
+shortened Plotkin term of :func:`code_size_bound` scans its length m
+downward too and stops as soon as no shorter length can lower the
+bound, which leaves the minimum unchanged (see there).
 
 All arithmetic is exact big-integer arithmetic: M**d overflows fixed-width
 integers long before reaching interesting problem sizes, and a single
@@ -49,11 +57,20 @@ def q0(n: int, d: int, M: int) -> int:
     then share a level in every factor. The k=1 condition is exactly n <=
     M**d (enough distinct points); past it only the duplicate-containing
     design, at distance 0, is guaranteed.
+
+    The scan runs k = d, d-1, ..., 1 and returns the first k passing. The
+    ball shrinks along it from the whole lattice, ball(d) = M**d, by the
+    C(d, k) * (M-1)**k points at distance exactly k.
     """
     _validate(n, d, M)
     if n <= M:
         return d
-    return max((k for k in range(1, d + 1) if M**d >= n * hamming_ball(d, k - 1, M)), default=0)
+    size = ball = M**d
+    for k in range(d, 0, -1):
+        ball -= comb(d, k) * (M - 1) ** k  # hamming_ball(d, k - 1, M)
+        if size >= n * ball:
+            return k
+    return 0
 
 
 def _column_pairs(n: int, M: int) -> int:
@@ -66,9 +83,14 @@ def _column_pairs(n: int, M: int) -> int:
 
 def _plotkin(m: int, q: int, M: int) -> int:
     """Largest n with C(n, 2)*q <= m*P(n, M), an upper bound on A_M(m, q)
-    for M*q > (M-1)*m; P is :func:`_column_pairs`."""
+    for M*q > (M-1)*m; P is :func:`_column_pairs`. Scans down from the
+    real-valued Plotkin bound, which no larger n passes; n = 1 always
+    passes (C(1, 2) = 0), so the scan returns."""
     cap = M * q // (M * q - (M - 1) * m)
-    return max(n for n in range(1, cap + 1) if comb(n, 2) * q <= m * _column_pairs(n, M))
+    n = cap
+    while comb(n, 2) * q > m * _column_pairs(n, M):
+        n -= 1
+    return n
 
 
 def code_size_bound(d: int, q: int, M: int) -> int:
@@ -87,7 +109,13 @@ def code_size_bound(d: int, q: int, M: int) -> int:
       differ (:func:`_column_pairs`), so C(n, 2)*q <= m*P(n, M). A is the
       largest n passing this test. Since P(n, M) <= n**2*(M-1)/(2*M), no n
       above M*q // (M*q - (M-1)*m) passes (the real-valued Plotkin bound),
-      so the scan stops there and A never exceeds it.
+      so the scan starts there and A never exceeds it.
+
+    The lengths m run downward from the largest with M*q > (M-1)*m,
+    min(d, (M*q - 1) // (M - 1)), and the scan stops at the first m with
+    M**(d-m) >= best, the bound so far. The stop is exact: A >= 1, so that
+    m's term is at least M**(d-m) >= best, and each shorter m has a
+    larger factor M**(d-m), so no term left could lower the minimum.
 
     The shortened Plotkin term at m = q-1 is Singleton's bound M**(d-q+1)
     (delete q-1 columns; the rows stay distinct), so it needs no term of
@@ -109,9 +137,11 @@ def code_size_bound(d: int, q: int, M: int) -> int:
     if q > d:
         return 1
     best = M**d // hamming_ball(d, (q - 1) // 2, M)
-    for m in range(1, d + 1):
-        if M * q > (M - 1) * m:
-            best = min(best, M ** (d - m) * _plotkin(m, q, M))
+    for m in range(min(d, (M * q - 1) // (M - 1)), 0, -1):
+        scale = M ** (d - m)
+        if scale >= best:
+            break
+        best = min(best, scale * _plotkin(m, q, M))
     if M == 2 and q % 2 == 1:
         best = min(best, code_size_bound(d + 1, q + 1, 2))
     return best
@@ -123,6 +153,13 @@ def q_upper(n: int, d: int, M: int) -> int:
     No n-point design in {1..M}^d has minimum distance above q_upper, so
     the maximin optimum q* lies in [q0, q_upper], and a witness at q_upper
     is optimal with no further solve.
+
+    The scan runs q = d, d-1, ..., 1 and returns the first q whose bound
+    admits n rows: the largest such q, as a max over the whole range
+    would give, with no bound computed for the q below it.
     """
     _validate(n, d, M)
-    return max((q for q in range(1, d + 1) if code_size_bound(d, q, M) >= n), default=0)
+    for q in range(d, 0, -1):
+        if code_size_bound(d, q, M) >= n:
+            return q
+    return 0

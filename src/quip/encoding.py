@@ -135,16 +135,31 @@ def design_from_array(levels, M: int) -> Design:
     return D
 
 
+_BLOCK = 64  # rows per block of min_pairwise_distance
+
+
 def min_pairwise_distance(D: Design) -> int:
-    """Minimum Hamming distance over all point pairs of the design."""
+    """Minimum Hamming distance over all point pairs of the design.
+
+    The rows are compared one block pair at a time: block s against the
+    blocks from s on, as one broadcast comparison of at most _BLOCK x
+    _BLOCK x d cells, so memory stays bounded and a design of up to _BLOCK
+    rows takes one comparison. A block against itself holds each pair
+    twice, and its diagonal, each row against itself, is set to d, which
+    never lowers the minimum. The scan stops at the first duplicate pair."""
     if D.n < 2:
         raise NeedsTwoPointsError("min pairwise distance needs n >= 2")
-    arr = D.as_array()
-    best = D.d
-    for i in range(D.n - 1):
-        best = min(best, int(np.count_nonzero(arr[i + 1 :] != arr[i], axis=1).min()))
-        if best == 0:
-            break
+    arr, n, d = D.as_array(), D.n, D.d
+    best = d
+    for s in range(0, n, _BLOCK):
+        rows = arr[s : s + _BLOCK, None, :]
+        for t in range(s, n, _BLOCK):
+            dist = np.count_nonzero(rows != arr[None, t : t + _BLOCK, :], axis=2)
+            if t == s:
+                dist.flat[:: len(dist) + 1] = d
+            best = min(best, int(dist.min()))
+            if best == 0:
+                return 0
     return best
 
 

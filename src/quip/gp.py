@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import functools
 import importlib
+import importlib.util
 import math
 import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .encoding import (
     Design,
@@ -36,10 +36,14 @@ LOG_THETA_LO = math.log(1e-3)
 LOG_THETA_HI = math.log(10.0)
 _FAILED_NLL = 1e10  # objective where the Cholesky factorisation fails
 _SOBOL_BITS = 30
-# Joe-Kuo direction numbers as scipy ships them; np.load reads the file
-# without executing scipy.stats
+# Joe-Kuo direction numbers as scipy ships them. find_spec locates the
+# package without running scipy/__init__, and np.load reads the file without
+# executing scipy.stats; without scipy the path is missing and _sobol says so.
+_SCIPY_SPEC = importlib.util.find_spec("scipy")
 _SOBOL_DIRECTIONS = os.path.join(
-    os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz"
+    os.path.dirname(_SCIPY_SPEC.origin) if _SCIPY_SPEC else "scipy",
+    "stats",
+    "_sobol_direction_numbers.npz",
 )
 
 
@@ -47,7 +51,7 @@ class _Scipy:
     """The scipy routines the GP calls, each imported on first access and
     then held as an attribute. A process that never builds, fits or
     predicts with a GP does not load scipy.linalg (about 27 MB and 0.18 s)
-    or scipy.optimize; `import scipy` itself loads neither."""
+    or scipy.optimize, and importing quip does not run scipy/__init__."""
 
     _MODULES = {
         "cholesky": "scipy.linalg",

@@ -44,7 +44,6 @@ columns. The search runs about 1.4M nodes/s on a 2-core machine (about
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from dataclasses import dataclass, field
 from math import isqrt
@@ -52,7 +51,13 @@ from math import isqrt
 import numpy as np
 
 from .bounds import q0, q_upper
-from .encoding import Design, design_from_array, lattice_distances, min_pairwise_distance
+from .encoding import (
+    Design,
+    design_from_array,
+    lattice_array,
+    lattice_distances,
+    min_pairwise_distance,
+)
 from .encoding import TooLargeError, check_time_limit  # TooLargeError: re-exported
 
 FEASIBLE = "feasible"
@@ -368,29 +373,50 @@ def _code_witness(n: int, d: int, M: int) -> np.ndarray | None:
 
     The code with the largest minimum nonzero weight is kept, and the
     codewords of its first n messages in lexicographic order, plus 1, are
-    returned. Their pairwise distances are weights of nonzero codewords."""
+    returned. Their pairwise distances are weights of nonzero codewords.
+
+    The messages are `lattice_array(k, M) - 1`, the rows of
+    `itertools.product(range(M), repeat=k)` in the same order: row r holds
+    the base-M digits of r. Every generator column is a message and is
+    picked by its row: the rows M**i .. 2*M**i - 1 are those whose first
+    nonzero digit is 1 (the points of PG(k-1, M), in lexicographic order
+    over i = 0..k-1), the rows r = 1 mod M those whose last digit is 1,
+    row M**(k-1-j) is the unit vector e_j and row (M**k - 1) // (M - 1)
+    the all-ones message. The points are sorted stably, so ties of weight
+    keep lexicographic order.
+
+    The three codes are encoded side by side, and the first of the largest
+    minimum weight is kept, as trying them in turn and keeping only a
+    strictly larger weight would. For a prime M the field is arithmetic
+    mod M, so the codewords are one integer product `msgs @ G % M`, exact
+    since no entry of `msgs @ G` exceeds k*(M-1)**2; GF(4), GF(8) and
+    GF(9) add up the rows of G through the `_field` tables."""
     tables = _field(M)
-    k = next(k for k in itertools.count(1) if M**k >= n)
+    k = 1
+    while M**k < n:
+        k += 1
     if tables is None or k > d:
         return None
     add, mul = tables
-    msgs = np.array(list(itertools.product(range(M), repeat=k)))
-    nonzero = msgs[1:]
-    leading = nonzero[np.arange(len(nonzero)), (nonzero != 0).argmax(axis=1)]
-    points = nonzero[leading == 1]
-    weight = np.count_nonzero(points, axis=1)
-    points = points[np.lexsort((-weight, weight != 1))]
-    parity = np.vstack([np.eye(k, dtype=np.int64), np.ones((1, k), dtype=np.int64)])
-    best, best_weight = None, -1
-    for columns in (points, msgs[msgs[:, -1] == 1], parity):
-        G = columns[np.arange(d) % len(columns)].T
-        words = np.zeros((len(msgs), d), dtype=np.int64)
+    msgs = lattice_array(k, M) - 1
+    weight = np.count_nonzero(msgs, axis=1).tolist()
+    points = sorted(
+        (r for i in range(k) for r in range(M**i, 2 * M**i)),
+        key=lambda r: (weight[r] != 1, -weight[r]),
+    )
+    affine = range(1, M**k, M)
+    parity = [M ** (k - 1 - j) for j in range(k)] + [(M**k - 1) // (M - 1)]
+    # the three generator matrices side by side, d columns each
+    G = msgs[[c[j % len(c)] for c in (points, affine, parity) for j in range(d)]].T
+    if M in _MODULI:
+        words = np.zeros((len(msgs), 3 * d), dtype=np.int64)
         for i in range(k):
             words = add[words, mul[msgs[:, i, None], G[i]]]
-        w = int(np.count_nonzero(words[1:], axis=1).min())
-        if w > best_weight:
-            best, best_weight = words[:n] + 1, w
-    return best
+    else:
+        words = msgs @ G % M
+    words = words.reshape(len(msgs), 3, d)
+    best = int(np.count_nonzero(words[1:], axis=2).min(axis=0).argmax())
+    return words[:n, best] + 1
 
 
 def optimize_maximin(

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from quip.bounds import code_size_bound, hamming_ball, q0, q_upper
+from quip.bounds import _column_pairs, code_size_bound, hamming_ball, q0, q_upper
 from quip.maximin import brute_force_maximin
 
 
@@ -138,6 +138,44 @@ class TestCodeSizeBound:
             code_size_bound(0, 1, 2)
         with pytest.raises(ValueError):
             code_size_bound(3, 1, 1)
+
+
+def _max_q0(n, d, M):
+    # q0 as a max over the whole filtered range: the reference for its
+    # downward scan
+    if n <= M:
+        return d
+    return max((k for k in range(1, d + 1) if M**d >= n * hamming_ball(d, k - 1, M)), default=0)
+
+
+def _max_plotkin(m, q, M):
+    cap = M * q // (M * q - (M - 1) * m)
+    return max(n for n in range(1, cap + 1) if comb(n, 2) * q <= m * _column_pairs(n, M))
+
+
+def _ascending_code_size_bound(d, q, M):
+    # every shortened length m from 1 up, each with a max scan: the
+    # reference for the early-exit downward scan
+    if q > d:
+        return 1
+    best = M**d // hamming_ball(d, (q - 1) // 2, M)
+    for m in range(1, d + 1):
+        if M * q > (M - 1) * m:
+            best = min(best, M ** (d - m) * _max_plotkin(m, q, M))
+    if M == 2 and q % 2 == 1:
+        best = min(best, _ascending_code_size_bound(d + 1, q + 1, 2))
+    return best
+
+
+class TestScansMatchFullRanges:
+    def test_code_size_bound(self):
+        for d, M in itertools.product(range(1, 17), range(2, 13)):
+            for q in range(1, d + 1):
+                assert code_size_bound(d, q, M) == _ascending_code_size_bound(d, q, M), (d, q, M)
+
+    def test_q0(self):
+        for n, d, M in itertools.product(range(1, 41), range(1, 11), range(2, 10)):
+            assert q0(n, d, M) == _max_q0(n, d, M), (n, d, M)
 
 
 class TestQUpper:

@@ -179,6 +179,23 @@ class TestMinPairwiseDistance:
             want = min(_hamming(p, q) for p, q in itertools.combinations(pts, 2))
             assert min_pairwise_distance(D) == want
 
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 150])
+    def test_blocks_match_brute_force_with_duplicate_rows(self, n):
+        # n = 150 compares three blocks of rows, the last one partial; a
+        # copied row lands in the same block or in a later one
+        rng = np.random.default_rng(n)
+        for trial in range(12):
+            arr = rng.integers(1, 5, size=(n, 7))
+            if trial % 2:
+                i, j = sorted(rng.choice(n, size=2, replace=False))
+                arr[j] = arr[i]
+            want = min(
+                int(np.count_nonzero(a != b)) for a, b in itertools.combinations(arr, 2)
+            )
+            assert min_pairwise_distance(design_from_array(arr, 4)) == want
+            if trial % 2:
+                assert want == 0
+
 
 class TestAllPoints:
     def test_count_and_order(self):

@@ -402,6 +402,45 @@ class TestCodePhase:
         r = optimize_maximin(8, 7, 2)
         assert r.trace[0].phase != "code" and r.q_star == 4
 
+    def test_witness_matches_a_table_loop_encoder(self):
+        # every field through its add and mul tables, one message digit at
+        # a time, on the rows of itertools.product: the reference for the
+        # lattice_array messages, the generator columns picked by message
+        # row and the integer product for prime M
+        def table_loop_code(k, d, M):
+            add, mul = maximin._field(M)
+            msgs = np.array(list(itertools.product(range(M), repeat=k)))
+            nonzero = msgs[1:]
+            leading = nonzero[np.arange(len(nonzero)), (nonzero != 0).argmax(axis=1)]
+            points = nonzero[leading == 1]
+            weight = np.count_nonzero(points, axis=1)
+            points = points[np.lexsort((-weight, weight != 1))]
+            parity = np.vstack([np.eye(k, dtype=np.int64), np.ones((1, k), dtype=np.int64)])
+            best, best_weight = None, -1
+            for columns in (points, msgs[msgs[:, -1] == 1], parity):
+                G = columns[np.arange(d) % len(columns)].T
+                words = np.zeros((len(msgs), d), dtype=np.int64)
+                for i in range(k):
+                    words = add[words, mul[msgs[:, i, None], G[i]]]
+                w = int(np.count_nonzero(words[1:], axis=1).min())
+                if w > best_weight:
+                    best, best_weight = words + 1, w
+            return best
+
+        codes, nones = {}, 0
+        for M in (2, 3, 4, 5, 7, 8, 9, 11):
+            for n, d in itertools.product(range(2, 91), range(1, 13)):
+                k = next(k for k in itertools.count(1) if M**k >= n)
+                got = maximin._code_witness(n, d, M)
+                if k > d:
+                    assert got is None, (n, d, M)
+                    nones += 1
+                    continue
+                if (k, d, M) not in codes:
+                    codes[k, d, M] = table_loop_code(k, d, M)
+                assert got.dtype == np.int64 and np.array_equal(got, codes[k, d, M][:n]), (n, d, M)
+        assert nones > 0 and len(codes) > 100
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 6), d=st.integers(1, 4), M=st.integers(2, 4))
     def test_matches_brute_force(self, n, d, M):
