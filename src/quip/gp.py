@@ -51,7 +51,9 @@ class _Scipy:
     """The scipy routines the GP calls, each imported on first access and
     then held as an attribute. A process that never builds, fits or
     predicts with a GP does not load scipy.linalg (about 27 MB and 0.18 s)
-    or scipy.optimize, and importing quip does not run scipy/__init__."""
+    or scipy.optimize, and importing quip does not run scipy/__init__.
+    `setulb` is L-BFGS-B's reverse-communication core, in the signature
+    (with `ln_task`) of scipy's C port of the routine."""
 
     _MODULES = {
         "cholesky": "scipy.linalg",
@@ -60,7 +62,7 @@ class _Scipy:
         "dpotrf": "scipy.linalg.lapack",
         "dpotrs": "scipy.linalg.lapack",
         "dpotri": "scipy.linalg.lapack",
-        "minimize": "scipy.optimize",
+        "setulb": "scipy.optimize._lbfgsb",
     }
 
     def __getattr__(self, name):
@@ -280,14 +282,56 @@ def _sobol(d: int, n: int, seed: int) -> np.ndarray:
     return out
 
 
+def _lbfgsb(objective, x0: np.ndarray) -> np.ndarray:
+    """Minimise `objective` (returning value and gradient) over the log-theta
+    box from x0, clipped to it, by L-BFGS-B (Byrd, Lu, Nocedal and Zhu,
+    1995). scipy's reverse-communication core `setulb` runs in the loop of
+    `minimize(..., method="L-BFGS-B")` with minimize's defaults (m = 10,
+    ftol = 2.22e-9, gtol = 1e-5, maxls = 20) and `maxiter=_MAX_ITER`, so
+    the same x comes back bit for bit, without minimize's per-evaluation
+    wrapper. minimize's cap of 15,000 evaluations is left out as it cannot
+    fire: _MAX_ITER iterations of at most maxls line-search steps each,
+    plus the start, stay far below it. The first call loads scipy.optimize.
+    """
+    m, maxls = 10, 20
+    n = x0.size
+    x = np.clip(x0, LOG_THETA_LO, LOG_THETA_HI)
+    lo = np.full(n, LOG_THETA_LO)
+    hi = np.full(n, LOG_THETA_HI)
+    nbd = np.full(n, 2, np.int32)  # bounded below and above
+    factr = 2.220446049250313e-09 / np.finfo(float).eps
+    f = 0.0
+    g = np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    iterations = 0
+    while True:
+        _scipy.setulb(m, x, lo, hi, nbd, f, g, factr, 1e-5, wa, iwa, task,
+                      lsave, isave, dsave, maxls, ln_task)
+        if task[0] == 3:  # evaluate at x
+            f, g = objective(x)
+        elif task[0] == 1:  # an iteration ended
+            iterations += 1
+            if iterations >= _MAX_ITER:
+                task[:] = 5, 504
+        else:  # converged, or the line search gave up
+            return x
+
+
 def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
     """Fit kernel parameters by multi-start maximum likelihood.
 
     The mean and variance are profiled analytically at each candidate
     theta. From one unit start plus a seeded scrambled Sobol scatter
     (`_sobol`: scipy's `qmc.Sobol` points, made without importing
-    `scipy.stats`), each search runs L-BFGS-B in log-theta within the clip
-    bounds, on the analytic gradient of the profile likelihood; the
+    `scipy.stats`), each search runs scipy's L-BFGS-B core with
+    `minimize`'s defaults (`_lbfgsb`) in log-theta within the clip bounds,
+    on the analytic gradient of the profile likelihood; the
     mismatch matrix and the right-hand side [f, 1] are built once per fit.
     The returned likelihood dominates the likelihood at every start. A
     theta whose Cholesky factorisation fails scores a large finite value
@@ -325,17 +369,8 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
 
     best_nll = np.inf
     best = None
-    # scipy.optimize loads on the first fit, through _scipy
     for s in starts:
-        res = _scipy.minimize(
-            objective,
-            s,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(LOG_THETA_LO, LOG_THETA_HI)] * d,
-            options={"maxiter": _MAX_ITER},
-        )
-        for lt in (s, res.x):
+        for lt in (s, _lbfgsb(objective, s)):
             out = _nll_and_grad(lt, E, f, rhs, DEFAULT_NUGGET)
             if out is not None and out[0] < best_nll:
                 best_nll, best = out[0], out[2]

@@ -431,12 +431,12 @@ def optimize_maximin(
     (warm-starting from the last witness) up to q_upper(n, d, M), the
     largest distance code_size_bound leaves open.
 
-    When q_upper > q0 and M is the order of a supported field (a prime, 4,
-    8 or 9), a code phase runs first: a deterministic linear-code witness
+    When M is the order of a supported field (a prime, 4, 8 or 9), a code
+    phase runs first: a deterministic linear-code witness
     (:func:`_code_witness`), checked by min_pairwise_distance. At q_upper
-    it settles the instance with no solve; above q0 its report replaces
-    the q0 solve and the ascent starts one above it; otherwise it is
-    dropped and the ascent starts at q0 with a cold solve.
+    (also when q_upper == q0) it settles the instance with no solve; above
+    q0 its report replaces the q0 solve and the ascent starts one above it;
+    otherwise it is dropped and the ascent starts at q0 with a cold solve.
 
     The ascent ends with a certificate: "bound" when the witness reaches
     q_upper, so code_size_bound rules q_star+1 out (this covers q_star = d,
@@ -460,11 +460,11 @@ def optimize_maximin(
     low, top = q0(n, d, M), q_upper(n, d, M)
     trace, best, q_star, certificate = [], None, low - 1, BOUND
     t0 = time.perf_counter()
-    arr = _code_witness(n, d, M) if top > low else None
+    arr = _code_witness(n, d, M)
     if arr is not None:
         D = design_from_array(arr, M)
         q = min_pairwise_distance(D)
-        if q > low:
+        if q > low or q == top:
             trace.append(SolveReport(FEASIBLE, D, q, 0, time.perf_counter() - t0, "code"))
             best, q_star = D, q
     # q0 <= q_upper (a bound admits the rows q0 guarantees), so without a

@@ -21,8 +21,10 @@ def test_all_names_resolve_once_and_star_import():
 def test_scipy_linalg_loads_only_with_the_gp():
     # the maximin design, the bounds, the simulators and the bound, design
     # and simulate commands run on numpy alone, without even running
-    # scipy/__init__; the first fit loads scipy.linalg and scipy.optimize,
-    # and scipy.stats never loads, as the Sobol starts are made in-house
+    # scipy/__init__; the first fit loads scipy.linalg, and scipy.optimize
+    # too: the fit calls no minimize, but L-BFGS-B's core lives in that
+    # package (scipy.optimize._lbfgsb.setulb); scipy.stats never loads, as
+    # the Sobol starts are made in-house
     src = os.path.dirname(os.path.dirname(os.path.abspath(quip.__file__)))
     code = textwrap.dedent("""
         import contextlib, io, sys

@@ -181,6 +181,22 @@ NELDER_MEAD_NLL = [
 ]
 
 
+def _fail_cholesky_below(monkeypatch, floor):
+    """Make every factorisation of a matrix with an entry below `floor`
+    fail; returns the list the failures are appended to."""
+    real = gp._scipy.dpotrf
+    failures = []
+
+    def dpotrf(a, lower=0):
+        if a.min() < floor:
+            failures.append(a.min())
+            return a, 1
+        return real(a, lower=lower)
+
+    monkeypatch.setattr(gp._scipy, "dpotrf", dpotrf)
+    return failures
+
+
 def _snake_model(k):
     """Design, responses and fit settings of the k-th likelihood model:
     n = 20 + 3k distinct rows of {1..5}^8, snake rewards."""
@@ -252,16 +268,7 @@ class TestLikelihood:
         rng = np.random.default_rng(12)
         D = _random_distinct_design(rng, 14, 4, 3)
         f = rng.normal(size=14)
-        real = gp._scipy.dpotrf
-        failures = []
-
-        def dpotrf(a, lower=0):
-            if a.min() < np.exp(-2.5):
-                failures.append(a.min())
-                return a, 1
-            return real(a, lower=lower)
-
-        monkeypatch.setattr(gp._scipy, "dpotrf", dpotrf)
+        failures = _fail_cholesky_below(monkeypatch, np.exp(-2.5))
         X = D.as_array()
         E = gp._mismatch(X)
         assert gp._nll_and_grad(np.zeros(4), E, f, _rhs(f), gp.DEFAULT_NUGGET) is None
@@ -400,6 +407,59 @@ class TestFitOracle:
             nll0, grad0, (th0, mu0, tau20) = _parent_nll_and_grad(lt, E, f, gp.DEFAULT_NUGGET)
             assert (nll, mu, tau2) == (nll0, mu0, tau20)
             assert np.array_equal(grad, grad0) and np.array_equal(th, th0)
+
+
+class TestLbfgsbDriver:
+    """gp._lbfgsb returns minimize's x bit for bit on the exits the fit
+    oracle may never reach."""
+
+    @staticmethod
+    def _objective(D, f):
+        E = gp._mismatch(D.as_array())
+        rhs = _rhs(f)
+
+        def objective(lt):
+            out = gp._nll_and_grad(lt, E, f, rhs, gp.DEFAULT_NUGGET)
+            return (gp._FAILED_NLL, np.zeros(D.d)) if out is None else out[:2]
+
+        return objective
+
+    @staticmethod
+    def _minimize(objective, x0):
+        from scipy.optimize import minimize
+
+        return minimize(objective, x0, jac=True, method="L-BFGS-B",
+                        bounds=[(gp.LOG_THETA_LO, gp.LOG_THETA_HI)] * x0.size,
+                        options={"maxiter": gp._MAX_ITER})
+
+    def test_lbfgsb_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(gp, "_MAX_ITER", 2)
+        D, f, _ = _snake_model(0)
+        objective = self._objective(D, f)
+        x0 = np.zeros(D.d)
+        res = self._minimize(objective, x0)
+        assert res.nit == 2 and res.status == 1  # stopped by the cap
+        assert np.array_equal(gp._lbfgsb(objective, x0), res.x)
+
+    def test_lbfgsb_line_search_fails_on_failed_nll(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        D = _random_distinct_design(rng, 14, 4, 3)
+        f = rng.normal(size=14)
+        failures = _fail_cholesky_below(monkeypatch, np.exp(-2.5))
+        objective = self._objective(D, f)
+        x0 = gp.LOG_THETA_LO + (gp.LOG_THETA_HI - gp.LOG_THETA_LO) * gp._sobol(4, 3, 0)[2]
+        res = self._minimize(objective, x0)
+        assert res.status == 2 and res.message.startswith("ABNORMAL")
+        assert failures and np.isfinite(res.fun) and res.fun < gp._FAILED_NLL
+        assert np.array_equal(gp._lbfgsb(objective, x0), res.x)
+
+    def test_lbfgsb_start_on_a_bound(self):
+        D, f, _ = _snake_model(1)
+        objective = self._objective(D, f)
+        x0 = np.full(D.d, gp.LOG_THETA_LO)
+        res = self._minimize(objective, x0)
+        assert res.nit > 0 and not np.array_equal(res.x, x0)
+        assert np.array_equal(gp._lbfgsb(objective, x0), res.x)
 
 
 class TestDuplicateRows:

@@ -385,6 +385,17 @@ class TestCodePhase:
             (FEASIBLE, "code", q_star, 0)]
         assert min_pairwise_distance(r.design) == q_star
 
+    @pytest.mark.parametrize("n, d, M, q_star", [(5, 5, 2, 2), (12, 4, 2, 1)])
+    def test_code_at_q0_equal_to_q_upper_settles_the_instance(self, n, d, M, q_star):
+        # q0 == q_upper leaves no ascent: a code witness at that distance
+        # certifies by bound, with no seeded repair
+        assert q0(n, d, M) == q_upper(n, d, M) == q_star
+        r = optimize_maximin(n, d, M)
+        assert r.q_star == q_star and r.certificate == "bound"
+        assert [(rep.status, rep.phase, rep.q, rep.nodes_explored) for rep in r.trace] == [
+            (FEASIBLE, "code", q_star, 0)]
+        assert min_pairwise_distance(r.design) == q_star
+
     @pytest.mark.parametrize("n, nodes", [(13, 712), (12, 16470)])
     def test_code_warm_starts_the_ternary_stalls(self, n, nodes):
         # a [6,3,3]_3 code beats q0 = 2; from its codewords the q = 4
