@@ -144,7 +144,7 @@ class _BnB:
         self.M = model.design.M
         theta = model.params.theta
         self.order = np.argsort(-theta, kind="stable")  # most influential first
-        self.W = _scipy.cho_solve((model.chol, True), np.eye(self.n))
+        self.W, _ = _scipy.dpotrs(model.chol, np.eye(self.n), lower=1)
         # row sums of |W|: a^2 U|W|1 bounds the rounding scale of c'Wc
         self.w_abs = np.abs(self.W).sum(axis=1)
         self.alpha = model.alpha

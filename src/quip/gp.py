@@ -13,7 +13,7 @@ Cholesky factorization stable.
 from __future__ import annotations
 
 import functools
-import importlib
+import importlib.machinery
 import importlib.util
 import math
 import numbers
@@ -36,39 +36,66 @@ LOG_THETA_LO = math.log(1e-3)
 LOG_THETA_HI = math.log(10.0)
 _FAILED_NLL = 1e10  # objective where the Cholesky factorisation fails
 _SOBOL_BITS = 30
-# Joe-Kuo direction numbers as scipy ships them. find_spec locates the
-# package without running scipy/__init__, and np.load reads the file without
-# executing scipy.stats; without scipy the path is missing and _sobol says so.
-_SCIPY_SPEC = importlib.util.find_spec("scipy")
-_SOBOL_DIRECTIONS = os.path.join(
-    os.path.dirname(_SCIPY_SPEC.origin) if _SCIPY_SPEC else "scipy",
-    "stats",
-    "_sobol_direction_numbers.npz",
-)
+
+
+def _scipy_file(*parts: str) -> str:
+    """Path of a file in the installed scipy package. find_spec locates the
+    package without running scipy/__init__; without scipy the path is
+    relative and missing, and its reader says so."""
+    spec = importlib.util.find_spec("scipy")
+    root = spec.submodule_search_locations[0] if spec else "scipy"
+    return os.path.join(root, *parts)
+
+
+# Joe-Kuo direction numbers as scipy ships them; np.load reads the file
+# without executing scipy.stats
+_SOBOL_DIRECTIONS = _scipy_file("stats", "_sobol_direction_numbers.npz")
+
+
+@functools.cache
+def _scipy_extension(package: str, name: str):
+    """scipy's compiled module scipy.<package>.<name>, loaded from its file
+    so that scipy/<package>/__init__ never runs. scipy/__init__ itself does
+    run first: Windows wheels register their DLL directory there."""
+    import scipy  # noqa: F401
+
+    base = _scipy_file(package, name)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(base + suffix):
+            spec = importlib.util.spec_from_file_location(
+                f"scipy.{package}.{name}", base + suffix
+            )
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise RuntimeError(
+        f"scipy's compiled module not found at {base} with any of the suffixes "
+        f"{importlib.machinery.EXTENSION_SUFFIXES}"
+    )
 
 
 class _Scipy:
-    """The scipy routines the GP calls, each imported on first access and
-    then held as an attribute. A process that never builds, fits or
-    predicts with a GP does not load scipy.linalg (about 27 MB and 0.18 s)
-    or scipy.optimize, and importing quip does not run scipy/__init__.
-    `setulb` is L-BFGS-B's reverse-communication core, in the signature
-    (with `ln_task`) of scipy's C port of the routine."""
+    """The compiled scipy routines the GP calls, each loaded on first access
+    and then held as an attribute: LAPACK's Cholesky factorisation, solve,
+    inverse and triangular solve from scipy.linalg._flapack, and `setulb`,
+    L-BFGS-B's reverse-communication core in the signature (with `ln_task`)
+    of scipy's C port of the routine, from scipy.optimize._lbfgsb. Only
+    these two extension modules load, not the scipy.linalg (about 27 MB)
+    or scipy.optimize (about 21 MB) packages around them, and importing
+    quip loads no scipy at all."""
 
     _MODULES = {
-        "cholesky": "scipy.linalg",
-        "cho_solve": "scipy.linalg",
-        "solve_triangular": "scipy.linalg",
-        "dpotrf": "scipy.linalg.lapack",
-        "dpotrs": "scipy.linalg.lapack",
-        "dpotri": "scipy.linalg.lapack",
-        "setulb": "scipy.optimize._lbfgsb",
+        "dpotrf": ("linalg", "_flapack"),
+        "dpotrs": ("linalg", "_flapack"),
+        "dpotri": ("linalg", "_flapack"),
+        "dtrtrs": ("linalg", "_flapack"),
+        "setulb": ("optimize", "_lbfgsb"),
     }
 
     def __getattr__(self, name):
         if name not in self._MODULES:
             raise AttributeError(name)
-        value = getattr(importlib.import_module(self._MODULES[name]), name)
+        value = getattr(_scipy_extension(*self._MODULES[name]), name)
         setattr(self, name, value)
         return value
 
@@ -140,10 +167,18 @@ def build_model(
     f = np.asarray(f, dtype=float)
     if f.shape != (D.n,):
         raise ValueError(f"responses shape {f.shape} does not match n={D.n}")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("responses must be finite")
+    if not math.isfinite(nugget):
+        raise ValueError(f"nugget={nugget!r} must be finite")
     X = D.as_array()
     gamma = cross_correlation(X, X, params.theta)
-    L = _scipy.cholesky(gamma + nugget * np.eye(D.n), lower=True)
-    alpha = _scipy.cho_solve((L, True), f - params.mu)
+    L, info = _scipy.dpotrf(gamma + nugget * np.eye(D.n), lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the correlation matrix is not positive definite"
+        )
+    alpha, _ = _scipy.dpotrs(L, f - params.mu, lower=1)
     return GpModel(D, f, params, L, alpha, nugget)
 
 
@@ -159,7 +194,7 @@ def _posterior(model: GpModel, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if model.is_constant:
         m = G.shape[0]
         return np.full(m, model.responses[0]), np.zeros(m)
-    V = _scipy.solve_triangular(model.chol, G.T, lower=True, check_finite=False)
+    V, _ = _scipy.dtrtrs(model.chol, G.T, lower=1)
     var = model.params.tau2 * np.maximum(0.0, 1.0 - np.sum(V * V, axis=0))
     return model.params.mu + G @ model.alpha, var
 
@@ -291,7 +326,7 @@ def _lbfgsb(objective, x0: np.ndarray) -> np.ndarray:
     the same x comes back bit for bit, without minimize's per-evaluation
     wrapper. minimize's cap of 15,000 evaluations is left out as it cannot
     fire: _MAX_ITER iterations of at most maxls line-search steps each,
-    plus the start, stay far below it. The first call loads scipy.optimize.
+    plus the start, stay far below it.
     """
     m, maxls = 10, 20
     n = x0.size

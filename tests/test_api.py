@@ -18,15 +18,27 @@ def test_all_names_resolve_once_and_star_import():
         assert namespace[name] is getattr(quip, name)
 
 
+def _run(code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quip.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+
+
 def test_scipy_linalg_loads_only_with_the_gp():
     # the maximin design, the bounds, the simulators and the bound, design
     # and simulate commands run on numpy alone, without even running
-    # scipy/__init__; the first fit loads scipy.linalg, and scipy.optimize
-    # too: the fit calls no minimize, but L-BFGS-B's core lives in that
-    # package (scipy.optimize._lbfgsb.setulb); scipy.stats never loads, as
-    # the Sobol starts are made in-house
-    src = os.path.dirname(os.path.dirname(os.path.abspath(quip.__file__)))
-    code = textwrap.dedent("""
+    # scipy/__init__; a fit and a UCB solve run scipy/__init__ and load two
+    # compiled modules from its files (LAPACK's scipy.linalg._flapack and
+    # L-BFGS-B's scipy.optimize._lbfgsb), but neither the scipy.linalg nor
+    # the scipy.optimize package; scipy.stats never loads, as the Sobol
+    # starts are made in-house
+    out = _run("""
         import contextlib, io, sys
         import quip
         from quip import bounds, cli, simulators
@@ -45,16 +57,36 @@ def test_scipy_linalg_loads_only_with_the_gp():
                 assert cli.main(argv) == 0, argv
         print(loaded())
         D = quip.design_from_array([[1, 1, 2], [2, 2, 1], [1, 2, 3], [3, 1, 1]], 3)
-        quip.gp.fit_mle(D, [0.5, 1.0, -0.3, 2.0], quip.gp.FitConfig(n_starts=4))
+        model = quip.gp.fit_mle(D, [0.5, 1.0, -0.3, 2.0], quip.gp.FitConfig(n_starts=4))
+        print(loaded())
+        quip.optimize_acquisition(model, quip.AcquisitionSpec("ucb", gap_tolerance=0.0))
         print(loaded())
     """)
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-    )
-    assert out.stdout.split("\n")[:2] == [
-        "[]", "['scipy', 'scipy.linalg', 'scipy.optimize']"]
+    assert out.split("\n")[:3] == ["[]", "['scipy']", "['scipy']"]
+
+
+def test_scipy_packages_import_after_the_gp_loads_its_routines():
+    # the GP's own load of scipy's compiled modules leaves scipy.linalg and
+    # scipy.optimize importable, and their wrappers give the GP's bits
+    out = _run("""
+        import numpy as np
+        import quip
+
+        D = quip.design_from_array([[1, 1, 2], [2, 2, 1], [1, 2, 3], [3, 1, 1]], 3)
+        f = [0.5, 1.0, -0.3, 2.0]
+        model = quip.gp.fit_mle(D, f, quip.gp.FitConfig(n_starts=4))
+        import scipy.linalg, scipy.optimize
+
+        X = D.as_array()
+        K = quip.gp.cross_correlation(X, X, model.params.theta) + model.nugget * np.eye(4)
+        L, info = scipy.linalg.lapack.dpotrf(K, lower=1)
+        assert info == 0 and L.tobytes() == model.chol.tobytes()
+        assert scipy.linalg.cholesky(K, lower=True).tobytes() == model.chol.tobytes()
+        alpha = scipy.linalg.cho_solve((L, True), np.asarray(f) - model.params.mu)
+        assert alpha.tobytes() == model.alpha.tobytes()
+        res = scipy.optimize.minimize(lambda x: float((x - 1.0) @ (x - 1.0)), np.zeros(2),
+                                      method="L-BFGS-B")
+        assert res.success and np.allclose(res.x, 1.0)
+        print("ok")
+    """)
+    assert out.split("\n")[0] == "ok"

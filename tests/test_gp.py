@@ -97,6 +97,44 @@ class TestPredict:
         assert v == pytest.approx(4.0, rel=1e-3)
 
 
+class TestBuildModel:
+    def test_non_finite_response_rejected(self):
+        D = design_from_array([[1, 1], [2, 2], [1, 2]], 2)
+        with pytest.raises(ValueError, match="responses must be finite"):
+            build_model(D, [0.0, np.nan, 1.0], KernelParams(np.ones(2), 0.0, 1.0))
+
+    @pytest.mark.parametrize("nugget", [float("nan"), float("inf")])
+    def test_non_finite_nugget_rejected(self, nugget):
+        D = design_from_array([[1, 1], [2, 2], [1, 2]], 2)
+        with pytest.raises(ValueError, match="nugget"):
+            build_model(D, [0.0, 1.0, 2.0], KernelParams(np.ones(2), 0.0, 1.0), nugget)
+
+    def test_singular_correlation_names_the_leading_minor(self):
+        # rows 0 and 1 coincide, so without a nugget Gamma's second
+        # leading minor is zero
+        D = design_from_array([[1, 2], [1, 2], [2, 1]], 2)
+        with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+            build_model(D, [1.0, 1.0, 0.0], KernelParams(np.ones(2), 0.0, 1.0), nugget=0.0)
+
+
+class TestScipyLoader:
+    def test_routines_come_from_the_extension_modules(self):
+        for name, (package, module) in gp._Scipy._MODULES.items():
+            assert getattr(gp._scipy, name) is getattr(
+                gp._scipy_extension(package, module), name)
+            assert module in ("_flapack", "_lbfgsb")
+
+    def test_missing_module_raises_naming_its_path(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(gp, "_scipy_file", lambda *parts: str(tmp_path.joinpath(*parts)))
+        with pytest.raises(RuntimeError, match="_flapack") as err:
+            gp._scipy_extension.__wrapped__("linalg", "_flapack")
+        assert str(tmp_path / "linalg" / "_flapack") in str(err.value)
+
+    def test_unknown_routine(self):
+        with pytest.raises(AttributeError):
+            gp._scipy.cholesky
+
+
 class TestFitMle:
     def test_likelihood_dominates_starts(self):
         rng = np.random.default_rng(4)
