@@ -398,15 +398,21 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
         extra = _sobol(d, config.n_starts - 1, config.seed)
         starts.extend(LOG_THETA_LO + (LOG_THETA_HI - LOG_THETA_LO) * extra)
 
+    seen: dict[bytes, tuple | None] = {}  # this start's evaluations, by x's bytes
+
     def objective(lt):
-        out = _nll_and_grad(lt, E, f, rhs, DEFAULT_NUGGET)
+        out = seen[lt.tobytes()] = _nll_and_grad(lt, E, f, rhs, DEFAULT_NUGGET)
         return (_FAILED_NLL, np.zeros(d)) if out is None else out[:2]
 
     best_nll = np.inf
     best = None
     for s in starts:
+        seen.clear()
+        # the search evaluates its start first, and returns an evaluated
+        # iterate: the last one, or an earlier one after an abnormal line search
         for lt in (s, _lbfgsb(objective, s)):
-            out = _nll_and_grad(lt, E, f, rhs, DEFAULT_NUGGET)
+            key = lt.tobytes()
+            out = seen[key] if key in seen else _nll_and_grad(lt, E, f, rhs, DEFAULT_NUGGET)
             if out is not None and out[0] < best_nll:
                 best_nll, best = out[0], out[2]
     if best is None:

@@ -436,6 +436,36 @@ class TestFitOracle:
         D, f, seed = _frozen_campaign_state(iteration)
         self._check(D, f, seed, n_starts)
 
+    def test_no_evaluation_outside_the_searches(self, monkeypatch):
+        # the start and the returned x are read back from the searches' own
+        # evaluations, also where the line search ends abnormally and the
+        # driver returns an earlier iterate (the fourth start here)
+        rng = np.random.default_rng(0)
+        D = _random_distinct_design(rng, 14, 4, 3)
+        f = rng.normal(size=14)
+        _fail_cholesky_below(monkeypatch, np.exp(-2.5))
+        cfg = FitConfig(n_starts=4, seed=0)
+        theta, mu, tau2 = _parent_fit(D, f, cfg)
+        nll_calls, search_calls = [0], [0]
+        real_nll, real_lbfgsb = gp._nll_and_grad, gp._lbfgsb
+
+        def nll(*args):
+            nll_calls[0] += 1
+            return real_nll(*args)
+
+        def lbfgsb(objective, x0):
+            def counted(x):
+                search_calls[0] += 1
+                return objective(x)
+
+            return real_lbfgsb(counted, x0)
+
+        monkeypatch.setattr(gp, "_nll_and_grad", nll)
+        monkeypatch.setattr(gp, "_lbfgsb", lbfgsb)
+        p = fit_mle(D, f, cfg).params
+        assert nll_calls[0] == search_calls[0] > 0
+        assert np.array_equal(p.theta, theta) and p.mu == mu and p.tau2 == tau2
+
     def test_leaner_likelihood_same_bits(self):
         D, f, _ = _snake_model(3)
         E = gp._mismatch(D.as_array())
