@@ -260,16 +260,21 @@ class TestOptimizeMaximin:
         assert r.trace[-1].nodes_explored == 9678
 
     def test_trace_records_all_targets(self):
-        # the first target is q0, or the code report's distance above q0;
-        # the ascent then tries every target after it, one by one
-        for n, d, M in [(3, 3, 2), (13, 6, 3), (8, 4, 6)]:
+        # the first target is q0, or the code report's distance, at least
+        # q0 and equal to it only where q0 == q_upper leaves no ascent
+        # ((5,5,2): one code report at 2); the ascent then tries every
+        # target after it, one by one
+        for n, d, M in [(3, 3, 2), (13, 6, 3), (8, 4, 6), (5, 5, 2)]:
             r = optimize_maximin(n, d, M)
             qs = [rep.q for rep in r.trace]
             if r.trace[0].phase == "code":
-                assert qs[0] > q0(n, d, M)
+                assert qs[0] >= q0(n, d, M)
+                assert (qs[0] == q0(n, d, M)) == (q0(n, d, M) == q_upper(n, d, M))
             else:
                 assert qs[0] == q0(n, d, M)
             assert qs == list(range(qs[0], qs[0] + len(qs))), (n, d, M)
+        trace = optimize_maximin(5, 5, 2).trace
+        assert [(rep.phase, rep.q) for rep in trace] == [("code", 2)]
 
     def test_determinism(self):
         a = optimize_maximin(5, 4, 3, seed=7)
