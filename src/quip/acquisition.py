@@ -56,7 +56,12 @@ most n * eps * tau2, which exceeds the relative term where the largest
 variance is far below tau2. For UCB it is the rounding of the mean g'alpha,
 at most n * eps * sum|alpha| (alpha has large entries of both signs when
 Gamma is near-singular). Both are tested on clip-pinned models against
-full enumeration.
+full enumeration. The bounds themselves must dominate the computed leaf
+values: the Q bound sums U'WU in the W form, whose terms cancel when Gamma
+is near-singular, while a leaf's Q comes from a triangular solve. The two
+may differ by up to the rounding of U'WU, n * eps * U|W|1 for correlations
+0 <= g <= U <= 1, far above n * eps there, and the square root of UCB
+amplifies that near small variance. So the Q bound is lowered by it.
 """
 
 from __future__ import annotations
@@ -192,7 +197,8 @@ class _BnB:
         tangent plane (inf where it is not applied; None for ALM).
 
         The convex Q has Q(g) >= -c'Wc + 2(Wc)'g for any c, so with c at
-        the lower corner fm U, Q >= -fm^2 U'WU - linmax(-2 fm (WU) o U).
+        the lower corner fm U, Q >= -fm^2 U'WU - linmax(-2 fm (WU) o U),
+        less the rounding n eps U|W|1 of the W form.
         The plane is exact at c, and the smallest Q, where the variance
         peaks, lies at small correlations, near that corner; a plane at
         the midpoint is loosest there. With c = a U, a = (1 + fm)/2, and
@@ -204,13 +210,15 @@ class _BnB:
         fm = self.free_min[depth]
         PU = (U @ self.W) * U  # (WU) o U
         u_wu = PU.sum(axis=1)
-        q_low = -fm * fm * u_wu
+        # the rounding scale of g'Wg for 0 <= g <= U, by which the leaves'
+        # triangular-solve Q may fall below this W form
+        rounding = self.n * np.finfo(float).eps * (U @ self.w_abs)
+        q_low = -fm * fm * u_wu - rounding
         if self.spec.kind == "alm":
             return q_low - self._linmax(-2.0 * fm * PU, depth), None, None
         a = 0.5 * (1.0 + fm)
         s2 = 1.0 - a * a * u_wu
-        eps = np.finfo(float).eps
-        ok = s2 > _TANGENT_GUARD * self.n * eps * a * a * (U @ self.w_abs)
+        ok = s2 > _TANGENT_GUARD * a * a * rounding
         # sigma(c), or any finite stand-in where the tangent is not applied
         sigma = np.sqrt(self.tau2 * np.where(ok, s2, 1.0))
         slope = self.spec.lam * self.tau2 / sigma

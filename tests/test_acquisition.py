@@ -69,6 +69,15 @@ def _pinned_flaky_model():
     return build_model(design_from_array(full, 2), f, params)
 
 
+def _rounding_pinned_model():
+    """Clip-pinned model on which the Q bound, before its rounding slack,
+    fell below the leaves' triangular-solve Q: UCB prefix (3, 2) was bounded
+    at 0.16201796598 against its leaf's 0.16201796619."""
+    rows = [[1, 2, 2], [2, 1, 2], [2, 3, 2], [1, 1, 1], [1, 2, 1], [2, 2, 2]]
+    params = KernelParams(np.full(3, THETA_CLIP), 0.0, 1.0)
+    return build_model(design_from_array(rows, 3), np.zeros(6), params)
+
+
 @st.composite
 def _small_models(draw):
     """Random model with d <= 4, M <= 3 and n <= 8 distinct design rows."""
@@ -189,6 +198,7 @@ class TestBoundAdmissibility:
 
     @settings(max_examples=40, deadline=None)
     @given(model=_small_models())
+    @example(model=_rounding_pinned_model())
     def test_bound_dominates_subtree_property(self, model):
         self._check_subtrees(model)
 
@@ -489,7 +499,7 @@ D12_PINS = [
     ("q0-n60-s0", "ucb", 21),
     ("q0-n60-s2", "ucb", 41),
     ("q0-n60-s2", "alm", 29),
-    ("q0-n90-s0", "alm", 19),
+    ("q0-n90-s0", "alm", 37),
     ("q0-n90-s1", "ucb", 21),
     ("q0-n100-s3", "ucb", 45),
     ("q0-n100-s3", "alm", 24),
