@@ -411,8 +411,7 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
         # the search evaluates its start first, and returns an evaluated
         # iterate: the last one, or an earlier one after an abnormal line search
         for lt in (s, _lbfgsb(objective, s)):
-            key = lt.tobytes()
-            out = seen[key] if key in seen else _nll_and_grad(lt, E, f, rhs, DEFAULT_NUGGET)
+            out = seen[lt.tobytes()]
             if out is not None and out[0] < best_nll:
                 best_nll, best = out[0], out[2]
     if best is None:
