@@ -14,10 +14,13 @@ g_r = U_r exp(-t_r): an exact prefix product U_r times the free factors'
 term, with t_r = sum over free j of theta_j * 1{x_j != X_rj} in [0, T].
 Every bound rests on one function, `_linmax`, an upper bound on the
 maximum of a linear function l'g over the subtree. It relaxes each term
-w_r exp(-t_r), w = l o U, to the line w_r - beta_r t_r above it (the
-chord of the convex exp(-t) over [0, T] where w_r >= 0, the tangent at 0
-where w_r < 0), whose maximum over the free levels is exact and separable
-per factor, and keeps the smaller of that and the box bound
+w_r exp(-t_r), w = l o U, to a line c_r - beta_r t_r above it: the chord
+of the convex exp(-t) over [0, T] where w_r >= 0, and where w_r < 0 the
+tangent at the far corner T, w_r exp(-T) (1 + T - t_r). Maximizing l'g
+drives a negative term toward t_r = T, away from the design row, and
+there that tangent is exact, while the tangent at 0 is loosest. The
+line's maximum over the free levels is exact and separable per factor,
+and linmax keeps the smaller of that and the box bound
 sum_r max(w_r, exp(-T) w_r). It is used three times:
 
 * the mean g'alpha, with l = alpha;
@@ -62,6 +65,13 @@ is near-singular, while a leaf's Q comes from a triangular solve. The two
 may differ by up to the rounding of U'WU, n * eps * U|W|1 for correlations
 0 <= g <= U <= 1, far above n * eps there, and the square root of UCB
 amplifies that near small variance. So the Q bound is lowered by it.
+The lines of linmax touch their terms, the chord at t = 0 and T and the
+far-corner tangent at T, where its constant exp(-T)(1 + T) w_r and its
+slope term exp(-T) T w_r cancel to exp(-T) w_r. Both are at most |w_r|
+(exp(-T)(1 + T) <= 1), so a term rounds by a few eps |w_r| and the sum
+by about n * eps * sum|w|: at most n * eps * sum|alpha| for the mean,
+within the allowance above, and 2 n * eps * U|W|1 for Q, the scale of its
+rounding slack.
 """
 
 from __future__ import annotations
@@ -178,17 +188,23 @@ class _BnB:
         a node at this depth with prefix products U.
 
         There g_r = U_r exp(-t_r), t_r = sum over free factors j of theta_j
-        * 1{x_j != X_rj} in [0, T], and w_r exp(-t) <= w_r - beta_r t: the
-        chord beta_r = kappa w_r, kappa = (1 - exp(-T))/T, for w_r >= 0
-        (exp(-t) is convex) and the tangent at 0, beta_r = w_r, for w_r < 0.
-        The right side is linear in the free levels, so its maximum is exact
-        and separable: sum w - sum_j min_v sum_r beta_r Z[j, v, r]. The
-        result is the smaller of that and the box bound sum max(w, fm w)."""
+        * 1{x_j != X_rj} in [0, T], and w_r exp(-t) <= c_r - beta_r t: the
+        chord c_r = w_r, beta_r = kappa w_r, kappa = (1 - exp(-T))/T, for
+        w_r >= 0 (exp(-t) is convex), and for w_r < 0 the tangent at the far
+        corner T, c_r = fm (1 + T) w_r, beta_r = fm w_r (fm = exp(-T)): the
+        maximization sends such a term toward t_r = T, where this line is
+        exact and the tangent at 0 loosest. The right side is linear in the
+        free levels, so its maximum is exact and separable: sum c - sum_j
+        min_v sum_r beta_r Z[j, v, r]. The result is the smaller of that and
+        the box bound sum max(w, fm w)."""
         T = self.free_theta[depth]
-        beta = np.where(w >= 0.0, (-np.expm1(-T) / T) * w, w)
+        fm = self.free_min[depth]
+        pos = w >= 0.0
+        beta = np.where(pos, (-np.expm1(-T) / T) * w, fm * w)
+        c = np.where(pos, w, (fm * (1.0 + T)) * w)
         S = beta @ self.Z[depth * self.M:].T
-        sep = w.sum(axis=1) - S.reshape(len(w), -1, self.M).min(axis=2).sum(axis=1)
-        box = np.maximum(w, self.free_min[depth] * w).sum(axis=1)
+        sep = c.sum(axis=1) - S.reshape(len(w), -1, self.M).min(axis=2).sum(axis=1)
+        box = np.maximum(w, fm * w).sum(axis=1)
         return np.minimum(sep, box)
 
     def _parts(self, U: np.ndarray, depth: int):
