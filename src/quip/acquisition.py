@@ -13,15 +13,17 @@ a-time assignments. With a subset of factors fixed, each correlation is
 g_r = U_r exp(-t_r): an exact prefix product U_r times the free factors'
 term, with t_r = sum over free j of theta_j * 1{x_j != X_rj} in [0, T].
 Every bound rests on one function, `_linmax`, an upper bound on the
-maximum of a linear function l'g over the subtree. It relaxes each term
-w_r exp(-t_r), w = l o U, to a line c_r - beta_r t_r above it: the chord
-of the convex exp(-t) over [0, T] where w_r >= 0, and where w_r < 0 the
-tangent at the far corner T, w_r exp(-T) (1 + T - t_r). Maximizing l'g
-drives a negative term toward t_r = T, away from the design row, and
-there that tangent is exact, while the tangent at 0 is loosest. The
-line's maximum over the free levels is exact and separable per factor,
-and linmax keeps the smaller of that and the box bound
-sum_r max(w_r, exp(-T) w_r). It is used three times:
+maximum of a linear function l'g over the subtree. It bounds each term
+w_r exp(-t_r), w = l o U, by one line c_r - beta_r t_r through the far
+corner (T, exp(-T) w_r), with c_r = max(w_r, exp(-T)(1 + T) w_r) and
+beta_r = max(kappa w_r, exp(-T) w_r), kappa = (1 - exp(-T))/T. As
+exp(-T)(1 + T) <= 1 and exp(-T) <= kappa, both pick the chord of the
+convex exp(-t) where w_r >= 0, and where w_r < 0 the tangent at T, toward
+which maximizing l'g drives such a term. Since T - t_r sums theta_j over
+the free factors that match the design row, the lines' maximum over the
+free levels is exact and separable per factor, and never above the box
+bound sum_r max(w_r, exp(-T) w_r), the sum of each line's peak on [0, T].
+It is used three times:
 
 * the mean g'alpha, with l = alpha;
 * Q = g'Wg >= -c'Wc + 2(Wc)'g, the tangent plane of the convex Q at any c
@@ -40,7 +42,7 @@ sum_r max(w_r, exp(-T) w_r). It is used three times:
 
 A popped node expands all M children at once: their U rows come from
 per-factor multiplier tables, and their bounds from one matrix product U W
-and one product of the stacked w rows with a mismatch table built once per
+and one product of the stacked w rows with a matching table built once per
 solve. At the last factor the children are exact correlation rows, so
 leaves are scored exactly in one batch, with no design rebuild. Every
 solve opens with a dive: a descent from the root that takes the child with
@@ -65,13 +67,12 @@ is near-singular, while a leaf's Q comes from a triangular solve. The two
 may differ by up to the rounding of U'WU, n * eps * U|W|1 for correlations
 0 <= g <= U <= 1, far above n * eps there, and the square root of UCB
 amplifies that near small variance. So the Q bound is lowered by it.
-The lines of linmax touch their terms, the chord at t = 0 and T and the
-far-corner tangent at T, where its constant exp(-T)(1 + T) w_r and its
-slope term exp(-T) T w_r cancel to exp(-T) w_r. Both are at most |w_r|
-(exp(-T)(1 + T) <= 1), so a term rounds by a few eps |w_r| and the sum
-by about n * eps * sum|w|: at most n * eps * sum|alpha| for the mean,
-within the allowance above, and 2 n * eps * U|W|1 for Q, the scale of its
-rounding slack.
+A line's constant c_r and its slope term beta_r T are each at most |w_r|,
+so a term rounds by a few eps |w_r| and the sum by about n * eps * sum|w|:
+at most n * eps * sum|alpha| for the mean, within the allowance above, and
+2 n * eps * U|W|1 for Q, the scale of its rounding slack. The constant is
+taken at t = 0, where the chord is w_r bit for bit, as is a leaf's term
+for a design row that it matches on every free factor.
 """
 
 from __future__ import annotations
@@ -169,12 +170,12 @@ class _BnB:
         t = theta[self.order]
         self.free_theta = np.append(np.cumsum(t[::-1])[::-1], 0.0)
         self.free_min = np.exp(-self.free_theta)
-        # Z[depth*M + v-1, r]: theta_j * 1{X_rj != v} for the factor j
-        # branched at this depth, and F = exp(-Z) its correlation multiplier
+        # Y[depth*M + v-1, r]: theta_j * 1{X_rj == v} for the factor j
+        # branched at this depth; F = exp(Y - theta_j) is its multiplier
         levels = np.arange(1, self.M + 1)[:, None]
-        Z = t[:, None, None] * (X.T[self.order][:, None, :] != levels)
-        self.Z = Z.reshape(self.d * self.M, self.n)
-        self.F = np.exp(-Z)
+        Y = t[:, None, None] * (X.T[self.order][:, None, :] == levels)
+        self.Y = Y.reshape(self.d * self.M, self.n)
+        self.F = np.exp(Y - t[:, None, None])
 
     def _upper(self, levels: tuple[int, ...]) -> np.ndarray:
         """Exact prefix product U per training point for a level prefix."""
@@ -188,24 +189,21 @@ class _BnB:
         a node at this depth with prefix products U.
 
         There g_r = U_r exp(-t_r), t_r = sum over free factors j of theta_j
-        * 1{x_j != X_rj} in [0, T], and w_r exp(-t) <= c_r - beta_r t: the
-        chord c_r = w_r, beta_r = kappa w_r, kappa = (1 - exp(-T))/T, for
-        w_r >= 0 (exp(-t) is convex), and for w_r < 0 the tangent at the far
-        corner T, c_r = fm (1 + T) w_r, beta_r = fm w_r (fm = exp(-T)): the
-        maximization sends such a term toward t_r = T, where this line is
-        exact and the tangent at 0 loosest. The right side is linear in the
-        free levels, so its maximum is exact and separable: sum c - sum_j
-        min_v sum_r beta_r Z[j, v, r]. The result is the smaller of that and
-        the box bound sum max(w, fm w)."""
+        * 1{x_j != X_rj} in [0, T], and w_r exp(-t_r) <= c_r - beta_r t_r,
+        c_r = max(w_r, fm (1 + T) w_r), beta_r = max(kappa w_r, fm w_r),
+        fm = exp(-T), kappa = (1 - fm)/T: the chord of the convex exp(-t)
+        for w_r >= 0 and the tangent at T for w_r < 0. With t_r = T - sum_j
+        theta_j 1{x_j == X_rj} the right side's maximum is exact and
+        separable: sum c - T sum beta + sum_j max_v sum_r beta_r Y[j, v, r].
+        Each line peaks on [0, T] at max(w_r, fm w_r), so this implies the
+        box bound sum max(w, fm w)."""
         T = self.free_theta[depth]
         fm = self.free_min[depth]
-        pos = w >= 0.0
-        beta = np.where(pos, (-np.expm1(-T) / T) * w, fm * w)
-        c = np.where(pos, w, (fm * (1.0 + T)) * w)
-        S = beta @ self.Z[depth * self.M:].T
-        sep = c.sum(axis=1) - S.reshape(len(w), -1, self.M).min(axis=2).sum(axis=1)
-        box = np.maximum(w, fm * w).sum(axis=1)
-        return np.minimum(sep, box)
+        beta = np.maximum((-np.expm1(-T) / T) * w, fm * w)
+        c = np.maximum(w, (fm * (1.0 + T)) * w)
+        S = beta @ self.Y[depth * self.M:].T
+        sep = S.reshape(len(w), -1, self.M).max(axis=2).sum(axis=1)
+        return c.sum(axis=1) - T * beta.sum(axis=1) + sep
 
     def _parts(self, U: np.ndarray, depth: int):
         """Per node row of U at this depth: a lower bound on Q = g'Wg over

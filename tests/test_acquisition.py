@@ -218,10 +218,29 @@ class TestBoundAdmissibility:
 
 class TestLinmax:
     """`_linmax` against the brute-force maximum of l'g over every subtree,
-    for random coefficients l of mixed sign (rows w = l o U)."""
+    for random coefficients l of mixed sign (rows w = l o U), and against
+    the same bound in its sign-split form."""
 
     @staticmethod
-    def _check(model, seed):
+    def _split_form(bnb, w, depth):
+        """The bound as sum c - sum_j min_v sum_r beta_r Z[j, v, r] with the
+        mismatch table Z[j, v, r] = theta_j 1{X_rj != v}: the chord c = w,
+        beta = kappa w for w >= 0, and for w < 0 the far-corner tangent
+        c = exp(-T)(1 + T) w, beta = exp(-T) w."""
+        T, fm = bnb.free_theta[depth], bnb.free_min[depth]
+        order = bnb.order[depth:]
+        theta = bnb.model.params.theta[order]
+        X = bnb.model.design.as_array()[:, order]
+        levels = np.arange(1, bnb.M + 1)
+        Z = theta[:, None, None] * (X.T[:, None, :] != levels[:, None])
+        pos = w >= 0.0
+        beta = np.where(pos, (-np.expm1(-T) / T) * w, fm * w)
+        c = np.where(pos, w, (fm * (1.0 + T)) * w)
+        S = np.einsum("kr,jvr->kjv", beta, Z)
+        return c.sum(axis=1) - S.min(axis=2).sum(axis=1)
+
+    @classmethod
+    def _check(cls, model, seed):
         rng = np.random.default_rng(seed)
         d, M = model.design.d, model.design.M
         full = lattice_array(d, M)
@@ -238,7 +257,11 @@ class TestLinmax:
                 box = np.maximum(w, bnb.free_min[depth] * w).sum(axis=1)
                 tol = 1e-12 * np.abs(w).sum(axis=1)
                 assert np.all(bound >= brute - tol), (depth, prefix)
-                assert np.all(bound <= box), (depth, prefix)
+                # never looser than the box: each line peaks over [0, T]
+                # at its box term, so only rounding can exceed it
+                assert np.all(bound <= box + tol), (depth, prefix)
+                split = cls._split_form(bnb, w, depth)
+                assert np.all(np.abs(bound - split) <= tol), (depth, prefix)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dominates_subtree_max(self, seed):
@@ -565,10 +588,13 @@ class TestEnumerate:
 
     def test_lex_tie_break(self):
         model = fit_mle(design_from_array([[1, 1], [2, 2]], 2), [0.0, 0.0001])
-        pt, _ = enumerate_acquisition(model, AcquisitionSpec("alm"))
-        # exact value irrelevant; the point must be the first argmax in
-        # lexicographic order
-        assert isinstance(pt, Point)
+        spec = AcquisitionSpec("alm")
+        pt, _ = enumerate_acquisition(model, spec)
+        # (1, 2) and (2, 1) tie exactly; the point must be the first argmax
+        # in lexicographic order
+        v12, v21 = _objective_batch(model, np.array([[1, 2], [2, 1]]), spec)
+        assert v12 == v21
+        assert pt.levels == (1, 2)
 
 
 class TestBaselines:
