@@ -40,18 +40,19 @@ It is used three times:
   is applied only where 1 - c'Wc is well above its rounding, and the
   smaller of it and the separate mean-plus-deviation bound is kept.
 
-A popped node expands all M children at once: their U rows come from
-per-factor multiplier tables, and their bounds from one matrix product U W
-and one product of the stacked w rows with a matching table built once per
-solve. At the last factor the children are exact correlation rows, so
-leaves are scored exactly in one batch, with no design rebuild. Every
-solve opens with a dive: a descent from the root that takes the child with
-the largest bound at each depth, pushes every sibling it passes onto the
-heap and scores the M leaves under its last node, whose best value is the
-first incumbent. Its d expansions count as nodes and, being a fixed few,
-run without a deadline check. The search stops once the best open bound
-no longer exceeds the incumbent, which certifies the incumbent as the
-global optimum.
+The solve is one loop, and each pass expands one node, all M children at
+once: their U rows come from per-factor multiplier tables, and their
+bounds from one matrix product U W and one product of the stacked w rows
+with a matching table built once per solve. Children whose bound exceeds
+the incumbent go on the heap. At the last factor the children are exact
+correlation rows, so leaves are scored exactly in one batch, with no
+design rebuild, and only they set the incumbent. Until the first leaves
+are scored, the child with the largest bound is not pushed but expanded
+next: every solve opens with a dive from the root to a last-factor node,
+whose d - 1 descents count as nodes with the root and, being a fixed few,
+run without a deadline check. After that each pass pops the heap's best
+node, and the search stops once its bound no longer exceeds the
+incumbent, which certifies the incumbent as the global optimum.
 
 Everything is evaluated in floating point, so a certificate holds up to
 rounding: the certified bound is at least the true optimum less
@@ -144,12 +145,12 @@ def _objective_batch(model: GpModel, X_new: np.ndarray, spec: AcquisitionSpec):
 class _BnB:
     """Best-first branch-and-bound over per-factor level assignments.
 
-    The heap holds level prefixes only; a popped node's U is rebuilt from
-    the per-factor multiplier tables, and all M children are bounded (from
-    one product U W and one `_linmax` call over their stacked rows) or, at
-    the last factor, scored exactly, in one batched step. The incumbent
-    comes from leaves alone, the first from `_dive`, whose d expansions
-    `nodes` counts with the heap's pops.
+    The heap holds level prefixes only; an expanded node's U is rebuilt
+    from the per-factor multiplier tables, and all M children are bounded
+    (from one product U W and one `_linmax` call over their stacked rows)
+    or, at the last factor, scored exactly, in one batched step. The
+    incumbent comes from leaves alone, the first from the opening dive;
+    `nodes` counts the root, each descent and each pop.
     """
 
     def __init__(self, model: GpModel, spec: AcquisitionSpec):
@@ -252,29 +253,6 @@ class _BnB:
             return var_high
         return np.minimum(mean_high + self.spec.lam * np.sqrt(var_high), tangent)
 
-    def _expand(self, levels: tuple[int, ...]) -> np.ndarray:
-        """Bounds of the M children of a node or, at the last factor,
-        their exact values (free_min[d] == 1: exact correlation rows)."""
-        depth = len(levels)
-        Uc = self.F[depth] * self._upper(levels)
-        if depth + 1 == self.d:
-            return _objective(self.model, Uc, self.spec)
-        return self._bounds(Uc, depth + 1)
-
-    def _dive(self, heap: list, counter) -> tuple[tuple[int, ...], np.ndarray]:
-        """Descend from the root to a last-factor node, taking the child
-        with the largest bound at each depth and pushing every sibling it
-        passes onto the heap; return that node and its M leaves' values."""
-        levels: tuple[int, ...] = ()
-        for _ in range(self.d - 1):
-            bounds = self._expand(levels)
-            best = int(np.argmax(bounds)) + 1
-            for v, b in enumerate(bounds.tolist(), start=1):
-                if v != best:
-                    heapq.heappush(heap, (-b, next(counter), levels + (v,)))
-            levels += (best,)
-        return levels, self._expand(levels)
-
     def solve(self) -> AcqSolveReport:
         t0 = time.perf_counter()
         limit = self.spec.time_limit
@@ -283,22 +261,33 @@ class _BnB:
 
         counter = itertools.count()
         heap: list[tuple[float, int, tuple[int, ...]]] = []
-        levels, vals = self._dive(heap, counter)
-        nodes = self.d  # the dive's expansions, its leaves included
-        incumbent, incumbent_levels = -np.inf, ()  # the dive's leaves set it
+        levels: tuple[int, ...] = ()
+        nodes = 1  # the root, then each descent and each pop
+        incumbent, incumbent_levels = -np.inf, ()  # leaves alone set it
         status = STATUS_OPTIMAL
         open_bound = -np.inf  # bound of the abandoned subtree, if any
 
         while True:
-            # vals: the children of the node at levels, first the dive's last
-            if len(levels) + 1 == self.d:
+            # expand the node at levels: its M children's U rows
+            depth = len(levels)
+            U = self.F[depth] * self._upper(levels)
+            if depth + 1 == self.d:
+                # free_min[d] == 1: the children are exact correlation rows
+                vals = _objective(self.model, U, self.spec)
                 i = int(np.argmax(vals))  # first argmax, as a strict > scan
                 if vals[i] > incumbent:
                     incumbent, incumbent_levels = float(vals[i]), levels + (i + 1,)
             else:
-                for v, b in enumerate(vals.tolist(), start=1):
-                    if b > incumbent + 1e-15:
+                bounds = self._bounds(U, depth + 1)
+                # until a leaf is scored, descend into the best child
+                best = int(np.argmax(bounds)) + 1 if incumbent == -np.inf else 0
+                for v, b in enumerate(bounds.tolist(), start=1):
+                    if v != best and b > incumbent + 1e-15:
                         heapq.heappush(heap, (-b, next(counter), levels + (v,)))
+                if best:
+                    levels += (best,)
+                    nodes += 1
+                    continue
             if not heap:
                 break
             neg_bound, _, levels = heapq.heappop(heap)
@@ -316,7 +305,6 @@ class _BnB:
                 status = STATUS_TIME_LIMIT
                 open_bound = bound
                 break
-            vals = self._expand(levels)
 
         # best-first: the popped (abandoned) bound dominates the heap
         certified = max(incumbent, open_bound)

@@ -68,6 +68,8 @@ class BenchPlan:
             raise ValueError("mode must be 'opt' or 'active'")
         if self.mode == "active" and self.n_init + self.n_seq < 2:
             raise ValueError("mode 'active' needs n_init + n_seq >= 2 for its final fit")
+        if self.mode == "active" and self.test_size < 2:
+            raise ValueError("mode 'active' needs test_size >= 2 for its RRMSE")
         self.spec()  # reject a bad acquisition now, not inside the first arm
 
     def spec(self) -> AcquisitionSpec:
@@ -210,6 +212,8 @@ def run_bench(plan: BenchPlan) -> BenchReport:
     test = None
     if plan.mode == "active":
         test = _test_set(d, M, plan.test_size, plan.test_seed, objective)
+        if np.all(test[1] == test[1][0]):
+            raise ValueError("the test set's responses are all equal: its RRMSE is undefined")
     rows: list[dict] = []
     for rep in range(plan.replications):
         seed = _rep_seed(plan.seed, rep)

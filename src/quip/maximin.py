@@ -443,20 +443,15 @@ def optimize_maximin(
     and the pigeonhole cap q_star <= d-1 for n > M, which is the shortened
     Plotkin bound at m = q-1 (Singleton) with q = d), "exhaustion" when the
     bound is loose there and the feasibility solve at q_star+1 is
-    infeasible. When a feasibility solve times out, the incumbent design
-    is returned with certificate None (certified False): q_star is then
-    only a lower bound.
+    infeasible. Each feasibility solve gets the time left; when a solve
+    times out, or none is left to start the next, the incumbent design is
+    returned with certificate None (certified False): q_star is then only
+    a lower bound. With no incumbent yet, that is a TimeoutError.
     """
     if n < 2:
         raise ValueError("optimize_maximin needs n >= 2")
     check_time_limit(time_limit)
     deadline = time.perf_counter() + time_limit if time_limit is not None else None
-
-    def remaining():
-        if deadline is None:
-            return None
-        return max(0.05, deadline - time.perf_counter())
-
     low, top = q0(n, d, M), q_upper(n, d, M)
     trace, best, q_star, certificate = [], None, low - 1, BOUND
     t0 = time.perf_counter()
@@ -470,13 +465,18 @@ def optimize_maximin(
     # q0 <= q_upper (a bound admits the rows q0 guarantees), so without a
     # code witness the first pass is the cold q0 solve
     for qt in range(q_star + 1, top + 1):
-        rep = solve_feasibility(
-            FeasibilityInstance(n, d, M, qt, time_limit=remaining(), warm_start=best, seed=seed)
-        )
-        trace.append(rep)
-        if rep.status == FEASIBLE:
+        left = None if deadline is None else deadline - time.perf_counter()
+        if left is not None and left <= 0:
+            status = TIME_LIMIT  # no time left: start no solve
+        else:
+            rep = solve_feasibility(
+                FeasibilityInstance(n, d, M, qt, time_limit=left, warm_start=best, seed=seed)
+            )
+            trace.append(rep)
+            status = rep.status
+        if status == FEASIBLE:
             best, q_star = rep.design, qt
-        elif best is None and rep.status == TIME_LIMIT:
+        elif best is None and status == TIME_LIMIT:
             raise TimeoutError(
                 f"feasibility solve at the guaranteed distance q0={qt} timed out"
             )
@@ -488,7 +488,7 @@ def optimize_maximin(
             raise RuntimeError(
                 f"feasibility solve reported the guaranteed distance q0={qt} infeasible"
             )
-        elif rep.status == INFEASIBLE:
+        elif status == INFEASIBLE:
             certificate = EXHAUSTION
             break
         else:  # time limit: no infeasibility claim is made

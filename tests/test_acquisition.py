@@ -394,6 +394,8 @@ class TestOptimize:
         rep = optimize_acquisition(model, spec)
         _, opt = enumerate_acquisition(model, AcquisitionSpec("alm", gap_tolerance=0.0))
         assert rep.status == "time_limit"
+        # the dive's d expansions, then the one pop the deadline stops
+        assert rep.nodes == model.design.d + 1
         assert rep.best_point.levels not in {tuple(r) for r in rows.tolist()}
         assert rep.best_value > 0.5 * opt
         assert rep.certified_bound >= opt

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from quip import simulators
+from quip import bench, simulators
 from quip.bench import (
     BenchPlan,
     BenchReport,
@@ -204,6 +204,26 @@ class TestRunBench:
 
 
 class TestActiveMode:
+    def test_undefined_rrmse_fails_before_any_arm(self, monkeypatch):
+        # a test set of 0 or 1 points, or of equal responses, used to fail
+        # only inside rrmse, after an arm had run
+        plan = dict(problem="snake", methods=("random", "quip"), replications=1,
+                    n_init=5, n_seq=2, d=5, acq="alm", mode="active")
+        for size in (0, 1):
+            with pytest.raises(ValueError, match="test_size"):
+                BenchPlan(**plan, test_size=size)
+        assert BenchPlan(**{**plan, "mode": "opt"}, test_size=1).test_size == 1
+
+        def no_arm(*args):
+            raise AssertionError("an arm ran")
+
+        monkeypatch.setattr(bench, "_run_arm", no_arm)
+        flat = lambda world, x: simulators.SimResult(1.0, ())
+        monkeypatch.setitem(simulators.PROBLEMS, "snake",
+                            simulators.PROBLEMS["snake"]._replace(simulate=flat))
+        with pytest.raises(ValueError, match="all equal"):
+            run_bench(BenchPlan(**plan, test_size=2))
+
     def test_rrmse_recorded(self):
         plan = BenchPlan("snake", methods=("quip",), replications=1,
                          n_init=5, n_seq=1, d=5, acq="alm", mode="active",

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -314,6 +315,24 @@ class TestOptimizeMaximin:
         assert time.perf_counter() - t0 < 2.0
         assert not r.certified and r.certificate is None
         assert min_pairwise_distance(r.design) >= r.q_star
+
+    def test_no_solve_starts_once_the_limit_has_passed(self, monkeypatch):
+        # the clock reads 0 when the limit is set and 1 ever after, so no
+        # time is left for any solve. Each used to get 0.05 s regardless,
+        # which on this frozen clock let it run to completion.
+        def past_the_deadline():
+            ticks = itertools.chain([0.0], itertools.repeat(1.0))
+            monkeypatch.setattr(maximin, "time", SimpleNamespace(perf_counter=ticks.__next__))
+
+        # (13, 6, 3): the code witness at q = 3 stands, uncertified
+        past_the_deadline()
+        r = optimize_maximin(13, 6, 3, time_limit=1e-3)
+        assert r.q_star == 3 and r.certificate is None
+        assert [rep.phase for rep in r.trace] == ["code"]
+        # (8, 4, 6): no field, no code witness, so no design to return
+        past_the_deadline()
+        with pytest.raises(TimeoutError, match=f"q0={q0(8, 4, 6)} timed out"):
+            optimize_maximin(8, 4, 6, time_limit=1e-3)
 
     def test_search_hinted_only_by_a_warm_start(self, monkeypatch):
         # repair is made to fail, so every solve reaches the complete
