@@ -15,7 +15,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .acquisition import AcquisitionSpec, candidate_set_acquisition, random_point
+from .acquisition import (
+    DEFAULT_GAP,
+    DEFAULT_LAMBDA,
+    AcquisitionSpec,
+    candidate_set_acquisition,
+    random_point,
+)
 from .bounds import q0
 from .encoding import Design, Point, design_from_array, read_json, write_json
 from .gp import FitConfig, fit_mle, predict_batch
@@ -36,8 +42,8 @@ class BenchPlan:
     n_seq: int = 30
     d: int | None = None  # None: the problem's native path length
     acq: str = "ucb"
-    lam: float = 2.96
-    gap_tolerance: float = 0.10
+    lam: float = DEFAULT_LAMBDA
+    gap_tolerance: float = DEFAULT_GAP
     time_limit: float | None = 5.0  # per acquisition solve
     candidate_c: int = 2000
     mode: str = "opt"  # "opt" (best-so-far) or "active" (adds RRMSE)
@@ -114,8 +120,8 @@ def _test_set(d: int, M: int, size: int, seed: int, objective):
     return X, y
 
 
-def _rrmse_on_test(D: Design, f: np.ndarray, X_test, y_test, fit_seed: int):
-    model = fit_mle(D, f, FitConfig(n_starts=4, seed=fit_seed))
+def _rrmse_on_test(D: Design, f: np.ndarray, X_test, y_test, fit_config: FitConfig):
+    model = fit_mle(D, f, fit_config)
     mean, _ = predict_batch(model, X_test)
     return rrmse(y_test, mean)
 
@@ -124,6 +130,7 @@ def _run_arm(method: str, plan: BenchPlan, rep: int, d: int, M: int, objective,
              init: Design, f0: np.ndarray, test=None) -> list[dict]:
     seed = _rep_seed(plan.seed, rep)
     spec = plan.spec()
+    fit_config = FitConfig(n_starts=4, seed=seed)  # every fit of the arm
     rows: list[dict] = []
 
     def row(it, best, elapsed):
@@ -146,7 +153,7 @@ def _run_arm(method: str, plan: BenchPlan, rep: int, d: int, M: int, objective,
 
     if method == "quip":
         c = run_campaign(init, f0, objective, spec, plan.n_seq, seed=seed,
-                         fit_config=FitConfig(n_starts=4, seed=seed))
+                         fit_config=fit_config)
         D, f = c.design, c.responses
         for h in c.history:
             best = max(best, h["response"])
@@ -158,7 +165,7 @@ def _run_arm(method: str, plan: BenchPlan, rep: int, d: int, M: int, objective,
             if method == "random":
                 x = random_point(d, M, rng)
             else:  # candidate
-                model = fit_mle(D, f, FitConfig(n_starts=4, seed=seed))
+                model = fit_mle(D, f, fit_config)
                 x, _ = candidate_set_acquisition(
                     model, spec, plan.candidate_c,
                     int(rng.integers(0, 2**31)),
@@ -172,7 +179,7 @@ def _run_arm(method: str, plan: BenchPlan, rep: int, d: int, M: int, objective,
     if plan.mode == "active" and test is not None:
         X_test, y_test = test
         # RRMSE of the final fitted model per arm (active-learning metric)
-        final = _rrmse_on_test(D, f, X_test, y_test, seed)
+        final = _rrmse_on_test(D, f, X_test, y_test, fit_config)
         rows[-1]["rrmse"] = final
     rows[-1]["total_time"] = time.perf_counter() - t_start
     return rows

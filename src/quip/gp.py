@@ -317,16 +317,21 @@ def _sobol(d: int, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def _lbfgsb(objective, x0: np.ndarray) -> np.ndarray:
-    """Minimise `objective` (returning value and gradient) over the log-theta
-    box from x0, clipped to it, by L-BFGS-B (Byrd, Lu, Nocedal and Zhu,
-    1995). scipy's reverse-communication core `setulb` runs in the loop of
-    `minimize(..., method="L-BFGS-B")` with minimize's defaults (m = 10,
-    ftol = 2.22e-9, gtol = 1e-5, maxls = 20) and `maxiter=_MAX_ITER`, so
-    the same x comes back bit for bit, without minimize's per-evaluation
-    wrapper. minimize's cap of 15,000 evaluations is left out as it cannot
-    fire: _MAX_ITER iterations of at most maxls line-search steps each,
-    plus the start, stay far below it.
+def _lbfgsb(objective, x0: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+    """Minimise `objective` over the log-theta box from x0, clipped to it,
+    by L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995); returns the final x and
+    the objective's output at it. The output starts with value and gradient;
+    None (a failed likelihood) scores _FAILED_NLL with zero gradient, so the
+    line search backs off. scipy's reverse-communication core `setulb` runs
+    in the loop of `minimize(..., method="L-BFGS-B")` with minimize's
+    defaults (m = 10, ftol = 2.22e-9, gtol = 1e-5, maxls = 20) and
+    `maxiter=_MAX_ITER`, so the same x comes back bit for bit, without
+    minimize's per-evaluation wrapper. minimize's cap of 15,000 evaluations
+    is left out as it cannot fire: _MAX_ITER iterations of at most maxls
+    line-search steps each, plus the start, stay far below it. `setulb`
+    stops only at its start, right after an iteration ends, or after a failed
+    line search, which restores the last iterate; so the output at the start
+    or at the last iteration's end is the output at the returned x.
     """
     m, maxls = 10, 20
     n = x0.size
@@ -348,14 +353,18 @@ def _lbfgsb(objective, x0: np.ndarray) -> np.ndarray:
     while True:
         _scipy.setulb(m, x, lo, hi, nbd, f, g, factr, 1e-5, wa, iwa, task,
                       lsave, isave, dsave, maxls, ln_task)
-        if task[0] == 3:  # evaluate at x
-            f, g = objective(x)
-        elif task[0] == 1:  # an iteration ended
+        if task[0] == 3:  # evaluate at x; task[1] == 301 at the start
+            out = objective(x)
+            f, g = (_FAILED_NLL, np.zeros(n)) if out is None else out[:2]
+            if task[1] == 301:
+                kept = out
+        elif task[0] == 1:  # an iteration ended at the last evaluated x
+            kept = out
             iterations += 1
             if iterations >= _MAX_ITER:
                 task[:] = 5, 504
         else:  # converged, or the line search gave up
-            return x
+            return x, kept
 
 
 def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
@@ -368,9 +377,8 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
     `minimize`'s defaults (`_lbfgsb`) in log-theta within the clip bounds,
     on the analytic gradient of the profile likelihood; the
     mismatch matrix and the right-hand side [f, 1] are built once per fit.
-    The returned likelihood dominates the likelihood at every start. A
-    theta whose Cholesky factorisation fails scores a large finite value
-    with zero gradient, so the line search backs off.
+    The returned likelihood dominates the likelihood at every start, as an
+    accepted L-BFGS-B step never raises the value.
 
     Constant responses (zero variance) yield a flagged constant-predictor
     model rather than an error. Identical rows with different responses
@@ -398,22 +406,12 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
         extra = _sobol(d, config.n_starts - 1, config.seed)
         starts.extend(LOG_THETA_LO + (LOG_THETA_HI - LOG_THETA_LO) * extra)
 
-    seen: dict[bytes, tuple | None] = {}  # this start's evaluations, by x's bytes
-
-    def objective(lt):
-        out = seen[lt.tobytes()] = _nll_and_grad(lt, E, f, rhs, DEFAULT_NUGGET)
-        return (_FAILED_NLL, np.zeros(d)) if out is None else out[:2]
-
     best_nll = np.inf
     best = None
     for s in starts:
-        seen.clear()
-        # the search evaluates its start first, and returns an evaluated
-        # iterate: the last one, or an earlier one after an abnormal line search
-        for lt in (s, _lbfgsb(objective, s)):
-            out = seen[lt.tobytes()]
-            if out is not None and out[0] < best_nll:
-                best_nll, best = out[0], out[2]
+        _, out = _lbfgsb(lambda lt: _nll_and_grad(lt, E, f, rhs, DEFAULT_NUGGET), s)
+        if out is not None and out[0] < best_nll:
+            best_nll, best = out[0], out[2]
     if best is None:
         raise DegenerateResponseError("likelihood evaluation failed at every start")
     theta, mu, tau2 = best

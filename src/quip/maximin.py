@@ -253,7 +253,7 @@ def _complete_search(
         row, eqj, S0 = grid[i], eq[j], S[0]
         for v in values:
             nodes += 1
-            if nodes % 2048 == 0 and _expired(deadline):
+            if nodes % 256 == 0 and _expired(deadline):
                 return None, nodes, True
             E = eqj[v]
             if S0 & E:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from quip.acquisition import (
     random_point,
 )
 from quip.encoding import Point, design_from_array, lattice_array
-from quip.gp import FitConfig, KernelParams, build_model, fit_mle, predict_batch
+from quip.gp import (
+    FitConfig,
+    KernelParams,
+    _posterior,
+    build_model,
+    fit_mle,
+    predict_batch,
+)
 
 THETA_CLIP = 1e-3  # the fit's lower theta clip, exp(gp.LOG_THETA_LO)
 THETA_HI = 10.0  # its upper clip, exp(gp.LOG_THETA_HI)
@@ -79,6 +87,17 @@ def _rounding_pinned_model():
     rows = [[1, 2, 2], [2, 1, 2], [2, 3, 2], [1, 1, 1], [1, 2, 1], [2, 2, 2]]
     params = KernelParams(np.full(3, THETA_CLIP), 0.0, 1.0)
     return build_model(design_from_array(rows, 3), np.zeros(6), params)
+
+
+def _mean_rounding_model():
+    """Clip-pinned model (sum|alpha| = 2.5e6) on which the UCB mean bound of
+    prefix (1, 2) lies 7.8e-11 above the exactly summed leaf maximum but
+    1.27e-10 below the float mu + G @ alpha."""
+    rows = [[1, 1, 2], [1, 2, 1], [1, 1, 1], [2, 1, 1], [2, 2, 1]]
+    params = KernelParams(np.full(3, THETA_CLIP), 0.42304227729617194, 1.7728026213577028)
+    f = [-0.7194577397621966, 0.8524986902532271, -1.3731799765771042,
+         0.29094754145561796, -0.014561985092286095]
+    return build_model(design_from_array(rows, 2), f, params)
 
 
 @st.composite
@@ -170,9 +189,12 @@ class TestBoundAdmissibility:
         # min Q and, for UCB, the mean bound >= max mean and, where applied,
         # the tangent plane >= max UCB. Each holds to the smaller of 1e-10
         # and the documented allowance `_cert_tol` (for Q, the ALM one over
-        # tau2; for the mean, the UCB one)
+        # tau2; for the mean, the UCB one). The reference mean is summed
+        # exactly from the float rows G and alpha and rounded once, since
+        # mu + G @ alpha itself rounds by about n * eps * sum|alpha|
         d, M = model.design.d, model.design.M
         tau2 = model.params.tau2
+        mu, alpha = Fraction(model.params.mu), [Fraction(a) for a in model.alpha]
 
         def tol(kind, value, scale=1.0):
             return min(1e-10, _cert_tol(model, kind, value) / scale)
@@ -182,8 +204,10 @@ class TestBoundAdmissibility:
             spec = AcquisitionSpec(kind, gap_tolerance=0.0)
             bnb = _BnB(model, spec)
             G = np.stack([bnb._upper(tuple(row[bnb.order])) for row in full])
-            vals = _objective(model, G, spec)
-            mean = model.params.mu + G @ model.alpha
+            mean = np.array(
+                [float(mu + sum(Fraction(v) * a for v, a in zip(g, alpha))) for g in G])
+            _, var = _posterior(model, G)
+            vals = var if kind == "alm" else mean + spec.lam * np.sqrt(var)
             Q = np.einsum("ij,ij->i", G @ bnb.W, G)
             for depth in range(d):
                 for prefix in itertools.product(range(1, M + 1), repeat=depth):
@@ -212,6 +236,7 @@ class TestBoundAdmissibility:
     @settings(max_examples=40, deadline=None)
     @given(model=_small_models())
     @example(model=_rounding_pinned_model())
+    @example(model=_mean_rounding_model())
     def test_bound_dominates_subtree_property(self, model):
         self._check_subtrees(model)
 

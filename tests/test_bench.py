@@ -15,6 +15,7 @@ from quip.bench import (
     problem_objective,
     run_bench,
     write_report,
+    write_rows_csv,
 )
 from quip.encoding import min_pairwise_distance
 
@@ -187,6 +188,11 @@ class TestRunBench:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["schema_version"] == 1
         assert summary["plan"]["problem"] == "snake"
+
+    def test_no_rows_to_write(self, tmp_path):
+        with pytest.raises(ValueError, match="no rows to write"):
+            write_rows_csv([], tmp_path / "rows.csv")
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_summary_plan_round_trips(self, tmp_path):
         # every field is recorded: a plan without a time limit must not

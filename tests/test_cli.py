@@ -310,6 +310,10 @@ class TestSequentialCmd:
         code, _, err = run_cli(capsys, *argv, "--M", "2")
         assert code == 1 and "below level 3" in err
 
+    def test_csv_simulator_needs_a_table(self, capsys):
+        code, _, err = run_cli(capsys, "sequential", "--simulator", "csv", "--acq", "ucb")
+        assert code == 1 and "--table is required for the csv simulator" in err
+
     def test_csv_missing_point_named(self, capsys, tmp_path):
         # {1,2}^2 without (2,2): the campaign reaches the missing point
         table = tmp_path / "table.csv"

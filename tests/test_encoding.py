@@ -63,6 +63,11 @@ class TestDesign:
         with pytest.raises(DimensionMismatchError):
             Design((Point((1, 2), 2), Point((1, 2), 3)))
 
+    def test_not_equal_to_other_types(self):
+        D = design_from_array([[1, 2]], 2)
+        assert D.__eq__([[1, 2]]) is NotImplemented
+        assert D != [[1, 2]] and D != "design"
+
     def test_duplicates_allowed(self):
         D = Design((Point((1, 1), 2), Point((1, 1), 2)))
         assert min_pairwise_distance(D) == 0
@@ -268,6 +273,17 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="points"):
             design_from_dict({"n": 1, "d": 1, "M": 2})
+
+    def test_point_level_count_must_match_d(self):
+        # the points agree with each other, so only the declared d catches it
+        with pytest.raises(ValueError, match="point 0 has 2 levels, expected 3"):
+            design_from_dict({"n": 1, "d": 3, "M": 2, "points": [[1, 2]]})
+
+    def test_csv_without_points_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\n\n")
+        with pytest.raises(ValueError, match="no points found"):
+            load_design(path)
 
     def test_inconsistent_counts(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,15 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="responses must be finite"):
             build_model(D, [0.0, np.nan, 1.0], KernelParams(np.ones(2), 0.0, 1.0))
 
+    def test_response_shape_rejected(self):
+        D = design_from_array([[1, 1], [2, 2], [1, 2]], 2)
+        with pytest.raises(ValueError, match=r"responses shape \(2,\) does not match n=3"):
+            build_model(D, [0.0, 1.0], KernelParams(np.ones(2), 0.0, 1.0))
+
+    def test_n_is_the_design_size(self):
+        D = design_from_array([[1, 1], [2, 2], [1, 2]], 2)
+        assert build_model(D, [0.0, 1.0, 2.0], KernelParams(np.ones(2), 0.0, 1.0)).n == 3
+
     @pytest.mark.parametrize("nugget", [float("nan"), float("inf")])
     def test_non_finite_nugget_rejected(self, nugget):
         D = design_from_array([[1, 1], [2, 2], [1, 2]], 2)
@@ -344,6 +353,12 @@ class TestSobol:
         with pytest.raises(ValueError):
             a[0, 0] = 0.5
 
+    def test_dimension_above_the_shipped_ones_rejected(self):
+        with np.load(gp._SOBOL_DIRECTIONS) as z:
+            dims = z["poly"].size
+        with pytest.raises(ValueError, match=f"d={dims + 1} exceeds the {dims} Sobol"):
+            gp._sobol.__wrapped__(dims + 1, 2, 0)
+
     def test_missing_direction_numbers_raise(self, monkeypatch, tmp_path):
         monkeypatch.setattr(gp, "_SOBOL_DIRECTIONS", str(tmp_path / "absent.npz"))
         with pytest.raises(RuntimeError, match="direction numbers"):
@@ -507,7 +522,7 @@ class TestLbfgsbDriver:
         x0 = np.zeros(D.d)
         res = self._minimize(objective, x0)
         assert res.nit == 2 and res.status == 1  # stopped by the cap
-        assert np.array_equal(gp._lbfgsb(objective, x0), res.x)
+        assert np.array_equal(gp._lbfgsb(objective, x0)[0], res.x)
 
     def test_lbfgsb_line_search_fails_on_failed_nll(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -519,7 +534,7 @@ class TestLbfgsbDriver:
         res = self._minimize(objective, x0)
         assert res.status == 2 and res.message.startswith("ABNORMAL")
         assert failures and np.isfinite(res.fun) and res.fun < gp._FAILED_NLL
-        assert np.array_equal(gp._lbfgsb(objective, x0), res.x)
+        assert np.array_equal(gp._lbfgsb(objective, x0)[0], res.x)
 
     def test_lbfgsb_start_on_a_bound(self):
         D, f, _ = _snake_model(1)
@@ -527,7 +542,35 @@ class TestLbfgsbDriver:
         x0 = np.full(D.d, gp.LOG_THETA_LO)
         res = self._minimize(objective, x0)
         assert res.nit > 0 and not np.array_equal(res.x, x0)
-        assert np.array_equal(gp._lbfgsb(objective, x0), res.x)
+        assert np.array_equal(gp._lbfgsb(objective, x0)[0], res.x)
+
+    @pytest.mark.parametrize(
+        "exit_", ["converged", "iteration_cap", "line_search_fails", "start_on_a_bound"]
+    )
+    def test_lbfgsb_returns_the_output_at_its_x(self, monkeypatch, exit_):
+        # on each exit the driver hands back the likelihood output at the x
+        # it returns, as a fresh evaluation there gives it bit for bit
+        if exit_ == "line_search_fails":
+            rng = np.random.default_rng(0)
+            D = _random_distinct_design(rng, 14, 4, 3)
+            f = rng.normal(size=14)
+            _fail_cholesky_below(monkeypatch, np.exp(-2.5))
+            x0 = gp.LOG_THETA_LO + (gp.LOG_THETA_HI - gp.LOG_THETA_LO) * gp._sobol(4, 3, 0)[2]
+        else:
+            D, f, _ = _snake_model(1)
+            x0 = np.full(D.d, gp.LOG_THETA_LO if exit_ == "start_on_a_bound" else 0.0)
+        if exit_ == "iteration_cap":
+            monkeypatch.setattr(gp, "_MAX_ITER", 2)
+        res = self._minimize(self._objective(D, f), x0)
+        want = {"converged": 0, "iteration_cap": 1, "line_search_fails": 2,
+                "start_on_a_bound": 0}[exit_]
+        assert res.status == want and res.nit > 0
+        E, rhs = gp._mismatch(D.as_array()), _rhs(f)
+        x, out = gp._lbfgsb(lambda lt: gp._nll_and_grad(lt, E, f, rhs, gp.DEFAULT_NUGGET), x0)
+        assert np.array_equal(x, res.x)
+        nll, grad, (theta, mu, tau2) = gp._nll_and_grad(x, E, f, rhs, gp.DEFAULT_NUGGET)
+        assert out[0] == nll and np.array_equal(out[1], grad)
+        assert np.array_equal(out[2][0], theta) and (out[2][1], out[2][2]) == (mu, tau2)
 
 
 class TestDuplicateRows:

@@ -14,6 +14,7 @@ from quip.encoding import design_from_array, min_pairwise_distance
 from quip.maximin import (
     FEASIBLE,
     INFEASIBLE,
+    TIME_LIMIT,
     FeasibilityInstance,
     InvalidDistanceError,
     SolveReport,
@@ -96,6 +97,12 @@ class TestSolveFeasibility:
         rep = solve_feasibility(FeasibilityInstance(300, 10, 2, 2))
         assert rep.status == FEASIBLE and rep.nodes_explored > 0
         assert min_pairwise_distance(rep.design) >= 2
+
+    def test_search_reads_the_clock_every_256_nodes(self):
+        # the deadline has passed before the complete search starts, so it
+        # stops at its first clock reading
+        rep = solve_feasibility(FeasibilityInstance(20, 8, 2, 3, time_limit=1e-9))
+        assert rep.status == TIME_LIMIT and rep.nodes_explored <= 256
 
     def test_phase_names_the_deciding_phase(self):
         ws = design_from_array([[1, 1, 1, 1], [1, 1, 1, 2], [2, 2, 2, 2]], 2)

@@ -78,6 +78,10 @@ class TestMaze:
         res = maze_cost(w, Point((4, 4) + (5,) * 10, 5))  # right, right, stay...
         assert res.value == 0.0
 
+    def test_distance_field_needs_a_goal(self):
+        with pytest.raises(ValueError, match="world has no goal"):
+            distance_field(GridWorld(3, 3, (1, 1)))
+
     def test_all_stay_equals_field_at_start(self):
         w = default_maze()
         field = distance_field(w)
