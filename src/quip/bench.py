@@ -23,10 +23,10 @@ from .acquisition import (
     random_point,
 )
 from .bounds import q0
-from .encoding import Design, Point, design_from_array, read_json, write_json
+from .encoding import Design, Point, check_int, read_json, write_json
 from .gp import FitConfig, fit_mle, predict_batch
 from .maximin import FeasibilityInstance, solve_feasibility
-from .sequential import rrmse, run_campaign
+from .sequential import fit_fields, rrmse, run_campaign, run_loop
 from .simulators import PROBLEMS
 
 METHODS = ("quip", "random", "candidate")
@@ -53,18 +53,18 @@ class BenchPlan:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.n_init < 1:
-            raise ValueError("n_init must be >= 1")
-        if self.d is not None and self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.n_seq < 0:
-            raise ValueError("n_seq must be >= 0")
-        if self.candidate_c < 1:
-            raise ValueError("candidate_c must be >= 1")
+        # plan files are JSON: a 2.0 or a true must fail here, naming its field
+        ints = dict(replications=1, seed=0, n_init=1, n_seq=0, candidate_c=1)
+        if self.d is not None:
+            ints["d"] = 1
+        if self.mode == "active":
+            ints.update(test_size=2, test_seed=0)  # the RRMSE needs two test points
+        for name, low in ints.items():
+            check_int(name, getattr(self, name), low)
         if not self.methods:
             raise ValueError("methods must be non-empty")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods {self.methods!r} repeat a method")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -74,8 +74,6 @@ class BenchPlan:
             raise ValueError("mode must be 'opt' or 'active'")
         if self.mode == "active" and self.n_init + self.n_seq < 2:
             raise ValueError("mode 'active' needs n_init + n_seq >= 2 for its final fit")
-        if self.mode == "active" and self.test_size < 2:
-            raise ValueError("mode 'active' needs test_size >= 2 for its RRMSE")
         self.spec()  # reject a bad acquisition now, not inside the first arm
 
     def spec(self) -> AcquisitionSpec:
@@ -126,12 +124,18 @@ def _rrmse_on_test(D: Design, f: np.ndarray, X_test, y_test, fit_config: FitConf
     return rrmse(y_test, mean)
 
 
-def _run_arm(method: str, plan: BenchPlan, rep: int, d: int, M: int, objective,
-             init: Design, f0: np.ndarray, test=None) -> list[dict]:
+def _run_arm(method: str, plan: BenchPlan, rep: int, objective, init: Design,
+             f0: np.ndarray, test=None) -> list[dict]:
     seed = _rep_seed(plan.seed, rep)
     spec = plan.spec()
     fit_config = FitConfig(n_starts=4, seed=seed)  # every fit of the arm
-    rows: list[dict] = []
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBE]))
+
+    def candidate(D, f):
+        model = fit_mle(D, f, fit_config)
+        x, value = candidate_set_acquisition(
+            model, spec, plan.candidate_c, int(rng.integers(0, 2**31)))
+        return x, {"acq_value": value, **fit_fields(model)}
 
     def row(it, best, elapsed):
         return {
@@ -145,42 +149,23 @@ def _run_arm(method: str, plan: BenchPlan, rep: int, d: int, M: int, objective,
             "candidate_c": plan.candidate_c if method == "candidate" else None,
         }
 
-    D = init
-    f = f0.copy()
-    best = float(f.max())
     t_start = time.perf_counter()
-    rows.append(row(0, best, 0.0))
-
     if method == "quip":
         c = run_campaign(init, f0, objective, spec, plan.n_seq, seed=seed,
                          fit_config=fit_config)
-        D, f = c.design, c.responses
-        for h in c.history:
-            best = max(best, h["response"])
-            rows.append(row(h["iteration"], best, h["wall_time"]))
     else:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBE]))
-        for it in range(1, plan.n_seq + 1):
-            t0 = time.perf_counter()
-            if method == "random":
-                x = random_point(d, M, rng)
-            else:  # candidate
-                model = fit_mle(D, f, fit_config)
-                x, _ = candidate_set_acquisition(
-                    model, spec, plan.candidate_c,
-                    int(rng.integers(0, 2**31)),
-                )
-            y = float(objective(x))
-            D = design_from_array(np.vstack([D.as_array(), x.levels]), M)
-            f = np.append(f, y)
-            best = max(best, y)
-            rows.append(row(it, best, time.perf_counter() - t0))
-
+        choose = candidate if method == "candidate" else (
+            lambda D, f: (random_point(D.d, D.M, rng), {}))
+        c = run_loop(init, f0, objective, spec, plan.n_seq, choose, seed)
+    best = float(f0.max())
+    rows = [row(0, best, 0.0)]
+    for h in c.history:
+        best = max(best, h["response"])
+        rows.append(row(h["iteration"], best, h["wall_time"]))
     if plan.mode == "active" and test is not None:
         X_test, y_test = test
         # RRMSE of the final fitted model per arm (active-learning metric)
-        final = _rrmse_on_test(D, f, X_test, y_test, fit_config)
-        rows[-1]["rrmse"] = final
+        rows[-1]["rrmse"] = _rrmse_on_test(c.design, c.responses, X_test, y_test, fit_config)
     rows[-1]["total_time"] = time.perf_counter() - t_start
     return rows
 
@@ -227,7 +212,7 @@ def run_bench(plan: BenchPlan) -> BenchReport:
         init = initial_design(plan.n_init, d, M, seed)
         f0 = np.array([objective(p) for p in init.points])
         for method in plan.methods:
-            rows.extend(_run_arm(method, plan, rep, d, M, objective, init, f0, test))
+            rows.extend(_run_arm(method, plan, rep, objective, init, f0, test))
     rows.sort(key=lambda r: (r["method"], r["seed"], r["iteration"]))
     return BenchReport(plan, tuple(rows), tuple(aggregate(rows)))
 

@@ -16,7 +16,6 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from .encoding import (
     Design,
+    check_int,
     design_from_dict,
     design_to_dict,
     read_json,
@@ -134,10 +134,7 @@ class FitConfig:
 
     def __post_init__(self):
         for name, low in (("n_starts", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
-                raise ValueError(f"{name}={v!r} must be an int >= {low}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ from .encoding import (
     lattice_distances,
     min_pairwise_distance,
 )
-from .encoding import TooLargeError, check_time_limit  # TooLargeError: re-exported
+from .encoding import TooLargeError, check_int, check_time_limit  # TooLargeError: re-exported
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -88,6 +88,7 @@ class FeasibilityInstance:
         if not 0 <= self.q <= self.d:
             raise InvalidDistanceError(f"q={self.q} outside 0..{self.d}")
         check_time_limit(self.time_limit)
+        check_int("seed", self.seed, 0)
         ws = self.warm_start
         if ws is not None and (ws.n, ws.d, ws.M) != (self.n, self.d, self.M):
             raise ValueError("warm start shape does not match instance")
@@ -451,6 +452,7 @@ def optimize_maximin(
     if n < 2:
         raise ValueError("optimize_maximin needs n >= 2")
     check_time_limit(time_limit)
+    check_int("seed", seed, 0)  # also when the code phase settles it with no draw
     deadline = time.perf_counter() + time_limit if time_limit is not None else None
     low, top = q0(n, d, M), q_upper(n, d, M)
     trace, best, q_star, certificate = [], None, low - 1, BOUND

@@ -1,9 +1,11 @@
-"""Sequential design loop: fit, optimize the acquisition, evaluate, append.
+"""Sequential design loop: choose a point, evaluate, append.
 
-The loop follows the standard model-based pattern: at each iteration the
-surrogate is refit by maximum likelihood on all data so far, the chosen
-acquisition (ALM for active learning, UCB for optimization) is globally
-optimized, and the simulator is evaluated at the selected point.
+`run_loop` takes the choice rule as a function, so every bench arm runs the
+same loop. `run_campaign` is the certified rule, the standard model-based
+pattern: at each iteration the surrogate is refit by maximum likelihood on
+all data so far, the chosen acquisition (ALM for active learning, UCB for
+optimization) is globally optimized, and the simulator is evaluated at the
+selected point.
 
 Everything here uses the maximization convention; simulators that expose
 costs should be passed in negated (wrap as ``lambda x: -cost(x)``).
@@ -20,6 +22,7 @@ from .acquisition import AcquisitionSpec, optimize_acquisition
 from .encoding import (
     Design,
     Point,
+    check_int,
     design_from_array,
     design_from_dict,
     design_to_dict,
@@ -73,6 +76,44 @@ def rrmse(truth, predictions) -> float:
     return float(np.sqrt(np.sum((y - yhat) ** 2) / denom))
 
 
+def run_loop(initial: Design, f_init, simulator, spec: AcquisitionSpec, n_seq: int,
+             choose, seed: int = 0) -> Campaign:
+    """Run n_seq iterations of choose, evaluate, append; return the Campaign.
+
+    `choose(D, f)` returns the next Point and the fields it adds to that
+    iteration's history, between `point` and `response`. `simulator` maps a
+    Point to a scalar response (maximization sign).
+
+    If an iteration raises, a CampaignError carrying the completed partial
+    campaign is raised instead of discarding progress.
+    """
+    n_seq = check_int("n_seq", n_seq, 0)
+    D = initial
+    f = Campaign(D, f_init, spec, n_seq, (), seed).responses  # size-checked
+    history: list[dict] = []
+    for it in range(1, n_seq + 1):
+        t0 = time.perf_counter()
+        try:
+            x, fields = choose(D, f)
+            y = float(simulator(x))
+        except Exception as exc:
+            partial = Campaign(D, f, spec, n_seq - it + 1, tuple(history), seed)
+            raise CampaignError(
+                f"iteration {it} failed: {exc}", partial, exc
+            ) from exc
+        D = design_from_array(np.vstack([D.as_array(), x.levels]), D.M)
+        f = np.append(f, y)
+        history.append({"iteration": it, "point": list(x.levels), **fields,
+                        "response": y, "wall_time": time.perf_counter() - t0})
+    return Campaign(D, f, spec, 0, tuple(history), seed)
+
+
+def fit_fields(model) -> dict:
+    """The history fields of an iteration's fitted kernel parameters."""
+    p = model.params
+    return {"theta": [float(v) for v in p.theta], "mu": float(p.mu), "tau2": float(p.tau2)}
+
+
 def run_campaign(
     initial: Design,
     f_init,
@@ -82,51 +123,23 @@ def run_campaign(
     seed: int = 0,
     fit_config: FitConfig | None = None,
 ) -> Campaign:
-    """Run the sequential loop for n_seq iterations and return the Campaign.
-
-    `simulator` maps a Point to a scalar response (maximization sign).
-
-    If an iteration raises, a CampaignError carrying the completed partial
-    campaign is raised instead of discarding progress.
-    """
-    if n_seq < 0:
-        raise ValueError("n_seq must be non-negative")
-    D = initial
-    f = Campaign(D, f_init, spec, n_seq, (), seed).responses  # size-checked
-    history: list[dict] = []
+    """The certified rule over :func:`run_loop`: each iteration refits the
+    GP by maximum likelihood and takes the acquisition's certified optimum."""
     fit_config = fit_config or FitConfig(seed=seed)
 
-    for it in range(1, n_seq + 1):
-        t0 = time.perf_counter()
-        try:
-            model = fit_mle(D, f, fit_config)
-            rep = optimize_acquisition(model, spec)
-            x = rep.best_point
-            y = float(simulator(x))
-        except Exception as exc:
-            partial = Campaign(D, f, spec, n_seq - it + 1, tuple(history), seed)
-            raise CampaignError(
-                f"iteration {it} failed: {exc}", partial, exc
-            ) from exc
-        D = design_from_array(np.vstack([D.as_array(), x.levels]), D.M)
-        f = np.append(f, y)
-        history.append(
-            {
-                "iteration": it,
-                "point": list(x.levels),
-                "acq_value": rep.best_value,
-                "certified_bound": rep.certified_bound,
-                "relative_gap": rep.relative_gap,
-                "solver_status": rep.status,
-                "nodes": rep.nodes,
-                "theta": [float(v) for v in model.params.theta],
-                "mu": float(model.params.mu),
-                "tau2": float(model.params.tau2),
-                "response": y,
-                "wall_time": time.perf_counter() - t0,
-            }
-        )
-    return Campaign(D, f, spec, 0, tuple(history), seed)
+    def certified(D, f):
+        model = fit_mle(D, f, fit_config)
+        rep = optimize_acquisition(model, spec)
+        return rep.best_point, {
+            "acq_value": rep.best_value,
+            "certified_bound": rep.certified_bound,
+            "relative_gap": rep.relative_gap,
+            "solver_status": rep.status,
+            "nodes": rep.nodes,
+            **fit_fields(model),
+        }
+
+    return run_loop(initial, f_init, simulator, spec, n_seq, certified, seed)
 
 
 def campaign_to_dict(c: Campaign) -> dict:

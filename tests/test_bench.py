@@ -18,6 +18,7 @@ from quip.bench import (
     write_rows_csv,
 )
 from quip.encoding import min_pairwise_distance
+from quip.sequential import CampaignError
 
 
 class TestBenchPlan:
@@ -63,6 +64,36 @@ class TestBenchPlan:
         path.write_text(json.dumps({"problem": "snake", "acq": "ei"}))
         with pytest.raises(ValueError, match="unknown acquisition kind"):
             load_plan(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_seq", 2.5), ("replications", 2.0), ("n_init", 5.0), ("candidate_c", 10.5),
+        ("seed", -1), ("seed", 1.0), ("replications", True), ("d", 5.0),
+    ])
+    def test_plan_numbers_checked_when_built(self, field, value, tmp_path):
+        # JSON lets 2.0 and true through: they failed only inside run_bench,
+        # with a bare TypeError, and seed=-1 with numpy's bare message
+        with pytest.raises(ValueError, match=f"{field}="):
+            BenchPlan("snake", **{field: value})
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"problem": "snake", field: value}))
+        with pytest.raises(ValueError, match=f"{field}="):
+            load_plan(path)
+
+    def test_test_set_numbers_checked_in_active_mode(self):
+        with pytest.raises(ValueError, match="test_seed=-1"):
+            BenchPlan("snake", mode="active", test_seed=-1)
+        with pytest.raises(ValueError, match="test_size=60.0"):
+            BenchPlan("snake", mode="active", test_size=60.0)
+        # unused outside active mode
+        assert BenchPlan("snake", test_seed=-1).test_seed == -1
+
+    def test_repeated_methods_rejected(self):
+        # ("random", "random") ran the arm twice and the summary counted
+        # replications: 4 for a 2-replication plan
+        with pytest.raises(ValueError, match="repeat"):
+            BenchPlan("snake", methods=("random", "random"), replications=2)
+        with pytest.raises(ValueError, match="repeat"):
+            plan_from_dict({"problem": "snake", "methods": ["quip", "candidate", "quip"]})
 
     def test_from_dict(self):
         p = plan_from_dict(
@@ -238,3 +269,102 @@ class TestActiveMode:
         final = [r for r in rep.rows if r["iteration"] == 1]
         assert final and final[0]["rrmse"] is not None
         assert final[0]["rrmse"] >= 0.0
+
+
+# An active-mode three-arm plan, its rows and summary taken when the random
+# and candidate arms still ran a loop of their own in bench._run_arm. Per
+# (method, replication): best-so-far per iteration, then the final RRMSE,
+# whose last bits vary with the BLAS thread count.
+PINNED_PLAN = BenchPlan("snake", replications=2, n_init=5, n_seq=3, d=5,
+                        mode="active", test_size=60, time_limit=None)
+PINNED_SEEDS = (2968811710, 3964924996)
+PINNED_ARMS = {
+    ("candidate", 0): ([3.0, 62.0, 62.0, 62.0], 1.0241957290558417),
+    ("candidate", 1): ([3.0, 47.0, 63.0, 63.0], 0.9756324652935418),
+    ("quip", 0): ([3.0, 36.0, 62.0, 62.0], 1.0145103554149426),
+    ("quip", 1): ([3.0, 47.0, 107.0, 107.0], 0.947145716075653),
+    ("random", 0): ([3.0, 3.0, 81.0, 81.0], 1.2159090472578264),
+    ("random", 1): ([3.0, 3.0, 3.0, 3.0], 0.9668814318512903),
+}
+PINNED_SUMMARY = {  # (method, iteration): (median, p2_5, p97_5)
+    ("candidate", 0): (3.0, 3.0, 3.0),
+    ("candidate", 1): (54.5, 47.375, 61.625),
+    ("candidate", 2): (62.5, 62.025, 62.975),
+    ("candidate", 3): (62.5, 62.025, 62.975),
+    ("quip", 0): (3.0, 3.0, 3.0),
+    ("quip", 1): (41.5, 36.275, 46.725),
+    ("quip", 2): (84.5, 63.125, 105.875),
+    ("quip", 3): (84.5, 63.125, 105.875),
+    ("random", 0): (3.0, 3.0, 3.0),
+    ("random", 1): (3.0, 3.0, 3.0),
+    ("random", 2): (42.0, 4.95, 79.05),
+    ("random", 3): (42.0, 4.95, 79.05),
+}
+
+
+class TestOneLoop:
+    def test_pinned_active_plan(self, tmp_path):
+        report = run_bench(PINNED_PLAN)
+        expected = []
+        for (method, rep), (best, final) in PINNED_ARMS.items():
+            for it, b in enumerate(best):
+                expected.append({
+                    "method": method, "replication": rep, "seed": PINNED_SEEDS[rep],
+                    "iteration": it, "best_so_far": b,
+                    "rrmse": pytest.approx(final, rel=1e-9) if it == 3 else None,
+                    "candidate_c": 2000 if method == "candidate" else None,
+                })
+        untimed = [{k: v for k, v in r.items() if k not in ("wall_time", "total_time")}
+                   for r in report.rows]
+        assert untimed == expected
+        write_report(report, tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert plan_from_dict(summary["plan"]) == PINNED_PLAN
+        assert summary["aggregate"] == [
+            {"method": m, "iteration": it, "median": med, "p2_5": lo, "p97_5": hi,
+             "replications": 2}
+            for (m, it), (med, lo, hi) in PINNED_SUMMARY.items()
+        ]
+
+    @pytest.mark.parametrize("method", ["random", "candidate"])
+    def test_baseline_failure_keeps_partial(self, method, monkeypatch):
+        # a baseline arm's failure used to raise the bare exception, losing
+        # the points it had evaluated
+        real = simulators.PROBLEMS["snake"]
+        calls = []
+
+        def flaky(world, x):
+            calls.append(x)
+            if len(calls) == 6:  # 4 initial points, then iteration 2
+                raise RuntimeError("sensor died")
+            return real.simulate(world, x)
+
+        monkeypatch.setitem(simulators.PROBLEMS, "snake", real._replace(simulate=flaky))
+        plan = BenchPlan("snake", methods=(method,), replications=1, n_init=4,
+                         n_seq=3, d=5, candidate_c=50)
+        with pytest.raises(CampaignError, match="iteration 2 failed") as err:
+            run_bench(plan)
+        partial = err.value.partial
+        assert isinstance(err.value.cause, RuntimeError)
+        assert partial.design.n == 5 and partial.n_seq == 2
+        assert [h["iteration"] for h in partial.history] == [1]
+        assert partial.history[0]["point"] == list(calls[4].levels)
+        assert partial.responses[-1] == partial.history[0]["response"]
+
+    def test_history_keys_in_order(self, monkeypatch):
+        campaigns = []
+        inner = bench.run_loop
+
+        def keep(*args):
+            campaigns.append(inner(*args))
+            return campaigns[-1]
+
+        monkeypatch.setattr(bench, "run_loop", keep)
+        run_bench(BenchPlan("snake", methods=("random", "candidate"), replications=1,
+                            n_init=4, n_seq=2, d=5, candidate_c=50, time_limit=None))
+        random_c, candidate_c = campaigns
+        assert [list(h) for h in random_c.history] == [
+            ["iteration", "point", "response", "wall_time"]] * 2
+        assert [list(h) for h in candidate_c.history] == [
+            ["iteration", "point", "acq_value", "theta", "mu", "tau2", "response",
+             "wall_time"]] * 2

@@ -65,6 +65,12 @@ class TestDesign:
         ]
         assert obj["nodes"] == 9678
 
+    def test_negative_seed_named(self, capsys):
+        # used to print only numpy's "expected non-negative integer"
+        code, _, err = run_cli(capsys, "design", "--n", "10", "--d", "4", "--M", "6",
+                               "--seed", "-1")
+        assert code == 1 and "seed=-1" in err
+
     def test_zero_time_limit_is_an_error(self, capsys):
         code, _, err = run_cli(
             capsys, "design", "--n", "5", "--d", "4", "--M", "3",
@@ -309,6 +315,12 @@ class TestSequentialCmd:
         assert max(obj["best_point"]) == 3
         code, _, err = run_cli(capsys, *argv, "--M", "2")
         assert code == 1 and "below level 3" in err
+
+    def test_negative_seed_named(self, capsys):
+        # the initial design's solve used to fail with numpy's bare message
+        code, _, err = run_cli(capsys, "sequential", "--simulator", "snake", "--acq", "ucb",
+                               "--n-seq", "1", "--seed", "-1")
+        assert code == 1 and "seed=-1" in err
 
     def test_csv_simulator_needs_a_table(self, capsys):
         code, _, err = run_cli(capsys, "sequential", "--simulator", "csv", "--acq", "ucb")

@@ -42,6 +42,13 @@ class TestFeasibilityInstance:
         with pytest.raises(ValueError):
             FeasibilityInstance(0, 3, 2, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_named(self, seed):
+        # -1 used to fail only in the repair's SeedSequence, with numpy's bare
+        # "expected non-negative integer"
+        with pytest.raises(ValueError, match="seed="):
+            FeasibilityInstance(5, 4, 3, 2, seed=seed)
+
 
 class TestSolveFeasibility:
     def test_feasible_witness_valid(self):
@@ -292,6 +299,14 @@ class TestOptimizeMaximin:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             optimize_maximin(1, 3, 2)
+
+    @pytest.mark.parametrize("n, d, M", [(6, 4, 3), (10, 4, 6)])
+    def test_bad_seed_named(self, n, d, M):
+        # (6, 4, 3) is settled by the code phase, which draws nothing, so
+        # seed=-1 used to return normally; (10, 4, 6) failed in numpy
+        for seed in (-1, 2.0):
+            with pytest.raises(ValueError, match="seed="):
+                optimize_maximin(n, d, M, seed=seed)
 
     def test_infeasible_at_q0_is_an_error(self, monkeypatch):
         # q0 is feasible by construction, so an infeasibility verdict there

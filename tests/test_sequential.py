@@ -13,6 +13,7 @@ from quip.sequential import (
     load_campaign,
     rrmse,
     run_campaign,
+    run_loop,
     save_campaign,
 )
 
@@ -167,10 +168,37 @@ class TestRunCampaign:
         assert len(partial.history) == 2
         assert partial.n_seq == 3
 
+    def test_history_keys_in_order(self):
+        D = design_from_array([[1, 1, 1], [2, 2, 2]], 2)
+        c = run_campaign(D, [0.0, 1.0], _synthetic, AcquisitionSpec("ucb"), 1, seed=0)
+        assert list(c.history[0]) == [
+            "iteration", "point", "acq_value", "certified_bound", "relative_gap",
+            "solver_status", "nodes", "theta", "mu", "tau2", "response", "wall_time"]
+
+    def test_run_loop_takes_any_rule(self):
+        # the rule's fields sit between the point and the response; the
+        # loop appends each chosen point and its response in lockstep
+        D = design_from_array([[1, 1, 1], [2, 2, 2]], 2)
+        seen = []
+
+        def rule(D, f):
+            seen.append((D.n, f.size))
+            return Point((1, 2, D.n % 2 + 1), 2), {"rule": "fixed"}
+
+        c = run_loop(D, [0.0, 1.0], _synthetic, AcquisitionSpec("alm"), 2, rule, seed=4)
+        assert seen == [(2, 2), (3, 3)]
+        assert [list(h) for h in c.history] == [
+            ["iteration", "point", "rule", "response", "wall_time"]] * 2
+        assert [p.levels for p in c.design.points[2:]] == [(1, 2, 1), (1, 2, 2)]
+        assert list(c.responses[2:]) == [h["response"] for h in c.history]
+        assert c.seed == 4 and c.n_seq == 0
+
     def test_negative_budget(self):
         D = design_from_array([[1, 1], [2, 2]], 2)
-        with pytest.raises(ValueError):
-            run_campaign(D, [0.0, 1.0], _synthetic, AcquisitionSpec("alm"), -1)
+        # 2.5 used to fail in range() with a bare TypeError
+        for n_seq in (-1, 2.5):
+            with pytest.raises(ValueError, match="n_seq="):
+                run_campaign(D, [0.0, 1.0], _synthetic, AcquisitionSpec("alm"), n_seq)
 
 
 class TestSerialization:
