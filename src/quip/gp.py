@@ -18,6 +18,7 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,29 +203,47 @@ def predict_batch(model: GpModel, X_new: np.ndarray) -> tuple[np.ndarray, np.nda
     return _posterior(model, G)
 
 
-def _mismatch(X: np.ndarray) -> np.ndarray:
-    """(n*n, d) float indicator of the factors on which two design rows
-    differ; row i*n + j holds the pair (i, j)."""
-    return (X[:, None, :] != X[None, :, :]).reshape(-1, X.shape[1]).astype(float)
+class _PairTable(NamedTuple):
+    """The n(n-1)/2 pairs i > j of a design, column by column of the lower
+    triangle, and the Fortran-ordered n x n buffer `work` in which all of
+    one fit's likelihood evaluations factor and invert."""
+
+    i: np.ndarray
+    j: np.ndarray  # j < i
+    flat: np.ndarray  # i + n*j: the pair's entry of `work`
+    Ep: np.ndarray  # (m, d) float indicator of the factors the pair differs on
+    work: np.ndarray  # n*n entries
+
+
+def _pair_table(X: np.ndarray) -> _PairTable:
+    n = X.shape[0]
+    j, i = np.triu_indices(n, 1)
+    return _PairTable(i, j, i + n * j, (X[i] != X[j]).astype(float), np.empty(n * n))
 
 
 def _nll_and_grad(
-    log_theta: np.ndarray, E: np.ndarray, f: np.ndarray, rhs: np.ndarray, nugget: float
+    log_theta: np.ndarray, P: _PairTable, f: np.ndarray, rhs: np.ndarray, nugget: float
 ):
     """Negative profile log-likelihood, its gradient in log-theta and the
     fitted (theta, mu, tau2); None when the Cholesky factorisation fails.
-    `rhs` is the (n, 2) right-hand side [f, 1], built once per fit.
+    `rhs` is the (n, 2) right-hand side [f, 1], built once per fit. Each call
+    refills the lower triangle of `P.work` with Gamma + nugget*I, which
+    LAPACK factors and inverts in place, and reads the arrays LAPACK returns:
+    no result depends on an earlier call, and the stale upper triangle is
+    never read.
 
     With K = Gamma + nugget*I, a = K^{-1}(f - mu*1) and tau2 = (f - mu)'a/n,
-    d nll / d log theta_l = -theta_l/2 * sum_ij E_l * Gamma * (K^{-1} - aa'/tau2)
-    (GPML section 5.4, with d Gamma / d theta_l = -E_l * Gamma; mu is
-    profiled, so it contributes no term).
+    d nll / d log theta_l = -theta_l * sum_{i>j} Ep_l * Gamma * (K^{-1} - aa'/tau2)
+    (GPML section 5.4, with d Gamma / d theta_l = -Ep_l * Gamma, once per
+    pair of the symmetric matrix; mu is profiled, so it contributes no term).
     """
     n = f.size
     theta = np.exp(log_theta)
-    gamma = np.exp(-(E @ theta)).reshape(n, n)
-    gamma.flat[:: n + 1] += nugget
-    L, info = _scipy.dpotrf(gamma, lower=1)  # the upper triangle of L is zeroed
+    gamma = np.exp(-(P.Ep @ theta))
+    P.work[P.flat] = gamma
+    P.work[:: n + 1] = 1.0 + nugget
+    K = P.work.reshape(n, n, order="F")
+    L, info = _scipy.dpotrf(K, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         return None
     sol, _ = _scipy.dpotrs(L, rhs, lower=1)
@@ -235,20 +254,20 @@ def _nll_and_grad(
     if not tau2 > 0:
         return None
     nll = 0.5 * n * math.log(tau2) + float(np.log(L.diagonal()).sum())
-    K_inv, _ = _scipy.dpotri(L, lower=1)  # lower triangle of K^{-1}, zeros above
-    # the diagonal of E is zero, so twice the strict lower triangle of
-    # K^{-1} gives the symmetric sum
-    W = (2.0 * K_inv - a[:, None] * (a / tau2)) * gamma
-    grad = -0.5 * theta * (W.ravel() @ E)
+    K_inv, _ = _scipy.dpotri(L, lower=1, overwrite_c=1)  # lower triangle read
+    w = (K_inv.T.take(P.flat) - a[P.i] * (a[P.j] / tau2)) * gamma
+    grad = -theta * (w @ P.Ep)
     return nll, grad, (theta, mu, tau2)
 
 
-def _check_duplicate_rows(X: np.ndarray, f: np.ndarray) -> None:
+def _check_duplicate_rows(P: _PairTable, f: np.ndarray) -> None:
     """Reject identical design rows whose responses differ: the noiseless
     GP must interpolate both, which drives theta to its clip and tau2 up
-    by orders of magnitude. Repeats with equal responses are allowed."""
-    _, first, inverse = np.unique(X, axis=0, return_index=True, return_inverse=True)
-    ref = first[inverse.ravel()]  # index of the first copy of each row
+    by orders of magnitude. Repeats with equal responses are allowed; the
+    pairs that differ on no factor are the identical rows."""
+    same = ~P.Ep.any(axis=1)
+    ref = np.arange(f.size)  # first copy of each row: its smallest partner
+    np.minimum.at(ref, P.i[same], P.j[same])
     tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(f), np.abs(f[ref])))
     bad = np.flatnonzero(np.abs(f - f[ref]) > tol)
     if bad.size:
@@ -372,8 +391,9 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
     (`_sobol`: scipy's `qmc.Sobol` points, made without importing
     `scipy.stats`), each search runs scipy's L-BFGS-B core with
     `minimize`'s defaults (`_lbfgsb`) in log-theta within the clip bounds,
-    on the analytic gradient of the profile likelihood; the
-    mismatch matrix and the right-hand side [f, 1] are built once per fit.
+    on the analytic gradient of the profile likelihood; the pair table
+    (`_pair_table`, with the buffer LAPACK works in at every evaluation)
+    and the right-hand side [f, 1] are built once per fit.
     The returned likelihood dominates the likelihood at every start, as an
     accepted L-BFGS-B step never raises the value.
 
@@ -389,14 +409,13 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
         raise ValueError(f"responses shape {f.shape} does not match n={D.n}")
     if not np.all(np.isfinite(f)):
         raise ValueError("responses must be finite")
-    X = D.as_array()
-    _check_duplicate_rows(X, f)
+    P = _pair_table(D.as_array())
+    _check_duplicate_rows(P, f)
     f_range = float(f.max() - f.min())
     if f_range <= 1e-13 * max(1.0, abs(float(f[0]))):
         return _constant_model(D, f, DEFAULT_NUGGET)
 
     d = D.d
-    E = _mismatch(X)
     rhs = np.column_stack([f, np.ones(D.n)])
     starts = [np.zeros(d)]
     if config.n_starts > 1:
@@ -406,7 +425,7 @@ def fit_mle(D: Design, f, config: FitConfig | None = None) -> GpModel:
     best_nll = np.inf
     best = None
     for s in starts:
-        _, out = _lbfgsb(lambda lt: _nll_and_grad(lt, E, f, rhs, DEFAULT_NUGGET), s)
+        _, out = _lbfgsb(lambda lt: _nll_and_grad(lt, P, f, rhs, DEFAULT_NUGGET), s)
         if out is not None and out[0] < best_nll:
             best_nll, best = out[0], out[2]
     if best is None:
