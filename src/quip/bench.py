@@ -105,7 +105,9 @@ def _rep_seed(master: int, rep: int) -> int:
 
 def initial_design(n: int, d: int, M: int, seed: int) -> Design:
     """Seeded space-filling initial design: a witness at the guaranteed
-    distance q0 (fast; the full maximin optimum is not needed here)."""
+    distance q0, repaired from a random start drawn from `seed`, so each
+    seed gives its own design (fast; the full maximin optimum is not needed
+    here)."""
     rep = solve_feasibility(FeasibilityInstance(n, d, M, q=q0(n, d, M), seed=seed))
     assert rep.design is not None
     return rep.design

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from math import comb
 
+from .encoding import check_int
+
 
 def hamming_ball(d: int, r: int, M: int) -> int:
     """Number of points within Hamming distance r of a fixed point in {1..M}^d."""
@@ -40,8 +42,9 @@ def hamming_ball(d: int, r: int, M: int) -> int:
 
 
 def _validate(n: int, d: int, M: int) -> None:
-    if n < 1 or d < 1 or M < 2:
-        raise ValueError(f"need n >= 1, d >= 1, M >= 2, got ({n},{d},{M})")
+    check_int("n", n, 1)
+    check_int("d", d, 1)
+    check_int("M", M, 2)
 
 
 def q0(n: int, d: int, M: int) -> int:

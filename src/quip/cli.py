@@ -154,12 +154,22 @@ def _csv_table_simulator(path, M):
 
 
 def _simulator_for(args):
-    """(d, M, objective) with costs negated to the maximization sign."""
+    """(d, M, objective) with costs negated to the maximization sign. A
+    table fixes d and a shipped problem fixes M, so --d or --M must then
+    match it."""
     if args.simulator == "csv":
         if not args.table:
             raise ValueError("--table is required for the csv simulator")
-        return _csv_table_simulator(args.table, args.M)
-    return bench.problem_objective(args.simulator, args.d)
+        d, M, objective = _csv_table_simulator(args.table, args.M)
+        if args.d is not None and args.d != d:
+            raise ValueError(f"--d {args.d} differs from d={d}, the level "
+                             f"columns of lookup table {args.table}")
+    else:
+        d, M, objective = bench.problem_objective(args.simulator, args.d)
+        if args.M is not None and args.M != M:
+            raise ValueError(f"--M {args.M} differs from M={M}, which the "
+                             f"{args.simulator} simulator fixes")
+    return d, M, objective
 
 
 def _cmd_sequential(args) -> int:

@@ -20,9 +20,10 @@ benchmark suite needs it.
 Before the ascent, a code phase tries a witness from a structured linear
 code over GF(M) (prime M, or M = 4, 8, 9): simplex and repeated PG(1, M)
 codes, first-order Reed-Muller and Reed-Solomon codes, and the parity
-code. It needs no search and no random draw. When the best code reaches
-q_upper it settles the instance; when it only beats q0, the ascent starts
-above it, warm-started from its codewords.
+code; for n <= M, the repetition code, for any M. It needs no search and
+no random draw. When the best code reaches q_upper it settles the
+instance; when it only beats q0, the ascent starts above it, warm-started
+from its codewords.
 
 The complete search assigns one cell at a time (row-major) and breaks the
 problem's symmetries -- row permutations and independent per-column level
@@ -83,10 +84,11 @@ class FeasibilityInstance:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1 or self.M < 2:
-            raise ValueError(f"bad instance ({self.n},{self.d},{self.M})")
+        for name, low in (("n", 1), ("d", 1), ("M", 2)):
+            check_int(name, getattr(self, name), low)
         if not 0 <= self.q <= self.d:
             raise InvalidDistanceError(f"q={self.q} outside 0..{self.d}")
+        check_int("q", self.q, 0)
         check_time_limit(self.time_limit)
         check_int("seed", self.seed, 0)
         ws = self.warm_start
@@ -101,8 +103,8 @@ class SolveReport:
     q: int
     nodes_explored: int
     elapsed: float
-    # which phase decided it: "shortcut" (n <= M), "repair", "search", or
-    # "code" for optimize_maximin's linear-code witness
+    # which phase decided it: "repair", "search", or "code" for
+    # optimize_maximin's linear-code witness
     phase: str = "search"
 
 
@@ -297,12 +299,6 @@ def solve_feasibility(inst: FeasibilityInstance) -> SolveReport:
     t0 = time.perf_counter()
     deadline = t0 + inst.time_limit if inst.time_limit is not None else None
     n, d, M, q = inst.n, inst.d, inst.M, inst.q
-
-    if n <= M:
-        # the constant rows (i, i, ..., i) are at mutual distance d >= q
-        arr = np.repeat(np.arange(1, n + 1, dtype=np.int64), d).reshape(n, d)
-        return _report(arr, M, q, 0, t0, "shortcut")
-
     rng = np.random.default_rng(
         np.random.SeedSequence([inst.seed, n, d, M, q, 0x51D]).generate_state(4)
     )
@@ -359,7 +355,9 @@ def _field(M: int) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _code_witness(n: int, d: int, M: int) -> np.ndarray | None:
     """Levels of n codewords of a linear [d, k] code over GF(M), with k the
-    least such that M**k >= n, or None without a field or when k > d.
+    least such that M**k >= n, or None when k > d or when k > 1 and M is
+    not a field order: for n <= M, k = 1 gives the repetition code, whose
+    codewords m*(1, ..., 1) need no field.
 
     Three generator matrices are tried, each a list of columns cycled over
     the d factors (MacWilliams & Sloane 1977, ch. 1):
@@ -389,16 +387,16 @@ def _code_witness(n: int, d: int, M: int) -> np.ndarray | None:
     The three codes are encoded side by side, and the first of the largest
     minimum weight is kept, as trying them in turn and keeping only a
     strictly larger weight would. For a prime M the field is arithmetic
-    mod M, so the codewords are one integer product `msgs @ G % M`, exact
-    since no entry of `msgs @ G` exceeds k*(M-1)**2; GF(4), GF(8) and
-    GF(9) add up the rows of G through the `_field` tables."""
+    mod M, and so is the repetition code at any M, so the codewords are one
+    integer product `msgs @ G % M`, exact since no entry of `msgs @ G`
+    exceeds k*(M-1)**2; GF(4), GF(8) and GF(9) add up the rows of G through
+    the `_field` tables."""
     tables = _field(M)
     k = 1
     while M**k < n:
         k += 1
-    if tables is None or k > d:
+    if k > d or (tables is None and k > 1):
         return None
-    add, mul = tables
     msgs = lattice_array(k, M) - 1
     weight = np.count_nonzero(msgs, axis=1).tolist()
     points = sorted(
@@ -410,6 +408,7 @@ def _code_witness(n: int, d: int, M: int) -> np.ndarray | None:
     # the three generator matrices side by side, d columns each
     G = msgs[[c[j % len(c)] for c in (points, affine, parity) for j in range(d)]].T
     if M in _MODULI:
+        add, mul = tables
         words = np.zeros((len(msgs), 3 * d), dtype=np.int64)
         for i in range(k):
             words = add[words, mul[msgs[:, i, None], G[i]]]
@@ -432,8 +431,8 @@ def optimize_maximin(
     (warm-starting from the last witness) up to q_upper(n, d, M), the
     largest distance code_size_bound leaves open.
 
-    When M is the order of a supported field (a prime, 4, 8 or 9), a code
-    phase runs first: a deterministic linear-code witness
+    When n <= M, or M is the order of a supported field (a prime, 4, 8 or
+    9), a code phase runs first: a deterministic linear-code witness
     (:func:`_code_witness`), checked by min_pairwise_distance. At q_upper
     (also when q_upper == q0) it settles the instance with no solve; above
     q0 its report replaces the q0 solve and the ascent starts one above it;
@@ -483,10 +482,10 @@ def optimize_maximin(
                 f"feasibility solve at the guaranteed distance q0={qt} timed out"
             )
         elif best is None:
-            # q0 is feasible by construction: d when n <= M (the shortcut
-            # answers it), 0 when n > M**d (repair makes no move), else the
-            # sphere-covering bound, so this verdict would mean the complete
-            # search is unsound
+            # q0 is feasible by construction: d when n <= M (the code
+            # phase settles it), 0 when n > M**d (repair makes no move), else
+            # the sphere-covering bound, so this verdict would mean the
+            # complete search is unsound
             raise RuntimeError(
                 f"feasibility solve reported the guaranteed distance q0={qt} infeasible"
             )

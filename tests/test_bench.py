@@ -151,6 +151,12 @@ class TestInitialDesign:
         assert a != b
         assert a == initial_design(8, 8, 5, seed=0)
 
+    def test_seed_variation_when_n_at_most_M(self):
+        # n <= M: each seed's random start is repaired to distance d
+        designs = [initial_design(5, 6, 5, seed=s) for s in range(5)]
+        assert len({D.as_array().tobytes() for D in designs}) >= 2
+        assert all(min_pairwise_distance(D) == 6 for D in designs)
+
 
 @pytest.fixture(scope="module")
 def small_report():
@@ -271,34 +277,36 @@ class TestActiveMode:
         assert final[0]["rrmse"] >= 0.0
 
 
-# An active-mode three-arm plan, its rows and summary taken when the random
-# and candidate arms still ran a loop of their own in bench._run_arm. Per
-# (method, replication): best-so-far per iteration, then the final RRMSE,
-# whose last bits vary with the BLAS thread count.
+# An active-mode three-arm plan, its rows and summary pinned once each
+# replication's n_init = 5 <= M = 5 initial design came from its own seeded
+# repair, not from one constant-row design shared by both (iteration-0 best
+# 18.0 and 5.0, where the shared design read 3.0 in each). Per (method,
+# replication): best-so-far per iteration, then the final RRMSE, whose last
+# bits vary with the BLAS thread count.
 PINNED_PLAN = BenchPlan("snake", replications=2, n_init=5, n_seq=3, d=5,
                         mode="active", test_size=60, time_limit=None)
 PINNED_SEEDS = (2968811710, 3964924996)
 PINNED_ARMS = {
-    ("candidate", 0): ([3.0, 62.0, 62.0, 62.0], 1.0241957290558417),
-    ("candidate", 1): ([3.0, 47.0, 63.0, 63.0], 0.9756324652935418),
-    ("quip", 0): ([3.0, 36.0, 62.0, 62.0], 1.0145103554149426),
-    ("quip", 1): ([3.0, 47.0, 107.0, 107.0], 0.947145716075653),
-    ("random", 0): ([3.0, 3.0, 81.0, 81.0], 1.2159090472578264),
-    ("random", 1): ([3.0, 3.0, 3.0, 3.0], 0.9668814318512903),
+    ("candidate", 0): ([18.0, 18.0, 18.0, 18.0], 1.0084345752500616),
+    ("candidate", 1): ([5.0, 5.0, 5.0, 5.0], 0.9541187813062529),
+    ("quip", 0): ([18.0, 18.0, 18.0, 18.0], 1.0002647406231508),
+    ("quip", 1): ([5.0, 5.0, 5.0, 5.0], 0.9541368721702106),
+    ("random", 0): ([18.0, 18.0, 81.0, 81.0], 0.9443303457118869),
+    ("random", 1): ([5.0, 5.0, 5.0, 5.0], 1.0438820100035124),
 }
 PINNED_SUMMARY = {  # (method, iteration): (median, p2_5, p97_5)
-    ("candidate", 0): (3.0, 3.0, 3.0),
-    ("candidate", 1): (54.5, 47.375, 61.625),
-    ("candidate", 2): (62.5, 62.025, 62.975),
-    ("candidate", 3): (62.5, 62.025, 62.975),
-    ("quip", 0): (3.0, 3.0, 3.0),
-    ("quip", 1): (41.5, 36.275, 46.725),
-    ("quip", 2): (84.5, 63.125, 105.875),
-    ("quip", 3): (84.5, 63.125, 105.875),
-    ("random", 0): (3.0, 3.0, 3.0),
-    ("random", 1): (3.0, 3.0, 3.0),
-    ("random", 2): (42.0, 4.95, 79.05),
-    ("random", 3): (42.0, 4.95, 79.05),
+    ("candidate", 0): (11.5, 5.325, 17.675),
+    ("candidate", 1): (11.5, 5.325, 17.675),
+    ("candidate", 2): (11.5, 5.325, 17.675),
+    ("candidate", 3): (11.5, 5.325, 17.675),
+    ("quip", 0): (11.5, 5.325, 17.675),
+    ("quip", 1): (11.5, 5.325, 17.675),
+    ("quip", 2): (11.5, 5.325, 17.675),
+    ("quip", 3): (11.5, 5.325, 17.675),
+    ("random", 0): (11.5, 5.325, 17.675),
+    ("random", 1): (11.5, 5.325, 17.675),
+    ("random", 2): (43.0, 6.9, 79.1),
+    ("random", 3): (43.0, 6.9, 79.1),
 }
 
 

@@ -61,6 +61,13 @@ class TestQ0:
         with pytest.raises(ValueError):
             q0(3, 3, 1)
 
+    @pytest.mark.parametrize("args, name", [((4, 3, 2.5), "M"), ((4.0, 3, 2), "n"),
+                                            ((4, True, 2), "d")])
+    def test_non_integer_named(self, args, name):
+        # q0(4, 3, 2.5) used to return 1, and d=True counted as d = 1
+        with pytest.raises(ValueError, match=f"^{name}=.* must be an int"):
+            q0(*args)
+
 
 class TestCodeSizeBound:
     @pytest.mark.parametrize("d, q, M, upper", [
@@ -188,3 +195,11 @@ class TestQUpper:
     def test_validation(self):
         with pytest.raises(ValueError):
             q_upper(0, 3, 2)
+
+    @pytest.mark.parametrize("args, name", [((4, 3, 2.5), "M"), ((4.0, 3, 2), "n"),
+                                            ((4, 3.0, 2), "d")])
+    def test_non_integer_named(self, args, name):
+        # q_upper(4.0, 3, 2) used to return 2; a float d or M failed inside
+        # range() or comb() with a bare TypeError
+        with pytest.raises(ValueError, match=f"^{name}=.* must be an int"):
+            q_upper(*args)

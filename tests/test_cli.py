@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from quip import bounds
+from quip import bounds, simulators
 from quip.cli import build_parser, main
 
 
@@ -418,11 +418,35 @@ class TestSequentialCmd:
         code, _, err = run_cli(capsys, *argv, "--d", "6", "--init-design", str(m3))
         assert code == 1 and "has M=3, expected M=5" in err
 
+    @pytest.mark.parametrize("simulator", ["snake", "maze", "rover"])
+    def test_problem_rejects_another_M(self, capsys, simulator):
+        # --M used to be ignored: snake at --M 3 ran on its five actions
+        argv = ["sequential", "--simulator", simulator, "--acq", "ucb",
+                "--n-init", "3", "--n-seq", "1", "--d", "3"]
+        M = simulators.PROBLEMS[simulator].M
+        code, _, err = run_cli(capsys, *argv, "--M", str(M - 1))
+        assert code == 1
+        assert f"--M {M - 1} differs from M={M}, which the {simulator} simulator fixes" in err
+        code, _, _ = run_cli(capsys, *argv, "--M", str(M))
+        assert code == 0
+
+    def test_csv_rejects_another_d(self, capsys, tmp_path):
+        # --d used to be ignored: the table's columns fix d
+        table = tmp_path / "table.csv"
+        table.write_text("1,1,0.5\n1,2,1.0\n2,1,2.0\n2,2,3.0\n")
+        argv = ["sequential", "--simulator", "csv", "--table", str(table),
+                "--acq", "ucb", "--n-init", "2", "--n-seq", "1"]
+        code, _, err = run_cli(capsys, *argv, "--d", "3")
+        assert code == 1
+        assert f"--d 3 differs from d=2, the level columns of lookup table {table}" in err
+        code, _, _ = run_cli(capsys, *argv, "--d", "2")
+        assert code == 0
+
     def test_zero_d_is_an_error(self, capsys):
         # --d 0 used to run the snake's native d=12
         code, _, err = run_cli(capsys, "sequential", "--simulator", "snake",
                                "--acq", "ucb", "--n-seq", "1", "--d", "0")
-        assert code == 1 and "d >= 1" in err
+        assert code == 1 and "d=0 must be an int >= 1" in err
 
 
 class TestBenchCmd:

@@ -336,6 +336,15 @@ class TestLikelihood:
         with pytest.raises(DegenerateResponseError):
             fit_mle(D, [0.0, 1.0, 2.0], FitConfig(n_starts=2))
 
+    def test_no_positive_variance_is_a_failure(self, monkeypatch):
+        # equal columns of K^{-1}[f, 1] give mu = 1 and a = 0, so tau2 = 0:
+        # the evaluation fails instead of taking log(0)
+        monkeypatch.setattr(gp._scipy, "dpotrs",
+                            lambda L, b, **kwargs: (np.ones((b.shape[0], 2)), 0))
+        f = np.array([0.0, 1.0, 2.0])
+        P = gp._pair_table(np.array([[1, 1], [2, 2], [1, 2]]))
+        assert gp._nll_and_grad(np.zeros(2), P, f, _rhs(f), gp.DEFAULT_NUGGET) is None
+
 
 _SOBOL_SEEDS = [0, 1, 17, 3458842753, 2**32 + 5]
 

@@ -42,6 +42,14 @@ class TestFeasibilityInstance:
         with pytest.raises(ValueError):
             FeasibilityInstance(0, 3, 2, 1)
 
+    @pytest.mark.parametrize("args, name", [((4, 3, 2, 2.0), "q"), ((4.0, 3, 2, 2), "n"),
+                                            ((4, 3.0, 2, 2), "d"), ((4, 3, 2.0, 2), "M")])
+    def test_non_integer_named(self, args, name):
+        # these used to construct, and the solve failed inside numpy with
+        # "seed must be integer"
+        with pytest.raises(ValueError, match=f"^{name}=.* must be an int"):
+            FeasibilityInstance(*args)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_bad_seed_named(self, seed):
         # -1 used to fail only in the repair's SeedSequence, with numpy's bare
@@ -74,11 +82,17 @@ class TestSolveFeasibility:
         assert rep.status == FEASIBLE and rep.design.n == 1
 
     def test_constant_rows_when_n_at_most_M(self):
-        # (i, i, ..., i) for i = 1..n: distance d, no search
-        rep = solve_feasibility(FeasibilityInstance(8, 10, 10, 10))
-        assert rep.status == FEASIBLE and rep.nodes_explored == 0
-        assert rep.design.as_array().tolist() == [[i] * 10 for i in range(1, 9)]
-        assert min_pairwise_distance(rep.design) == 10
+        # the code phase's repetition code gives (i, i, ..., i) for i = 1..n
+        # at distance d, also for M = 10, which has no field; a direct solve
+        # repairs its seeded random start to distance d instead
+        res = optimize_maximin(8, 10, 10)
+        assert res.design.as_array().tolist() == [[i] * 10 for i in range(1, 9)]
+        assert [(r.status, r.phase, r.q, r.nodes_explored) for r in res.trace] == [
+            (FEASIBLE, "code", 10, 0)]
+        assert res.q_star == 10 and res.certificate == "bound"
+        for s in range(5):
+            rep = solve_feasibility(FeasibilityInstance(8, 10, 10, 10, seed=s))
+            assert rep.status == FEASIBLE and min_pairwise_distance(rep.design) == 10
 
     def test_warm_start_repair(self):
         ws = design_from_array([[1, 1, 1, 1], [1, 1, 1, 2], [2, 2, 2, 2]], 2)
@@ -90,7 +104,7 @@ class TestSolveFeasibility:
         five_by_four = design_from_array([[1, 2, 1, 2]] * 5, 2)
         for n, d, M, q, ws in [
             (3, 3, 2, 2, design_from_array([[1, 1]], 2)),
-            # neither a q = 0 solve nor the n <= M shortcut may return it
+            # neither a q = 0 solve nor an n <= M one may return it
             (3, 2, 2, 0, five_by_four),
             (1, 2, 2, 1, five_by_four),
             (3, 2, 2, 1, design_from_array([[1, 3], [2, 1], [3, 3]], 3)),
@@ -114,7 +128,7 @@ class TestSolveFeasibility:
     def test_phase_names_the_deciding_phase(self):
         ws = design_from_array([[1, 1, 1, 1], [1, 1, 1, 2], [2, 2, 2, 2]], 2)
         for inst, phase in [
-            (FeasibilityInstance(8, 10, 10, 10), "shortcut"),  # n <= M
+            (FeasibilityInstance(8, 10, 10, 10), "repair"),  # n <= M
             (FeasibilityInstance(10, 2, 2, 0), "repair"),  # q = 0: no move
             (FeasibilityInstance(3, 4, 2, 2, warm_start=ws), "repair"),
             (FeasibilityInstance(4, 4, 3, 3), "repair"),  # of a random start
@@ -299,6 +313,14 @@ class TestOptimizeMaximin:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             optimize_maximin(1, 3, 2)
+
+    @pytest.mark.parametrize("args, name", [((4.0, 3, 2), "n"), ((4, 3.0, 2), "d"),
+                                            ((4, 3, 2.0), "M")])
+    def test_non_integer_named(self, args, name):
+        # these used to fail with a bare TypeError, such as "slice indices
+        # must be integers or None" for n = 4.0
+        with pytest.raises(ValueError, match=f"^{name}=.* must be an int"):
+            optimize_maximin(*args)
 
     @pytest.mark.parametrize("n, d, M", [(6, 4, 3), (10, 4, 6)])
     def test_bad_seed_named(self, n, d, M):
