@@ -40,18 +40,23 @@ It is used three times:
   is applied only where 1 - c'Wc is well above its rounding, and the
   smaller of it and the separate mean-plus-deviation bound is kept.
 
-The solve is one loop, and each pass expands one node, all M children at
-once: their U rows come from per-factor multiplier tables, and their
-bounds from one matrix product U W and one product of the stacked w rows
-with a matching table built once per solve. Children whose bound exceeds
-the incumbent go on the heap. At the last factor the children are exact
-correlation rows, so leaves are scored exactly in one batch, with no
-design rebuild, and only they set the incumbent. Until the first leaves
-are scored, the child with the largest bound is not pushed but expanded
-next: every solve opens with a dive from the root to a last-factor node,
-whose d - 1 descents count as nodes with the root and, being a fixed few,
-run without a deadline check. After that each pass pops the heap's best
-node, and the search stops once its bound no longer exceeds the
+The solve is one loop, and each pass expands one node. Its M children's
+U rows come from per-factor multiplier tables, and their bounds from one
+matrix product U W and one product of the stacked w rows with a matching
+table built once per solve; children whose bound exceeds the incumbent go
+on the heap. Leaves are scored exactly from their correlation rows in one
+batch, with no design rebuild, and only they set the incumbent, the first
+argmax in factor order among a batch's ties. A node with one free factor
+scores its M leaves; one with two free factors scores, in one batch, the
+leaves of every child whose bound exceeds the incumbent, instead of
+pushing the children. Until the first leaves are scored, each expansion
+takes two factors: it bounds the M^2 grandchildren, whose U rows are outer
+products of two tables' rows, in one call, and does not push the best but
+expands it next. So every solve opens with a dive from the root to a node
+with two free factors (one for odd d) that scores all its leaves; its
+ceil(d/2) - 1 descents count as nodes with the root and, being a fixed
+few, run without a deadline check. After that each pass pops the heap's
+best node, and the search stops once its bound no longer exceeds the
 incumbent, which certifies the incumbent as the global optimum.
 
 Everything is evaluated in floating point, so a certificate holds up to
@@ -146,9 +151,11 @@ class _BnB:
     """Best-first branch-and-bound over per-factor level assignments.
 
     The heap holds level prefixes only; an expanded node's U is rebuilt
-    from the per-factor multiplier tables, and all M children are bounded
-    (from one product U W and one `_linmax` call over their stacked rows)
-    or, at the last factor, scored exactly, in one batched step. The
+    from the per-factor multiplier tables. Its M children (its M^2
+    grandchildren while diving) are bounded in one batched step, from one
+    product U W and one `_linmax` call over their stacked rows. At one free
+    factor its M leaves, and at two the leaves of the children whose bound
+    beats the incumbent, are scored exactly in one batch instead. The
     incumbent comes from leaves alone, the first from the opening dive;
     `nodes` counts the root, each descent and each pop.
     """
@@ -258,6 +265,9 @@ class _BnB:
         limit = self.spec.time_limit
         deadline = t0 + limit if limit is not None else None
         tol = self.spec.gap_tolerance
+        M = self.M
+        singles = [(v,) for v in range(1, M + 1)]
+        pairs = list(itertools.product(range(1, M + 1), repeat=2))
 
         counter = itertools.count()
         heap: list[tuple[float, int, tuple[int, ...]]] = []
@@ -268,26 +278,49 @@ class _BnB:
         open_bound = -np.inf  # bound of the abandoned subtree, if any
 
         while True:
-            # expand the node at levels: its M children's U rows
             depth = len(levels)
-            U = self.F[depth] * self._upper(levels)
-            if depth + 1 == self.d:
-                # free_min[d] == 1: the children are exact correlation rows
-                vals = _objective(self.model, U, self.spec)
-                i = int(np.argmax(vals))  # first argmax, as a strict > scan
-                if vals[i] > incumbent:
-                    incumbent, incumbent_levels = float(vals[i]), levels + (i + 1,)
-            else:
-                bounds = self._bounds(U, depth + 1)
-                # until a leaf is scored, descend into the best child
-                best = int(np.argmax(bounds)) + 1 if incumbent == -np.inf else 0
-                for v, b in enumerate(bounds.tolist(), start=1):
-                    if v != best and b > incumbent + 1e-15:
-                        heapq.heappush(heap, (-b, next(counter), levels + (v,)))
-                if best:
-                    levels += (best,)
+            U = self.F[depth] * self._upper(levels)  # its M children's rows
+            diving = incumbent == -np.inf
+            if depth + 2 < self.d:
+                # bound the children or, while diving, the M^2 grandchildren,
+                # push those that may beat the incumbent and descend into
+                # the best while diving
+                tail = singles
+                if diving:
+                    U = (U[:, None, :] * self.F[depth + 1]).reshape(M * M, self.n)
+                    tail = pairs
+                bounds = self._bounds(U, depth + len(tail[0]))
+                best = int(np.argmax(bounds)) if diving else -1
+                for i, b in enumerate(bounds.tolist()):
+                    if i != best and b > incumbent + 1e-15:
+                        heapq.heappush(heap, (-b, next(counter), levels + tail[i]))
+                if diving:
+                    levels += tail[best]
                     nodes += 1
                     continue
+            else:
+                heads = [levels]
+                if depth + 2 == self.d:
+                    # the leaves of the children that may beat the incumbent
+                    keep = np.arange(M)
+                    if not diving:
+                        bounds = self._bounds(U, depth + 1)
+                        keep = np.flatnonzero(bounds > incumbent + 1e-15)
+                    heads = [levels + (int(v) + 1,) for v in keep]
+                    U = (U[keep, None, :] * self.F[depth + 1]).reshape(-1, self.n)
+                if heads:
+                    # free_min[d] == 1: exact correlation rows, in one batch
+                    vals = _objective(self.model, U, self.spec).reshape(len(heads), M)
+                    # the first argmax, as a strict > scan. Leaves tie
+                    # exactly where their rows are equal: where each factor's
+                    # two levels match the same design rows, so the first is
+                    # first in factor order too, or where the two factors'
+                    # thetas are equal, and the branching order keeps those
+                    # in factor order
+                    h, v = divmod(int(np.argmax(vals)), M)
+                    if vals[h, v] > incumbent:
+                        incumbent = float(vals[h, v])
+                        incumbent_levels = heads[h] + (v + 1,)
             if not heap:
                 break
             neg_bound, _, levels = heapq.heappop(heap)

@@ -277,36 +277,43 @@ class TestActiveMode:
         assert final[0]["rrmse"] >= 0.0
 
 
-# An active-mode three-arm plan, its rows and summary pinned once each
-# replication's n_init = 5 <= M = 5 initial design came from its own seeded
-# repair, not from one constant-row design shared by both (iteration-0 best
-# 18.0 and 5.0, where the shared design read 3.0 in each). Per (method,
-# replication): best-so-far per iteration, then the final RRMSE, whose last
-# bits vary with the BLAS thread count.
-PINNED_PLAN = BenchPlan("snake", replications=2, n_init=5, n_seq=3, d=5,
+# An active-mode three-arm plan, its rows and summary pinned. Each
+# replication's n_init = 5 <= M = 5 initial design comes from its own seeded
+# repair (iteration-0 best 18.0 and 5.0). The fourth sequential point is the
+# first that moves a best-so-far: 47.0 from quip's acquisition in
+# replication 1, against 81.0 from the candidate set, so the pins see an
+# acquisition choice. Gap-stopped (10%) choices may move inside their
+# certified gap when the branch and bound's search order changes, and the
+# final RRMSE pins them. Per (method, replication): best-so-far per
+# iteration, then the final RRMSE, whose last bits vary with the BLAS
+# thread count.
+PINNED_PLAN = BenchPlan("snake", replications=2, n_init=5, n_seq=4, d=5,
                         mode="active", test_size=60, time_limit=None)
 PINNED_SEEDS = (2968811710, 3964924996)
 PINNED_ARMS = {
-    ("candidate", 0): ([18.0, 18.0, 18.0, 18.0], 1.0084345752500616),
-    ("candidate", 1): ([5.0, 5.0, 5.0, 5.0], 0.9541187813062529),
-    ("quip", 0): ([18.0, 18.0, 18.0, 18.0], 1.0002647406231508),
-    ("quip", 1): ([5.0, 5.0, 5.0, 5.0], 0.9541368721702106),
-    ("random", 0): ([18.0, 18.0, 81.0, 81.0], 0.9443303457118869),
-    ("random", 1): ([5.0, 5.0, 5.0, 5.0], 1.0438820100035124),
+    ("candidate", 0): ([18.0, 18.0, 18.0, 18.0, 18.0], 1.0090995563334983),
+    ("candidate", 1): ([5.0, 5.0, 5.0, 5.0, 81.0], 1.0962219206658703),
+    ("quip", 0): ([18.0, 18.0, 18.0, 18.0, 18.0], 1.0090995563334983),
+    ("quip", 1): ([5.0, 5.0, 5.0, 5.0, 47.0], 1.0629846939217835),
+    ("random", 0): ([18.0, 18.0, 81.0, 81.0, 81.0], 0.7022308984046114),
+    ("random", 1): ([5.0, 5.0, 5.0, 5.0, 47.0], 0.6061278617671794),
 }
 PINNED_SUMMARY = {  # (method, iteration): (median, p2_5, p97_5)
     ("candidate", 0): (11.5, 5.325, 17.675),
     ("candidate", 1): (11.5, 5.325, 17.675),
     ("candidate", 2): (11.5, 5.325, 17.675),
     ("candidate", 3): (11.5, 5.325, 17.675),
+    ("candidate", 4): (49.5, 19.575, 79.425),
     ("quip", 0): (11.5, 5.325, 17.675),
     ("quip", 1): (11.5, 5.325, 17.675),
     ("quip", 2): (11.5, 5.325, 17.675),
     ("quip", 3): (11.5, 5.325, 17.675),
+    ("quip", 4): (32.5, 18.725, 46.275),
     ("random", 0): (11.5, 5.325, 17.675),
     ("random", 1): (11.5, 5.325, 17.675),
     ("random", 2): (43.0, 6.9, 79.1),
     ("random", 3): (43.0, 6.9, 79.1),
+    ("random", 4): (64.0, 47.85, 80.15),
 }
 
 
@@ -319,7 +326,7 @@ class TestOneLoop:
                 expected.append({
                     "method": method, "replication": rep, "seed": PINNED_SEEDS[rep],
                     "iteration": it, "best_so_far": b,
-                    "rrmse": pytest.approx(final, rel=1e-9) if it == 3 else None,
+                    "rrmse": pytest.approx(final, rel=1e-9) if it == len(best) - 1 else None,
                     "candidate_c": 2000 if method == "candidate" else None,
                 })
         untimed = [{k: v for k, v in r.items() if k not in ("wall_time", "total_time")}
