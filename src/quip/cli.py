@@ -9,6 +9,7 @@ time-limit incumbent, 1 error (including usage errors).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -119,9 +120,9 @@ def _cmd_suggest(args) -> int:
 
 def _csv_table_simulator(path, M):
     """(d, M, lookup) for a table of `levels..., response` rows. M defaults
-    to the table's largest level (at least 2). Rows of unequal length and
-    repeated points with different responses are rejected here; looking up
-    a point the table lacks raises ValueError."""
+    to the table's largest level (at least 2). Rows of unequal length,
+    non-finite responses and repeated points with different responses are
+    rejected here; looking up a point the table lacks raises ValueError."""
     with open(path) as fh:
         rows = encoding.read_csv(
             fh, lambda i, line: f"row {line} of lookup table {path}", int, last=float)
@@ -131,6 +132,10 @@ def _csv_table_simulator(path, M):
     first_line: dict[tuple[int, ...], int] = {}
     for line, values in rows:
         levels, value = tuple(values[:-1]), values[-1]
+        if not math.isfinite(value):
+            raise ValueError(
+                f"row {line} of lookup table {path} has the non-finite response {value!r}"
+            )
         if levels in table and table[levels] != value:
             raise ValueError(
                 f"rows {first_line[levels]} and {line} of lookup table "

@@ -15,9 +15,11 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 from dataclasses import dataclass
+from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
@@ -39,28 +41,15 @@ _FAILED_NLL = 1e10  # objective where the Cholesky factorisation fails
 _SOBOL_BITS = 30
 
 
-def _scipy_file(*parts: str) -> str:
-    """Path of a file in the installed scipy package. find_spec locates the
-    package without running scipy/__init__; without scipy the path is
-    relative and missing, and its reader says so."""
-    spec = importlib.util.find_spec("scipy")
-    root = spec.submodule_search_locations[0] if spec else "scipy"
-    return os.path.join(root, *parts)
-
-
-# Joe-Kuo direction numbers as scipy ships them; np.load reads the file
-# without executing scipy.stats
-_SOBOL_DIRECTIONS = _scipy_file("stats", "_sobol_direction_numbers.npz")
-
-
 @functools.cache
 def _scipy_extension(package: str, name: str):
     """scipy's compiled module scipy.<package>.<name>, loaded from its file
     so that scipy/<package>/__init__ never runs. scipy/__init__ itself does
-    run first: Windows wheels register their DLL directory there."""
-    import scipy  # noqa: F401
+    run first: Windows wheels register their DLL directory there, and its
+    __file__ locates the package."""
+    import scipy
 
-    base = _scipy_file(package, name)
+    base = os.path.join(os.path.dirname(scipy.__file__), package, name)
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.isfile(base + suffix):
             spec = importlib.util.spec_from_file_location(
@@ -159,6 +148,11 @@ def cross_correlation(X_new: np.ndarray, X: np.ndarray, theta) -> np.ndarray:
     return np.exp(-(neq @ np.asarray(theta, dtype=float)))
 
 
+def _check_nugget(nugget: float) -> None:
+    if not (math.isfinite(nugget) and nugget >= 0):
+        raise ValueError(f"nugget={nugget!r} must be finite and non-negative")
+
+
 def build_model(
     D: Design, f, params: KernelParams, nugget: float = DEFAULT_NUGGET
 ) -> GpModel:
@@ -167,8 +161,7 @@ def build_model(
         raise ValueError(f"responses shape {f.shape} does not match n={D.n}")
     if not np.all(np.isfinite(f)):
         raise ValueError("responses must be finite")
-    if not math.isfinite(nugget):
-        raise ValueError(f"nugget={nugget!r} must be finite")
+    _check_nugget(nugget)
     X = D.as_array()
     gamma = cross_correlation(X, X, params.theta)
     L, info = _scipy.dpotrf(gamma + nugget * np.eye(D.n), lower=1)
@@ -182,6 +175,7 @@ def build_model(
 
 def _constant_model(D: Design, f: np.ndarray, nugget: float) -> GpModel:
     """Flagged predictor of the constant response f[0] with zero variance."""
+    _check_nugget(nugget)
     params = KernelParams(np.ones(D.d), float(f[0]), 1.0)
     return GpModel(D, f, params, np.eye(D.n), np.zeros(D.n), nugget, True)
 
@@ -286,26 +280,20 @@ def _sobol(d: int, n: int, seed: int) -> np.ndarray:
     dimensions, bit for bit `qmc.Sobol(d, scramble=True, seed=seed).random(n)`:
     Joe-Kuo direction numbers in 30 bits, a random digital shift and a
     lower-triangular (LMS) scramble drawn in that order from
-    `default_rng(seed)`, points in Gray-code order. Read-only and cached:
-    every fit of a campaign asks for the same starts."""
+    `default_rng(seed)`, points in Gray-code order. The direction numbers
+    are the first d lines of quip/data/sobol_directions.txt, one dimension
+    per line: its polynomial, then its initial numbers. Read-only and
+    cached: every fit of a campaign asks for the same starts."""
     B = _SOBOL_BITS
-    try:
-        with np.load(_SOBOL_DIRECTIONS) as z:
-            poly, vinit = z["poly"], z["vinit"]
-    except OSError as exc:
-        raise RuntimeError(
-            f"Sobol direction numbers not found at {_SOBOL_DIRECTIONS} "
-            "(scipy >= 1.7 ships them)"
-        ) from exc
-    if d > poly.size:
-        raise ValueError(f"d={d} exceeds the {poly.size} Sobol dimensions")
+    with (resources.files("quip.data") / "sobol_directions.txt").open() as fh:
+        table = [[int(x) for x in line.split()] for line in itertools.islice(fh, d)]
+    if d > len(table):
+        raise ValueError(f"d={d} exceeds the {len(table)} Sobol dimensions")
     # direction numbers v[j, i] < 2^(i+1) by the Bratley-Fox recursion,
     # then left-aligned in B bits
     v = [[1] * B]
-    for j in range(1, d):
-        p = int(poly[j])
+    for p, *row in table[1:]:
         m = p.bit_length() - 1
-        row = [int(x) for x in vinit[j, :m]]
         for i in range(m, B):
             new = row[i - m]
             for k in range(m):

@@ -13,6 +13,7 @@ costs should be passed in negated (wrap as ``lambda x: -cost(x)``).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -46,6 +47,10 @@ class Campaign:
         object.__setattr__(self, "responses", f)
         if f.shape != (self.design.n,):
             raise ValueError("responses and design sizes differ")
+        bad = np.flatnonzero(~np.isfinite(f))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"responses must be finite; response {k} is {float(f[k])!r}")
 
 
 class CampaignError(RuntimeError):
@@ -84,8 +89,9 @@ def run_loop(initial: Design, f_init, simulator, spec: AcquisitionSpec, n_seq: i
     iteration's history, between `point` and `response`. `simulator` maps a
     Point to a scalar response (maximization sign).
 
-    If an iteration raises, a CampaignError carrying the completed partial
-    campaign is raised instead of discarding progress.
+    If an iteration raises, or its simulator returns a non-finite response,
+    a CampaignError carrying the completed partial campaign is raised
+    instead of discarding progress.
     """
     n_seq = check_int("n_seq", n_seq, 0)
     D = initial
@@ -96,6 +102,8 @@ def run_loop(initial: Design, f_init, simulator, spec: AcquisitionSpec, n_seq: i
         try:
             x, fields = choose(D, f)
             y = float(simulator(x))
+            if not math.isfinite(y):
+                raise ValueError(f"simulator returned {y!r} at point {list(x.levels)}")
         except Exception as exc:
             partial = Campaign(D, f, spec, n_seq - it + 1, tuple(history), seed)
             raise CampaignError(

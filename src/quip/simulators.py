@@ -18,9 +18,12 @@ and simulator; the benchmark harness and the CLI dispatch through it.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,6 +52,12 @@ class GridWorld:
     prizes: frozenset = frozenset()
 
     def __post_init__(self):
+        # hashable fields: distance_field caches by world
+        object.__setattr__(self, "start", tuple(self.start))
+        if self.goal is not None:
+            object.__setattr__(self, "goal", tuple(self.goal))
+        object.__setattr__(self, "obstacles", frozenset(self.obstacles))
+        object.__setattr__(self, "prizes", frozenset(self.prizes))
         if not self.in_bounds(self.start):
             raise ValueError("start outside grid")
         if self.start in self.obstacles:
@@ -61,8 +70,10 @@ class GridWorld:
         return 1 <= x <= self.width and 1 <= y <= self.height
 
 
-def distance_field(world: GridWorld) -> dict[tuple[int, int], int]:
-    """BFS distances to the goal over non-obstacle cells, 4-neighbor moves."""
+@functools.lru_cache(maxsize=32)
+def distance_field(world: GridWorld) -> Mapping[tuple[int, int], int]:
+    """BFS distances to the goal over non-obstacle cells, 4-neighbor moves.
+    Run once per world (worlds are frozen) and returned read-only."""
     if world.goal is None:
         raise ValueError("world has no goal")
     dist = {world.goal: 0}
@@ -78,7 +89,7 @@ def distance_field(world: GridWorld) -> dict[tuple[int, int], int]:
             ):
                 dist[nxt] = dist[(cx, cy)] + 1
                 queue.append(nxt)
-    return dist
+    return MappingProxyType(dist)
 
 
 def maze_cost(world: GridWorld, path: Point) -> SimResult:
@@ -164,9 +175,9 @@ class ObstacleCourse:
                 raise ValueError(f"obstacle box {(x0, y0, x1, y1)} has x0 > x1 or y0 > y1")
 
 
-def _occupancy(course: ObstacleCourse, p: np.ndarray) -> float:
+def _occupancy(course: ObstacleCourse, x: float, y: float) -> float:
     for x0, y0, x1, y1 in course.boxes:
-        if x0 <= p[0] <= x1 and y0 <= p[1] <= y1:
+        if x0 <= x <= x1 and y0 <= y <= y1:
             return 30.0
     return 0.0
 
@@ -189,28 +200,24 @@ def rover_cost(course: ObstacleCourse, path: Point) -> SimResult:
     if path.M != 9:
         raise ValueError("rover paths use M=9 actions")
     S = course.substeps
-    pos = np.asarray(course.start, dtype=float)
+    x, y = (float(v) for v in course.start)
     trace = []
     running = 0.0
     for j, a in enumerate(path.levels, start=1):
-        delta = np.asarray(rover_decision(a, course))
-        nxt = pos + delta
+        dx, dy = rover_decision(a, course)
         seg = 0.0
-        step_len = float(np.linalg.norm(delta)) / S
+        step_len = float(np.linalg.norm((dx, dy))) / S
         if step_len > 0:
-            samples = [pos + delta * (t / S) for t in range(S + 1)]
-            costs = [_occupancy(course, p) + 0.05 for p in samples]
+            costs = [_occupancy(course, x + dx * (t / S), y + dy * (t / S)) + 0.05
+                     for t in range(S + 1)]
             for t in range(S):
                 seg += 0.5 * (costs[t] + costs[t + 1]) * step_len
         running += seg
-        trace.append(
-            {"step": j, "action": a, "position": (float(nxt[0]), float(nxt[1])),
-             "step_value": seg}
-        )
-        pos = nxt
-    terminal = 50.0 * float(np.linalg.norm(pos - np.asarray(course.target))) - 5.0
-    trace.append({"step": path.d + 1, "action": None,
-                  "position": (float(pos[0]), float(pos[1])),
+        x, y = x + dx, y + dy
+        trace.append({"step": j, "action": a, "position": (x, y), "step_value": seg})
+    tx, ty = course.target
+    terminal = 50.0 * float(np.linalg.norm((x - tx, y - ty))) - 5.0
+    trace.append({"step": path.d + 1, "action": None, "position": (x, y),
                   "step_value": terminal})
     return SimResult(running + terminal, tuple(trace))
 

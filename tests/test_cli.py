@@ -360,6 +360,20 @@ class TestSequentialCmd:
         assert (f"rows 1 and 5 of lookup table {table} give point [1, 1] "
                 "different responses") in err
 
+    def test_csv_non_finite_response_named(self, capsys, tmp_path):
+        # "nan" parsed as a float: the run printed "best_value": NaN, which
+        # is not JSON, and exited 0
+        table = tmp_path / "table.csv"
+        for bad in ("nan", "inf", "-inf"):
+            table.write_text(f"1,1,0.5\n1,2,{bad}\n2,1,2.0\n2,2,1.0\n")
+            code, out, err = run_cli(
+                capsys, "sequential", "--simulator", "csv", "--table", str(table),
+                "--acq", "ucb", "--n-init", "2", "--n-seq", "1",
+            )
+            assert code == 1 and out == ""
+            assert (f"row 2 of lookup table {table} has the non-finite response "
+                    f"{float(bad)!r}") in err
+
     def test_csv_non_numeric_field_named(self, capsys, tmp_path):
         # used to say only "could not convert string to float: 'abc'" or
         # "invalid literal for int() with base 10: 'y'"

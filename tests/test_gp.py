@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -118,6 +119,17 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="nugget"):
             build_model(D, [0.0, 1.0, 2.0], KernelParams(np.ones(2), 0.0, 1.0), nugget)
 
+    def test_negative_nugget_rejected(self):
+        # -0.05 used to build a model whose mean at a design point read
+        # 0.5244 against its response 0.5; a model file's nugget too
+        D = design_from_array([[1, 1], [2, 2], [1, 2]], 2)
+        with pytest.raises(ValueError, match=r"nugget=-0.05 must be finite and non-negative"):
+            build_model(D, [0.5, 1.0, 2.0], KernelParams(np.ones(2), 0.0, 1.0), -0.05)
+        obj = model_to_dict(build_model(D, [0.5, 1.0, 2.0], KernelParams(np.ones(2), 0.0, 1.0)))
+        for constant in (False, True):
+            with pytest.raises(ValueError, match=r"nugget=-0.05"):
+                model_from_dict(dict(obj, nugget=-0.05, is_constant=constant))
+
     def test_singular_correlation_names_the_leading_minor(self):
         # rows 0 and 1 coincide, so without a nugget Gamma's second
         # leading minor is zero
@@ -134,7 +146,9 @@ class TestScipyLoader:
             assert module in ("_flapack", "_lbfgsb")
 
     def test_missing_module_raises_naming_its_path(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(gp, "_scipy_file", lambda *parts: str(tmp_path.joinpath(*parts)))
+        import scipy
+
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
         with pytest.raises(RuntimeError, match="_flapack") as err:
             gp._scipy_extension.__wrapped__("linalg", "_flapack")
         assert str(tmp_path / "linalg" / "_flapack") in str(err.value)
@@ -366,15 +380,32 @@ class TestSobol:
             a[0, 0] = 0.5
 
     def test_dimension_above_the_shipped_ones_rejected(self):
-        with np.load(gp._SOBOL_DIRECTIONS) as z:
-            dims = z["poly"].size
-        with pytest.raises(ValueError, match=f"d={dims + 1} exceeds the {dims} Sobol"):
-            gp._sobol.__wrapped__(dims + 1, 2, 0)
+        with pytest.raises(ValueError, match="d=21202 exceeds the 21201 Sobol"):
+            gp._sobol.__wrapped__(21202, 2, 0)
 
-    def test_missing_direction_numbers_raise(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(gp, "_SOBOL_DIRECTIONS", str(tmp_path / "absent.npz"))
-        with pytest.raises(RuntimeError, match="direction numbers"):
-            gp._sobol.__wrapped__(3, 4, 0)
+    def test_table_matches_scipy_direction_numbers(self):
+        import scipy
+
+        npz = os.path.join(os.path.dirname(scipy.__file__), "stats",
+                           "_sobol_direction_numbers.npz")
+        with np.load(npz) as z:
+            poly, vinit = z["poly"].tolist(), z["vinit"].tolist()
+        table = (resources.files("quip.data") / "sobol_directions.txt").read_text()
+        lines = table.splitlines()
+        assert len(lines) == len(poly) == 21201
+        for j, line in enumerate(lines):
+            deg = poly[j].bit_length() - 1
+            assert line == " ".join(map(str, [poly[j], *vinit[j][:deg]])), j
+
+    def test_reads_no_npz(self, monkeypatch):
+        from scipy.stats import qmc
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.load called")
+
+        want = qmc.Sobol(6, scramble=True, seed=2).random(4)
+        monkeypatch.setattr(np, "load", refuse)
+        assert np.array_equal(gp._sobol.__wrapped__(6, 4, 2), want)
 
 
 def _parent_mismatch(X):

@@ -50,6 +50,15 @@ class TestCampaignBasics:
         with pytest.raises(ValueError):
             Campaign(D, np.array([1.0]), AcquisitionSpec("alm"), 0)
 
+    def test_non_finite_responses_rejected(self):
+        D = design_from_array([[1, 1], [2, 2]], 2)
+        for f in ([0.0, np.nan], [np.inf, 1.0], [0.0, -np.inf]):
+            with pytest.raises(ValueError, match="responses must be finite"):
+                Campaign(D, np.array(f), AcquisitionSpec("alm"), 0)
+        obj = campaign_to_dict(Campaign(D, np.array([0.0, 1.0]), AcquisitionSpec("alm"), 0))
+        with pytest.raises(ValueError, match="response 1 is nan"):
+            campaign_from_dict(dict(obj, responses=[0.0, float("nan")]))
+
     def test_zero_budget(self):
         D = design_from_array([[1, 1], [2, 2]], 2)
         f = np.array([0.0, 1.0])
@@ -167,6 +176,23 @@ class TestRunCampaign:
         assert partial.design.n == 4  # two successful iterations appended
         assert len(partial.history) == 2
         assert partial.n_seq == 3
+
+    def test_non_finite_response_fails_its_own_iteration(self):
+        # a NaN response used to be appended, and the campaign failed (if at
+        # all) one iteration later with the NaN kept in its partial campaign
+        D = design_from_array([[1, 1, 1], [2, 2, 2]], 2)
+        values = iter([0.5, float("nan"), 1.0])
+
+        def rule(D, f):
+            return Point((1, 2, D.n % 2 + 1), 2), {}
+
+        with pytest.raises(CampaignError) as err:
+            run_loop(D, [0.0, 1.0], lambda x: next(values), AcquisitionSpec("alm"), 3, rule)
+        assert str(err.value) == "iteration 2 failed: simulator returned nan at point [1, 2, 2]"
+        partial = err.value.partial
+        assert partial.design.n == 3 and len(partial.history) == 1
+        assert list(partial.responses) == [0.0, 1.0, 0.5]
+        assert partial.n_seq == 2
 
     def test_history_keys_in_order(self):
         D = design_from_array([[1, 1, 1], [2, 2, 2]], 2)

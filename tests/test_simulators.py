@@ -82,6 +82,27 @@ class TestMaze:
         with pytest.raises(ValueError, match="world has no goal"):
             distance_field(GridWorld(3, 3, (1, 1)))
 
+    def test_bfs_runs_once_per_world(self):
+        # the field was recomputed on every evaluation; a new world's field
+        # is computed once, read-only, and gives the same costs
+        w = GridWorld(7, 5, (1, 1), goal=(6, 4), obstacles=frozenset({(3, 2), (3, 3)}))
+        fresh = distance_field.__wrapped__(w)
+        rng = np.random.default_rng(6)
+        paths = [Point(tuple(rng.integers(1, 6, size=10)), 5) for _ in range(200)]
+        misses = distance_field.cache_info().misses
+        costs = [maze_cost(w, p).value for p in paths]
+        assert distance_field.cache_info().misses == misses + 1
+        assert costs == [maze_cost(w, p).value for p in paths]
+        assert distance_field(w) == fresh
+        with pytest.raises(TypeError):
+            distance_field(w)[w.goal] = 5
+
+    def test_world_from_lists_and_sets(self):
+        # a set of obstacles made the world unhashable for distance_field
+        w = GridWorld(4, 3, [1, 1], goal=[4, 1], obstacles={(2, 1)})
+        assert w == GridWorld(4, 3, (1, 1), goal=(4, 1), obstacles=frozenset({(2, 1)}))
+        assert maze_cost(w, Point((5,) * 4, 5)).value == 5.0
+
     def test_all_stay_equals_field_at_start(self):
         w = default_maze()
         field = distance_field(w)
@@ -253,6 +274,43 @@ class TestRover:
     def test_wrong_m(self):
         with pytest.raises(ValueError):
             rover_cost(default_rover(), Point((1,) * 8, 5))
+
+    @pytest.mark.parametrize("d", [8, 12])
+    def test_matches_the_vector_formula(self, d):
+        # rover_cost used numpy 2-vectors for every sample; the same
+        # arithmetic on Python floats gives identical results
+        def vector_cost(course, path):
+            S = course.substeps
+            pos = np.asarray(course.start, dtype=float)
+            trace, running = [], 0.0
+            for j, a in enumerate(path.levels, start=1):
+                delta = np.asarray(rover_decision(a, course))
+                nxt = pos + delta
+                seg = 0.0
+                step_len = float(np.linalg.norm(delta)) / S
+                if step_len > 0:
+                    costs = [(30.0 if any(x0 <= p[0] <= x1 and y0 <= p[1] <= y1
+                                          for x0, y0, x1, y1 in course.boxes) else 0.0)
+                             + 0.05 for p in (pos + delta * (t / S) for t in range(S + 1))]
+                    for t in range(S):
+                        seg += 0.5 * (costs[t] + costs[t + 1]) * step_len
+                running += seg
+                trace.append({"step": j, "action": a, "step_value": seg,
+                              "position": (float(nxt[0]), float(nxt[1]))})
+                pos = nxt
+            terminal = 50.0 * float(np.linalg.norm(pos - np.asarray(course.target))) - 5.0
+            trace.append({"step": path.d + 1, "action": None, "step_value": terminal,
+                          "position": (float(pos[0]), float(pos[1]))})
+            return running + terminal, tuple(trace)
+
+        two_boxes = ObstacleCourse(boxes=((0.1, 0.1, 0.3, 0.35), (0.4, 0.2, 0.6, 0.5)),
+                                   substeps=7)
+        rng = np.random.default_rng(d)
+        for course in (default_rover(), two_boxes):
+            for _ in range(300):
+                p = Point(tuple(int(v) for v in rng.integers(1, 10, size=d)), 9)
+                res = rover_cost(course, p)
+                assert (res.value, res.trace) == vector_cost(course, p), p
 
     def test_course_config(self):
         c = course_from_dict({"speeds": {"low": 0.1, "high": 0.2}, "boxes": []})
