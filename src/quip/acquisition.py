@@ -41,38 +41,45 @@ It is used three times:
   smaller of it and the separate mean-plus-deviation bound is kept.
 
 The solve is one loop, and each pass expands one node. Its M children's
-U rows come from per-factor multiplier tables, and their bounds from one
-matrix product U W and one product of the stacked w rows with a matching
-table built once per solve; children whose bound exceeds the incumbent go
-on the heap. Leaves are scored exactly from their correlation rows in one
-batch, with no design rebuild, and only they set the incumbent, the first
-argmax in factor order among a batch's ties. A node with one free factor
-scores its M leaves; one with two free factors scores, in one batch, the
-leaves of every child whose bound exceeds the incumbent, instead of
-pushing the children. Until the first leaves are scored, each expansion
-takes two factors: it bounds the M^2 grandchildren, whose U rows are outer
-products of two tables' rows, in one call, and does not push the best but
-expands it next. So every solve opens with a dive from the root to a node
-with two free factors (one for odd d) that scores all its leaves; its
-ceil(d/2) - 1 descents count as nodes with the root and, being a fixed
-few, run without a deadline check. After that each pass pops the heap's
-best node, and the search stops once its bound no longer exceeds the
-incumbent, which certifies the incumbent as the global optimum.
+U rows are its own prefix row times the branched factor's multiplier
+table, and their bounds come from one matrix product U W and one product
+of the stacked w rows with a matching table built once per solve; children
+whose bound exceeds the incumbent go on the heap, sharing the expanded
+node's row, so a popped node's row takes one or two multiplications, not
+a product over its whole level prefix. Leaves are scored exactly from
+their correlation rows in one batch, with no design rebuild, and only they
+set the incumbent, the first argmax in factor order among a batch's ties.
+A node with one free factor scores its M leaves; one with two free factors
+scores, in one batch, the leaves of every child whose bound exceeds the
+incumbent, instead of pushing the children. Until the first leaves are
+scored, each expansion takes two factors: it bounds the M^2 grandchildren,
+whose U rows are outer products of two tables' rows, in one call, and
+does not push the best but expands it next, with its row. So every solve
+opens with a dive from the root to a node with two free factors (one for
+odd d) that scores all its leaves; its ceil(d/2) - 1 descents count as
+nodes with the root and, being a fixed few, run without a deadline check.
+After that each pass pops the heap's best node, and the search stops once
+its bound no longer exceeds the incumbent, which certifies the incumbent
+as the global optimum.
 
 Everything is evaluated in floating point, so a certificate holds up to
 rounding: the certified bound is at least the true optimum less
-1e-9 * |optimum| and less the absolute rounding of the computed objective.
-For ALM that is the rounding of 1 - Q, a difference of numbers near 1, at
-most n * eps * tau2, which exceeds the relative term where the largest
-variance is far below tau2. For UCB it is the rounding of the mean g'alpha,
-at most n * eps * sum|alpha| (alpha has large entries of both signs when
-Gamma is near-singular). Both are tested on clip-pinned models against
-full enumeration. The bounds themselves must dominate the computed leaf
-values: the Q bound sums U'WU in the W form, whose terms cancel when Gamma
-is near-singular, while a leaf's Q comes from a triangular solve. The two
-may differ by up to the rounding of U'WU, n * eps * U|W|1 for correlations
-0 <= g <= U <= 1, far above n * eps there, and the square root of UCB
-amplifies that near small variance. So the Q bound is lowered by it.
+`allowance`, 1e-9 * |optimum| plus the absolute rounding of the computed
+objective. For ALM that is the rounding of the variance tau2 (1 - Q), a
+difference of numbers near 1, at most delta = n * eps * tau2, which
+exceeds the relative term where the largest variance is far below tau2.
+For UCB it is the rounding of the mean g'alpha, at most
+n * eps * sum|alpha| (alpha has large entries of both signs when Gamma is
+near-singular), plus lambda times the rounding of sqrt(var) for a variance
+off by up to delta: delta / sqrt(var) where var > delta, and sqrt(delta)
+where not, since the square root is steep near zero. Both are tested on
+clip-pinned models against full enumeration. The bounds themselves must
+dominate the computed leaf values: the Q bound sums U'WU in the W form,
+whose terms cancel when Gamma is near-singular, while a leaf's Q comes
+from a triangular solve. The two may differ by up to the rounding of U'WU,
+n * eps * U|W|1 for correlations 0 <= g <= U <= 1, far above n * eps
+there, and the square root of UCB amplifies that near small variance. So
+the Q bound is lowered by it.
 A line's constant c_r and its slope term beta_r T are each at most |w_r|,
 so a term rounds by a few eps |w_r| and the sum by about n * eps * sum|w|:
 at most n * eps * sum|alpha| for the mean, within the allowance above, and
@@ -102,6 +109,7 @@ STATUS_TIME_LIMIT = "time_limit"
 
 # the UCB tangent needs 1 - c'Wc above this many times its rounding scale
 _TANGENT_GUARD = 64.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -147,17 +155,46 @@ def _objective_batch(model: GpModel, X_new: np.ndarray, spec: AcquisitionSpec):
     return _objective(model, G, spec)
 
 
+def allowance(
+    model: GpModel, kind: str, value: float, var: float, lam: float = DEFAULT_LAMBDA
+) -> float:
+    """The documented rounding allowance of an objective value: how far a
+    certified bound may lie below the true optimum, and a computed value
+    from the exact one, at a point of computed variance var.
+
+    It is 1e-9 * |value| plus the absolute rounding of the objective. With
+    delta = n * eps * tau2, the rounding of the variance tau2 (1 - Q), that
+    is delta for ALM. For UCB it is the mean's n * eps * sum|alpha| plus
+    lam times the rounding of sqrt(var) for a variance off by up to delta:
+    at most delta / sqrt(var) where var > delta, and sqrt(delta) where not,
+    as |sqrt(x) - sqrt(y)| <= sqrt|x - y|."""
+    if kind not in ("alm", "ucb"):
+        raise ValueError(f"unknown acquisition kind {kind!r}")
+    n = model.design.n
+    delta = n * _EPS * model.params.tau2
+    if kind == "alm":
+        return 1e-9 * abs(value) + delta
+    root = delta / np.sqrt(var) if var > delta else np.sqrt(delta)
+    mean = n * _EPS * float(np.abs(model.alpha).sum())
+    return 1e-9 * abs(value) + mean + lam * float(root)
+
+
 class _BnB:
     """Best-first branch-and-bound over per-factor level assignments.
 
-    The heap holds level prefixes only; an expanded node's U is rebuilt
-    from the per-factor multiplier tables. Its M children (its M^2
-    grandchildren while diving) are bounded in one batched step, from one
-    product U W and one `_linmax` call over their stacked rows. At one free
-    factor its M leaves, and at two the leaves of the children whose bound
-    beats the incumbent, are scored exactly in one batch instead. The
-    incumbent comes from leaves alone, the first from the opening dive;
-    `nodes` counts the root, each descent and each pop.
+    Each heap entry holds a level prefix and the prefix row U of the node
+    that pushed it, one row shared by its siblings rather than a row each,
+    which would hold the whole batch of rows per expansion. An expanded
+    node's M children (its M^2 grandchildren while diving) get their rows
+    as its row times the multiplier tables, the same products in the same
+    order as a product over their levels, and are bounded in one batched
+    step, from one product U W and one `_linmax` call over their stacked
+    rows; the dive descends with the chosen row, and a popped node's row
+    is its pusher's times its last one or two factors' multipliers. At
+    one free factor its M leaves, and at two the leaves of the children
+    whose bound beats the incumbent, are scored exactly in one batch
+    instead. The incumbent comes from leaves alone, the first from the
+    opening dive; `nodes` counts the root, each descent and each pop.
     """
 
     def __init__(self, model: GpModel, spec: AcquisitionSpec):
@@ -185,13 +222,6 @@ class _BnB:
         self.Y = Y.reshape(self.d * self.M, self.n)
         self.F = np.exp(Y - t[:, None, None])
 
-    def _upper(self, levels: tuple[int, ...]) -> np.ndarray:
-        """Exact prefix product U per training point for a level prefix."""
-        U = np.ones(self.n)
-        for depth, v in enumerate(levels):
-            U = U * self.F[depth][v - 1]
-        return U
-
     def _linmax(self, w: np.ndarray, depth: int) -> np.ndarray:
         """Upper bound, per row of w = l o U, on max l'g over the subtree of
         a node at this depth with prefix products U.
@@ -209,8 +239,10 @@ class _BnB:
         fm = self.free_min[depth]
         beta = np.maximum((-np.expm1(-T) / T) * w, fm * w)
         c = np.maximum(w, (fm * (1.0 + T)) * w)
-        S = beta @ self.Y[depth * self.M:].T
-        sep = S.reshape(len(w), -1, self.M).max(axis=2).sum(axis=1)
+        S = (beta @ self.Y[depth * self.M:].T).reshape(len(w), -1, self.M)
+        # each free factor's best level, reduced over a level-major copy: a
+        # reduction over the short innermost level axis costs more
+        sep = S.transpose(2, 0, 1).copy().max(axis=0).sum(axis=1)
         return c.sum(axis=1) - T * beta.sum(axis=1) + sep
 
     def _parts(self, U: np.ndarray, depth: int):
@@ -234,7 +266,7 @@ class _BnB:
         u_wu = PU.sum(axis=1)
         # the rounding scale of g'Wg for 0 <= g <= U, by which the leaves'
         # triangular-solve Q may fall below this W form
-        rounding = self.n * np.finfo(float).eps * (U @ self.w_abs)
+        rounding = self.n * _EPS * (U @ self.w_abs)
         q_low = -fm * fm * u_wu - rounding
         if self.spec.kind == "alm":
             return q_low - self._linmax(-2.0 * fm * PU, depth), None, None
@@ -244,9 +276,14 @@ class _BnB:
         # sigma(c), or any finite stand-in where the tangent is not applied
         sigma = np.sqrt(self.tau2 * np.where(ok, s2, 1.0))
         slope = self.spec.lam * self.tau2 / sigma
-        wa = self.alpha * U
-        w = np.concatenate([wa, -2.0 * fm * PU, wa - (a * slope)[:, None] * PU])
-        mean, lin, tan = self._linmax(w, depth).reshape(3, len(U))
+        # the mean, Q and tangent rows, written into one block
+        k = len(U)
+        w = np.empty((3 * k, self.n))
+        wa = np.multiply(self.alpha, U, out=w[:k])
+        np.multiply(-2.0 * fm, PU, out=w[k:2 * k])
+        tan_w = np.multiply((a * slope)[:, None], PU, out=w[2 * k:])
+        np.subtract(wa, tan_w, out=tan_w)
+        mean, lin, tan = self._linmax(w, depth).reshape(3, k)
         tangent = np.where(ok, self.mu + slope + tan, np.inf)
         return q_low - lin, self.mu + mean, tangent
 
@@ -270,8 +307,11 @@ class _BnB:
         pairs = list(itertools.product(range(1, M + 1), repeat=2))
 
         counter = itertools.count()
-        heap: list[tuple[float, int, tuple[int, ...]]] = []
+        # (-bound, tie-break, level prefix, the prefix row U of the node
+        # that pushed it, whose levels are its first `depth`)
+        heap: list[tuple[float, int, tuple[int, ...], np.ndarray, int]] = []
         levels: tuple[int, ...] = ()
+        prefix = np.ones(self.n)
         nodes = 1  # the root, then each descent and each pop
         incumbent, incumbent_levels = -np.inf, ()  # leaves alone set it
         status = STATUS_OPTIMAL
@@ -279,7 +319,7 @@ class _BnB:
 
         while True:
             depth = len(levels)
-            U = self.F[depth] * self._upper(levels)  # its M children's rows
+            U = self.F[depth] * prefix  # its M children's rows
             diving = incumbent == -np.inf
             if depth + 2 < self.d:
                 # bound the children or, while diving, the M^2 grandchildren,
@@ -293,9 +333,11 @@ class _BnB:
                 best = int(np.argmax(bounds)) if diving else -1
                 for i, b in enumerate(bounds.tolist()):
                     if i != best and b > incumbent + 1e-15:
-                        heapq.heappush(heap, (-b, next(counter), levels + tail[i]))
+                        heapq.heappush(
+                            heap, (-b, next(counter), levels + tail[i], prefix, depth))
                 if diving:
                     levels += tail[best]
+                    prefix = U[best]
                     nodes += 1
                     continue
             else:
@@ -323,7 +365,9 @@ class _BnB:
                         incumbent_levels = heads[h] + (v + 1,)
             if not heap:
                 break
-            neg_bound, _, levels = heapq.heappop(heap)
+            neg_bound, _, levels, prefix, start = heapq.heappop(heap)
+            for depth in range(start, len(levels)):  # one or two factors
+                prefix = prefix * self.F[depth][levels[depth] - 1]
             bound = -neg_bound
             nodes += 1
             if bound <= incumbent + 1e-15:

@@ -163,6 +163,8 @@ def build_model(
         raise ValueError("responses must be finite")
     _check_nugget(nugget)
     X = D.as_array()
+    if D.M < 256:
+        X = X.astype(np.uint8)  # the same mismatches, compared a byte at a time
     gamma = cross_correlation(X, X, params.theta)
     L, info = _scipy.dpotrf(gamma + nugget * np.eye(D.n), lower=1)
     if info != 0:

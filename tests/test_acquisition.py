@@ -1,18 +1,24 @@
+import dataclasses
+import heapq
 import itertools
 import json
 import os
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quip import acquisition
 from quip.acquisition import (
     AcquisitionSpec,
     _BnB,
     _objective,
     _objective_batch,
+    allowance,
     candidate_set_acquisition,
     enumerate_acquisition,
     optimize_acquisition,
@@ -61,14 +67,30 @@ def _clip_model(seed, n, d, M, theta=None):
     return build_model(design_from_array(rows, M), rng.normal(size=n), params)
 
 
-def _cert_tol(model, kind, value):
-    """The documented certificate tolerance on an objective value: 1e-9
-    relative plus the absolute rounding of the computed objective, at most
-    n * eps * tau2 for ALM (1 - Q is a difference of numbers near 1) and
-    n * eps * sum|alpha| for UCB (the mean g'alpha is a sum of large terms
-    of both signs when Gamma is near-singular)."""
-    scale = model.params.tau2 if kind == "alm" else np.abs(model.alpha).sum()
-    return 1e-9 * abs(value) + model.design.n * np.finfo(float).eps * scale
+def _upper(bnb, levels):
+    """Reference prefix product U per training point for a level prefix in
+    the branching order, multiplied left to right over its depths."""
+    U = np.ones(bnb.n)
+    for depth, v in enumerate(levels):
+        U = U * bnb.F[depth][v - 1]
+    return U
+
+
+def _cert_tol(model, spec, point, value):
+    """The documented certificate tolerance on an objective value, the
+    library's `allowance` at the point's variance."""
+    _, (var,) = predict_batch(model, np.asarray([point.levels]))
+    return allowance(model, spec.kind, value, var, spec.lam)
+
+
+def _check_gap0_solve(model, spec, rep):
+    """A gap-0 solve against enumeration: certified, and its value and its
+    certified bound within the allowance of the enumerated optimum."""
+    pt, opt = enumerate_acquisition(model, spec)
+    tol = _cert_tol(model, spec, pt, opt)
+    assert rep.status == "optimal"
+    assert abs(rep.best_value - opt) <= tol
+    assert rep.certified_bound >= opt - tol
 
 
 def _pinned_flaky_model():
@@ -87,6 +109,17 @@ def _rounding_pinned_model():
     rows = [[1, 2, 2], [2, 1, 2], [2, 3, 2], [1, 1, 1], [1, 2, 1], [2, 2, 2]]
     params = KernelParams(np.full(3, THETA_CLIP), 0.0, 1.0)
     return build_model(design_from_array(rows, 3), np.zeros(6), params)
+
+
+def _root_rounding_model():
+    """UCB model whose optimum has variance 1e-8, where sqrt(var) amplifies
+    the variance's rounding: branch and bound scores the optimum (1, 2, 2)
+    at 0.0002960166767693913 and enumeration at 0.00029601667348310546, a
+    difference of 3.3e-12, above the mean's rounding n * eps * sum|alpha|
+    = 3.1e-13 but within the square-root term lam * delta / sqrt(var)."""
+    rows = [[1, 1, 1], [1, 1, 2], [2, 2, 1], [1, 2, 1], [1, 2, 2], [2, 1, 2], [2, 2, 2]]
+    params = KernelParams(np.array([THETA_CLIP, 0.5, 0.25]), 0.0, 1.0)
+    return build_model(design_from_array(rows, 2), [-1, 0, 0, 0, 0, 0, 0], params)
 
 
 def _mean_rounding_model():
@@ -188,22 +221,22 @@ class TestBoundAdmissibility:
         # subtree, and each use of linmax holds there alone: the Q bound <=
         # min Q and, for UCB, the mean bound >= max mean and, where applied,
         # the tangent plane >= max UCB. Each holds to the smaller of 1e-10
-        # and the documented allowance `_cert_tol` (for Q, the ALM one over
-        # tau2; for the mean, the UCB one). The reference mean is summed
+        # and the documented `allowance` (for Q, the ALM one over tau2; for
+        # the mean, the UCB one at lambda 0). The reference mean is summed
         # exactly from the float rows G and alpha and rounded once, since
         # mu + G @ alpha itself rounds by about n * eps * sum|alpha|
         d, M = model.design.d, model.design.M
         tau2 = model.params.tau2
         mu, alpha = Fraction(model.params.mu), [Fraction(a) for a in model.alpha]
 
-        def tol(kind, value, scale=1.0):
-            return min(1e-10, _cert_tol(model, kind, value) / scale)
+        def tol(kind, value, var=0.0, lam=0.0, scale=1.0):
+            return min(1e-10, allowance(model, kind, value, var, lam) / scale)
 
         full = lattice_array(d, M)
         for kind in ("alm", "ucb"):
             spec = AcquisitionSpec(kind, gap_tolerance=0.0)
             bnb = _BnB(model, spec)
-            G = np.stack([bnb._upper(tuple(row[bnb.order])) for row in full])
+            G = np.stack([_upper(bnb, tuple(row[bnb.order])) for row in full])
             mean = np.array(
                 [float(mu + sum(Fraction(v) * a for v, a in zip(g, alpha))) for g in G])
             _, var = _posterior(model, G)
@@ -214,17 +247,19 @@ class TestBoundAdmissibility:
                     # subtree members: points agreeing with prefix in the
                     # branching order
                     inside = np.all(full[:, bnb.order[:depth]] == prefix, axis=1)
-                    U = bnb._upper(prefix)[None, :]
-                    top, q_min = vals[inside].max(), Q[inside].min()
+                    U = _upper(bnb, prefix)[None, :]
+                    k = np.flatnonzero(inside)[np.argmax(vals[inside])]
+                    top, top_var, q_min = vals[k], var[k], Q[inside].min()
+                    top_tol = tol(kind, top, top_var, spec.lam)
                     bound = bnb._bounds(U, depth)[0]
-                    assert bound >= top - tol(kind, top), (kind, prefix)
+                    assert bound >= top - top_tol, (kind, prefix)
                     (q_low,), mean_high, tangent = bnb._parts(U, depth)
-                    q_tol = tol("alm", tau2 * (1.0 - q_min), tau2)
+                    q_tol = tol("alm", tau2 * (1.0 - q_min), scale=tau2)
                     assert q_low <= q_min + q_tol, (kind, prefix)
                     if kind == "ucb":
                         m = mean[inside].max()
                         assert mean_high[0] >= m - tol("ucb", m), prefix
-                        assert tangent[0] >= top - tol("ucb", top), prefix
+                        assert tangent[0] >= top - top_tol, prefix
 
     def test_bound_dominates_subtree(self):
         self._check_subtrees(_model(4, n=5, d=3, M=2))
@@ -270,13 +305,13 @@ class TestLinmax:
         d, M = model.design.d, model.design.M
         full = lattice_array(d, M)
         bnb = _BnB(model, AcquisitionSpec("alm"))
-        G = np.stack([bnb._upper(tuple(row[bnb.order])) for row in full])
+        G = np.stack([_upper(bnb, tuple(row[bnb.order])) for row in full])
         L = rng.normal(size=(8, model.design.n)) * rng.lognormal(size=(8, 1))
         L[0], L[1] = np.abs(L[0]), -np.abs(L[1])  # one-signed rows too
         for depth in range(d):
             for prefix in itertools.product(range(1, M + 1), repeat=depth):
                 inside = np.all(full[:, bnb.order[:depth]] == prefix, axis=1)
-                w = L * bnb._upper(prefix)
+                w = L * _upper(bnb, prefix)
                 bound = bnb._linmax(w, depth)
                 brute = (G[inside] @ L.T).max(axis=0)
                 box = np.maximum(w, bnb.free_min[depth] * w).sum(axis=1)
@@ -316,7 +351,7 @@ class TestUcbTangentGuard:
             spec = AcquisitionSpec("ucb", gap_tolerance=0.0)
             bnb = _BnB(model, spec)
             depth = model.design.d - 1
-            u = bnb._upper(tuple(model.design.as_array()[0, bnb.order[:depth]]))
+            u = _upper(bnb, tuple(model.design.as_array()[0, bnb.order[:depth]]))
             a = 0.5 * (1.0 + bnb.free_min[depth])
             unit = u / (a * np.sqrt(u @ bnb.W @ u))  # c'Wc = 1
             scales = [1.5, 1.0] + [1.0 - k * 1e-16 for k in range(1, 40)]
@@ -349,7 +384,7 @@ class TestLeafValues:
         ]
         for spec, rows, scale in cases:
             bnb = _BnB(model, spec)
-            G = np.stack([bnb._upper(tuple(row[bnb.order])) for row in full[rows]])
+            G = np.stack([_upper(bnb, tuple(row[bnb.order])) for row in full[rows]])
             np.testing.assert_allclose(
                 _objective(model, G, spec),
                 _objective_batch(model, full[rows], spec),
@@ -385,14 +420,45 @@ class TestOptimize:
     @settings(max_examples=60, deadline=None)
     @given(model=_small_models(), kind=st.sampled_from(["alm", "ucb"]))
     @example(model=_pinned_flaky_model(), kind="ucb")
+    @example(model=_root_rounding_model(), kind="ucb")
     def test_oracle_equivalence_property(self, model, kind):
         spec = AcquisitionSpec(kind, gap_tolerance=0.0)
-        rep = optimize_acquisition(model, spec)
-        _, opt = enumerate_acquisition(model, spec)
-        tol = _cert_tol(model, kind, opt)
-        assert rep.status == "optimal"
-        assert abs(rep.best_value - opt) <= tol
-        assert rep.certified_bound >= opt - tol
+        _check_gap0_solve(model, spec, optimize_acquisition(model, spec))
+
+    @pytest.mark.parametrize("kind", ["alm", "ucb"])
+    def test_allowance_catches_a_bound_twice_below(self, kind):
+        # the check has teeth: a certified bound, or a value, off the
+        # enumerated optimum by twice the allowance fails it
+        for model in (_root_rounding_model(), _clip_model(3, n=8, d=3, M=3)):
+            spec = AcquisitionSpec(kind, gap_tolerance=0.0)
+            rep = optimize_acquisition(model, spec)
+            pt, opt = enumerate_acquisition(model, spec)
+            tol = _cert_tol(model, spec, pt, opt)
+            assert 0.0 < tol < 1e-6 * abs(opt)
+            _check_gap0_solve(model, spec, rep)
+            for field in ("certified_bound", "best_value"):
+                off = dataclasses.replace(rep, **{field: opt - 2.0 * tol})
+                with pytest.raises(AssertionError):
+                    _check_gap0_solve(model, spec, off)
+
+    def test_allowance_root_term(self):
+        # UCB adds lam times the rounding of sqrt(var) for a variance off
+        # by delta = n eps tau2: delta / sqrt(var) above delta, sqrt(delta)
+        # at or below it; ALM adds delta alone
+        model = _root_rounding_model()
+        n, tau2 = model.design.n, model.params.tau2
+        eps = np.finfo(float).eps
+        delta = n * eps * tau2
+        mean = n * eps * np.abs(model.alpha).sum()
+        assert allowance(model, "alm", 0.0, 1e-8) == delta
+        assert allowance(model, "ucb", 0.0, 1e-8, 0.0) == mean
+        assert allowance(model, "ucb", 0.0, 1e-8, 2.0) == pytest.approx(
+            mean + 2.0 * delta / 1e-4, rel=1e-12)
+        for var in (0.0, delta):
+            assert allowance(model, "ucb", 0.0, var, 2.0) == pytest.approx(
+                mean + 2.0 * np.sqrt(delta), rel=1e-12)
+        with pytest.raises(ValueError):
+            allowance(model, "ei", 0.0, 1.0)
 
     def test_time_limit_keeps_a_valid_bracket(self):
         model = _model(12, n=10, d=6, M=3)
@@ -510,7 +576,7 @@ class TestClipPinned:
     """Gap-0 branch and bound against enumeration where most theta sit at
     the fit's lower clip, Gamma is near-singular and both bounds on Q are
     exercised. The certificate tolerance is the documented one,
-    `_cert_tol`."""
+    `allowance`."""
 
     @staticmethod
     def _models(count):
@@ -529,15 +595,10 @@ class TestClipPinned:
             yield build_model(design_from_array(rows, M), rng.normal(size=n), params)
 
     def test_gap0_matches_enumeration(self):
-        for i, model in enumerate(self._models(20)):
+        for model in self._models(20):
             for kind in ("alm", "ucb"):
                 spec = AcquisitionSpec(kind, gap_tolerance=0.0)
-                rep = optimize_acquisition(model, spec)
-                _, opt = enumerate_acquisition(model, spec)
-                tol = _cert_tol(model, kind, opt)
-                assert rep.status == "optimal", (i, kind)
-                assert abs(rep.best_value - opt) <= tol, (i, kind)
-                assert rep.certified_bound >= opt - tol, (i, kind)
+                _check_gap0_solve(model, spec, optimize_acquisition(model, spec))
 
 
 # the first iteration of the seed-2 rover campaign: initial_design(20, 8, 9,
@@ -581,24 +642,25 @@ def test_rover_gap0_alm_certified_by_the_dive():
     assert rep.best_value == pytest.approx(model.params.tau2, rel=1e-9)
 
 
-# node counts of the certified gap-0 solves on the frozen d=12 models of
-# perfbench/refs.json, the dive's d/2 expansions included: a looser bound
-# shows here as more nodes
+# node counts and points of the certified gap-0 solves on the frozen d=12
+# models of perfbench/refs.json, the dive's d/2 expansions included: a
+# looser bound shows here as more nodes. q0-n30-s1/alm returns a point tied
+# with refs.json's ref_point, which differs from it at the last factor
 D12_PINS = [
-    ("q0-n30-s1", "alm", 15),
-    ("q0-n30-s2", "ucb", 14),
-    ("q0-n40-s0", "ucb", 32),
-    ("q0-n40-s0", "alm", 14),
-    ("q0-n40-s1", "alm", 13),
-    ("q0-n50-s1", "ucb", 7),
-    ("q0-n50-s1", "alm", 10),
-    ("q0-n60-s0", "ucb", 9),
-    ("q0-n60-s2", "ucb", 19),
-    ("q0-n60-s2", "alm", 8),
-    ("q0-n90-s0", "alm", 7),
-    ("q0-n90-s1", "ucb", 9),
-    ("q0-n100-s3", "ucb", 11),
-    ("q0-n100-s3", "alm", 11),
+    ("q0-n30-s1", "alm", 15, (3, 2, 2, 2, 2, 5, 3, 2, 4, 1, 4, 4)),
+    ("q0-n30-s2", "ucb", 14, (4, 5, 4, 1, 1, 2, 5, 1, 4, 3, 2, 4)),
+    ("q0-n40-s0", "ucb", 32, (4, 1, 5, 5, 3, 3, 1, 1, 2, 3, 4, 4)),
+    ("q0-n40-s0", "alm", 14, (1, 3, 3, 4, 4, 2, 5, 2, 2, 2, 5, 5)),
+    ("q0-n40-s1", "alm", 13, (5, 5, 5, 4, 5, 3, 2, 2, 4, 2, 1, 5)),
+    ("q0-n50-s1", "ucb", 7, (4, 5, 1, 1, 5, 4, 4, 1, 5, 1, 2, 1)),
+    ("q0-n50-s1", "alm", 10, (4, 3, 3, 4, 5, 3, 2, 3, 4, 5, 1, 2)),
+    ("q0-n60-s0", "ucb", 9, (4, 4, 5, 4, 3, 1, 2, 2, 4, 4, 3, 2)),
+    ("q0-n60-s2", "ucb", 19, (5, 4, 1, 4, 2, 4, 1, 3, 2, 3, 2, 1)),
+    ("q0-n60-s2", "alm", 8, (1, 4, 2, 3, 1, 4, 3, 3, 3, 5, 2, 4)),
+    ("q0-n90-s0", "alm", 7, (2, 5, 2, 3, 2, 5, 1, 3, 1, 1, 4, 5)),
+    ("q0-n90-s1", "ucb", 9, (4, 5, 4, 1, 3, 4, 5, 4, 1, 1, 3, 4)),
+    ("q0-n100-s3", "ucb", 11, (4, 1, 5, 5, 3, 2, 4, 1, 1, 4, 2, 5)),
+    ("q0-n100-s3", "alm", 11, (5, 5, 2, 5, 2, 1, 2, 1, 2, 1, 1, 2)),
 ]
 
 
@@ -621,13 +683,61 @@ def _frozen_d12_solves():
 
 def test_frozen_d12_solves_pinned():
     solves = _frozen_d12_solves()
-    assert sorted(solves) == sorted((name, kind) for name, kind, _ in D12_PINS)
-    for name, kind, nodes in D12_PINS:
+    assert sorted(solves) == sorted((name, kind) for name, kind, _, _ in D12_PINS)
+    for name, kind, nodes, point in D12_PINS:
         model, ref = solves[name, kind]
         rep = optimize_acquisition(model, AcquisitionSpec(kind, gap_tolerance=0.0))
         assert rep.status == "optimal", (name, kind)
         assert rep.best_value == pytest.approx(ref["ref_value"], rel=1e-9), (name, kind)
         assert rep.nodes == nodes, (name, kind)
+        assert rep.best_point.levels == point, (name, kind)
+
+
+class TestCarriedRows:
+    """Each heap entry carries the prefix row U of the node that pushed it,
+    whose levels are the entry's first `start`; every popped row must equal
+    the reference product over those levels bit for bit."""
+
+    @staticmethod
+    def _popped(model, spec):
+        """The solve's report and every (levels, start, row) its heap
+        popped, the row copied as popped."""
+        popped = []
+
+        def pop(heap):
+            entry = heapq.heappop(heap)
+            _, _, levels, row, start = entry
+            popped.append((levels, start, row.copy()))
+            return entry
+
+        hooks = SimpleNamespace(heappush=heapq.heappush, heappop=pop)
+        with mock.patch.object(acquisition, "heapq", hooks):
+            rep = optimize_acquisition(model, spec)
+        return rep, popped
+
+    @classmethod
+    def _check(cls, model, spec):
+        rep, popped = cls._popped(model, spec)
+        bnb = _BnB(model, spec)
+        for levels, start, row in popped:
+            assert len(levels) - start in (1, 2), levels
+            assert row.tobytes() == _upper(bnb, levels[:start]).tobytes(), levels
+        return rep, len(popped)
+
+    def test_frozen_d12_rows_match_the_reference(self):
+        for (name, kind), (model, _) in sorted(_frozen_d12_solves().items()):
+            rep, count = self._check(model, AcquisitionSpec(kind, gap_tolerance=0.0))
+            # the root and the dive's ceil(d/2) - 1 descents are not popped
+            assert count == rep.nodes - (model.design.d + 1) // 2 > 0, (name, kind)
+
+    def test_random_rows_match_the_reference(self):
+        total = 0
+        for seed in range(6):
+            for model in (_model(seed + 300, n=10, d=6, M=3),
+                          _clip_model(seed, n=12, d=5, M=3)):
+                for kind in ("alm", "ucb"):
+                    total += self._check(model, AcquisitionSpec(kind, gap_tolerance=0.0))[1]
+        assert total > 0
 
 
 class TestEnumerate:
